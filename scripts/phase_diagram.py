@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Phase diagram of the rate plane at fixed emergence rate.
 
-Sweeps a beta x mu grid, simulates each admissible cell, and prints an
-ASCII phase plane: S where the orbit survives, E where it dies out,
-'=' on cells the validator rejects (equal rates), '!' where simulation
-and spectral classification disagree (should never happen).  The full
-grid also lands in a CSV.
+Runs the sweep behind `mosqdyn sweep` over a beta x mu grid and prints it
+as an ASCII phase plane, beta rising to the right and mu to the top:
+S where the orbit survives, E where it dies out, '=' on cells the
+validator rejects (equal rates), '!' where the simulated verdict and the
+spectral classification disagree (should never happen).  The grid lands
+in a CSV in the format of `mosqdyn sweep`, byte for byte what that
+command writes for the same grid.
 
     python3 scripts/phase_diagram.py --alpha 0.6 --n 21 --out out/phase.csv
 """
@@ -16,33 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from mosqdyn import (
-    Classification,
-    Mode,
-    OrbitConfig,
-    Parameters,
-    State,
-    classify_origin,
-    iterate_orbit,
-    validate_parameters,
-)
-from mosqdyn.ioutil import atomic_write_lines, fmt
+from mosqdyn import SWEEP_CSV_HEADER, OrbitConfig, State, sweep
+from mosqdyn.ioutil import atomic_write_lines
 
 
-def cell_symbol(p, s0, cfg, tol):
-    rep = validate_parameters(p, Mode.REDUCED)
-    if not rep.valid:
-        return "=", None
-    cls = classify_origin(p, tol=tol).classification
-    orb = iterate_orbit(p, s0, cfg)
-    verdict = orb.verdict.value
-    if p.beta < p.mu:
-        agree = cls is Classification.ATTRACTING and verdict == "extinction"
-        sym = "E"
-    else:
-        agree = cls is not Classification.ATTRACTING and verdict == "survival"
-        sym = "S"
-    return (sym if agree else "!"), (cls.value, verdict, orb.n_steps, orb.y_limit_estimate)
+def cell_symbol(cell):
+    if not cell.in_condition:
+        return "="
+    return cell.verdict[0].upper() if cell.agree else "!"
 
 
 def main(argv=None):
@@ -60,41 +43,24 @@ def main(argv=None):
     ap.add_argument("--out", type=Path, default=Path("out/phase.csv"))
     args = ap.parse_args(argv)
 
-    betas = np.linspace(args.beta_lo, args.beta_hi, args.n)
-    mus = np.linspace(args.mu_lo, args.mu_hi, args.n)
-    cfg = OrbitConfig(max_iters=args.steps, record_every=64)
-    s0 = State(args.x0, args.y0)
-
-    rows = ["alpha,beta,mu,symbol,classification,verdict,n_steps,y_limit_estimate"]
-    grid = []
-    disagree = 0
-    # mu along rows top-down so the printout reads like a plot
-    for m in mus[::-1]:
-        line = []
-        for b in betas:
-            p = Parameters(args.alpha, float(b), float(m))
-            sym, detail = cell_symbol(p, s0, cfg, args.tol)
-            line.append(sym)
-            if sym == "!":
-                disagree += 1
-            if detail is None:
-                rows.append(f"{fmt(args.alpha)},{fmt(b)},{fmt(m)},{sym},,,,")
-            else:
-                cls, verdict, n_steps, y_est = detail
-                rows.append(
-                    f"{fmt(args.alpha)},{fmt(b)},{fmt(m)},{sym},{cls},{verdict},"
-                    f"{n_steps},{fmt(y_est)}"
-                )
-        grid.append("".join(line))
+    n = args.n
+    betas = np.linspace(args.beta_lo, args.beta_hi, n)
+    mus = np.linspace(args.mu_lo, args.mu_hi, n)
+    # the recording stride of `mosqdyn sweep`, which sets the survival
+    # confirmation window and so n_steps
+    cfg = OrbitConfig(max_iters=args.steps, record_every=16)
+    cells = sweep([args.alpha], betas, mus, State(args.x0, args.y0), cfg, tol=args.tol)
+    disagree = sum(c.agree is False for c in cells)
 
     print(f"alpha={args.alpha}  beta left {args.beta_lo} to {args.beta_hi} right, "
           f"mu bottom {args.mu_lo} to {args.mu_hi} top")
-    for line in grid:
-        print(line)
-    print(f"cells={args.n * args.n} disagreements={disagree}")
+    # cells run mu fastest within each beta
+    for j in reversed(range(n)):
+        print("".join(cell_symbol(cells[i * n + j]) for i in range(n)))
+    print(f"cells={len(cells)} disagreements={disagree}")
 
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write_lines(args.out, rows)
+    atomic_write_lines(args.out, [SWEEP_CSV_HEADER] + [c.csv_row() for c in cells])
     print(f"wrote {args.out}")
     return 1 if disagree else 0
 

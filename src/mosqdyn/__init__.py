@@ -5,120 +5,22 @@ The package simulates the two-stage (larvae, adults) map, classifies the
 extinction state spectrally, verifies the extinction/escape dichotomy
 along orbits with online monitors, excludes periodic behavior on the
 population simplex, and cross-checks everything against the continuous
-flow the map discretizes.
+flow the map discretizes.  `battery` gathers those checks into the sweep
+and certificate battery that the command line interface runs.
 """
 
-from .errors import IntegrationError, VerificationError
-from .model import (
-    Mode,
-    Parameters,
-    State,
-    ValidationReport,
-    require_valid,
-    step,
-    step_reduced,
-    validate_parameters,
-    vector_field,
-)
-from .ode import (
-    EquilibriumReport,
-    FlowTrajectory,
-    OdeConfig,
-    equilibrium_report,
-    flow_to_csv,
-    integrate_flow,
-    offspring_number,
-    positive_equilibrium,
-    write_flow_csv,
-)
-from .simplex import (
-    PeriodCertificate,
-    check_interval_map_range,
-    check_two_cycle_reduction,
-    count_two_cycles_on_grid,
-    interval_map,
-    interval_map_parts,
-    scan_periodic_points,
-    simplex_step,
-    two_cycle_certificate,
-)
-from .spectral import (
-    Classification,
-    SpectralReport,
-    classify_origin,
-    find_fixed_points,
-    jacobian_at_origin,
-    origin_eigenvalues,
-    stability_inequalities,
-)
-from .trajectory import (
-    MonitorLog,
-    Orbit,
-    OrbitConfig,
-    StepSignCensus,
-    Verdict,
-    check_decreasing_totals,
-    check_growth_lower_bound,
-    check_sum_identity,
-    check_y_bound,
-    count_forbidden_patterns,
-    iterate_general,
-    iterate_orbit,
-    orbit_to_csv,
-    write_orbit_csv,
-)
+from . import battery, errors, model, ode, simplex, spectral, trajectory
+from .battery import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .model import *  # noqa: F403
+from .ode import *  # noqa: F403
+from .simplex import *  # noqa: F403
+from .spectral import *  # noqa: F403
+from .trajectory import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Classification",
-    "EquilibriumReport",
-    "FlowTrajectory",
-    "IntegrationError",
-    "Mode",
-    "MonitorLog",
-    "OdeConfig",
-    "Orbit",
-    "OrbitConfig",
-    "Parameters",
-    "PeriodCertificate",
-    "SpectralReport",
-    "State",
-    "StepSignCensus",
-    "ValidationReport",
-    "Verdict",
-    "VerificationError",
-    "check_decreasing_totals",
-    "check_growth_lower_bound",
-    "check_interval_map_range",
-    "check_sum_identity",
-    "check_two_cycle_reduction",
-    "check_y_bound",
-    "classify_origin",
-    "count_forbidden_patterns",
-    "count_two_cycles_on_grid",
-    "equilibrium_report",
-    "find_fixed_points",
-    "flow_to_csv",
-    "integrate_flow",
-    "interval_map",
-    "interval_map_parts",
-    "iterate_general",
-    "iterate_orbit",
-    "jacobian_at_origin",
-    "offspring_number",
-    "orbit_to_csv",
-    "origin_eigenvalues",
-    "positive_equilibrium",
-    "require_valid",
-    "scan_periodic_points",
-    "simplex_step",
-    "stability_inequalities",
-    "step",
-    "step_reduced",
-    "two_cycle_certificate",
-    "validate_parameters",
-    "vector_field",
-    "write_flow_csv",
-    "write_orbit_csv",
-]
+# each module names its public API once, in its own __all__
+__all__ = sorted(
+    name for module in (battery, errors, model, ode, simplex, spectral, trajectory) for name in module.__all__
+)

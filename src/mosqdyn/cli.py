@@ -11,13 +11,15 @@ Subcommands:
 Exit codes: 0 success, 2 invalid parameters/config (argparse errors
 included), 3 I/O failure, 4 a verification or agreement failure.
 
-Options may come from a config file (--config PATH, lines of
-"key = value", # comments allowed, keys named like the long options);
-explicit command line flags override config values.  Commands that draw
-randomness take --seed, falling back to the MOSQDYN_SEED environment
-variable, then to the built-in default; the seed in effect is echoed.
+Options may come from a config file (--config PATH or --config=PATH,
+lines of "key = value", # comments allowed, keys named like the long
+options); explicit command line flags override config values.  Commands
+that draw randomness take --seed, falling back to the MOSQDYN_SEED
+environment variable, then to the built-in default; the seed in effect
+is echoed.
 File outputs are written atomically (temp file in the target directory,
-then rename).
+then rename).  The checks themselves live in `battery`; this module
+parses, prints, writes and maps outcomes to exit codes.
 """
 
 from __future__ import annotations
@@ -26,36 +28,17 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
+from .battery import SWEEP_CSV_HEADER, expected_fate, run_certificates, run_trials, sweep, thresholds_agree
 from .errors import IntegrationError, VerificationError
 from .ioutil import atomic_write_json, atomic_write_lines, atomic_write_text, fmt
 from .model import Mode, Parameters, State, validate_parameters
-from .ode import OdeConfig, equilibrium_report, integrate_flow
-from .simplex import (
-    check_interval_map_range,
-    count_two_cycles_on_grid,
-    scan_periodic_points,
-    two_cycle_certificate,
-)
-from .spectral import (
-    Classification,
-    classify_origin,
-    find_fixed_points,
-    origin_eigenvalues,
-    stability_inequalities,
-)
-from .trajectory import (
-    Orbit,
-    OrbitConfig,
-    Verdict,
-    check_decreasing_totals,
-    check_growth_lower_bound,
-    iterate_general,
-    iterate_orbit,
-    orbit_to_csv,
-)
+from .ode import OdeConfig, equilibrium_report, integrate_flow, offspring_number
+from .spectral import classify_origin, stability_inequalities
+from .trajectory import Orbit, OrbitConfig, iterate_general, iterate_orbit, orbit_to_csv
 
 __all__ = ["main", "DEFAULT_SEED"]
 
@@ -90,21 +73,28 @@ def _config_tokens(path: str) -> list[str]:
 
 
 def _expand_config(argv: list[str]) -> list[str]:
-    if "--config" not in argv:
+    hits = [i for i, tok in enumerate(argv) if tok == "--config" or tok.startswith("--config=")]
+    if not hits:
         return argv
-    if argv.count("--config") > 1:
+    if len(hits) > 1:
         raise ValueError("--config may be given at most once")
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
+    idx = hits[0]
+    _, inline, path = argv[idx].partition("=")
+    tail = argv[idx + 1 :]
+    if not inline and tail:
+        path, tail = tail[0], tail[1:]
+    if not path:
         raise ValueError("--config requires a path")
     if idx == 0:
         raise ValueError("--config must follow a subcommand")
-    path = argv[idx + 1]
     head = argv[:idx]
-    tail = argv[idx + 2 :]
     # config tokens go right after the subcommand so that explicit flags,
     # parsed later, win
     return [head[0]] + _config_tokens(path) + head[1:] + tail
+
+
+def _orbit_config(args: argparse.Namespace, **fields) -> OrbitConfig:
+    return OrbitConfig(max_iters=args.steps, conv_tol=args.conv_tol, div_threshold=args.div_threshold, **fields)
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -214,42 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
 # ------------------------------------------------------------- simulate
 
 
-def _census_json(orbit: Orbit) -> dict:
-    c = orbit.monitors.sign_census
-    return {
-        "both_up": c.both_up,
-        "both_down": c.both_down,
-        "x_up_y_down": c.x_up_y_down,
-        "x_down_y_up": c.x_down_y_up,
-        "ties": c.ties,
-        "switches": c.switches,
-        "gain_growth_events": c.gain_growth_events,
-        "drop_shrink_events": c.drop_shrink_events,
-    }
-
-
 def _orbit_json(orbit: Orbit) -> dict:
-    p = orbit.params
-    cfg = orbit.config
     return {
-        "params": {"alpha": p.alpha, "beta": p.beta, "mu": p.mu, "d0": p.d0, "d1": p.d1},
-        "config": {
-            "max_iters": cfg.max_iters,
-            "conv_tol": cfg.conv_tol,
-            "div_threshold": cfg.div_threshold,
-            "record_every": cfg.record_every,
-            "confirm_window": cfg.confirm_window,
-        },
+        "params": asdict(orbit.params),
+        "config": asdict(orbit.config),
         "verdict": orbit.verdict.value,
         "n_steps": orbit.n_steps,
         "y_limit_estimate": orbit.y_limit_estimate,
-        "monitors": {
-            "y_bound_violations": orbit.monitors.y_bound_violations,
-            "pattern_violations": orbit.monitors.pattern_violations,
-            "sum_identity_max_err": orbit.monitors.sum_identity_max_err,
-            "monotone_onset_estimate": orbit.monitors.monotone_onset_estimate,
-            "sign_census": _census_json(orbit),
-        },
+        "monitors": asdict(orbit.monitors),
         "orbit": [
             [int(n), float(x), float(y)]
             for n, x, y in zip(orbit.steps, orbit.xs, orbit.ys)
@@ -263,13 +225,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not report.valid:
         print(report.message(), file=sys.stderr)
         return 2
-    cfg = OrbitConfig(
-        max_iters=args.steps,
-        conv_tol=args.conv_tol,
-        div_threshold=args.div_threshold,
-        record_every=args.record_every,
-        confirm_window=args.confirm_window,
-    )
+    cfg = _orbit_config(args, record_every=args.record_every, confirm_window=args.confirm_window)
     orbit = iterate_orbit(p, State(args.x0, args.y0), cfg)
     verdict_line = (
         f"verdict={orbit.verdict.value} n_steps={orbit.n_steps} "
@@ -291,19 +247,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------- classify
 
 
-def _rate_comparison(p: Parameters) -> tuple[str, str]:
-    if p.beta < p.mu:
-        return ("beta<mu", "extinction")
-    if p.beta > p.mu:
-        return ("beta>mu", "survival")
-    return ("beta=mu", "none")
-
-
 def cmd_classify(args: argparse.Namespace) -> int:
     p = Parameters(args.alpha, args.beta, args.mu, args.d0, args.d1)
     report = classify_origin(p, tol=args.tol)
     ineq = stability_inequalities(p)
-    comparison, fate = _rate_comparison(p)
+    comparison, fate = expected_fate(p)
     out = {
         "alpha": p.alpha,
         "beta": p.beta,
@@ -312,7 +260,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "eigenvalues": [report.lambda1, report.lambda2],
         "classification": report.classification.value,
         "stability_inequalities": list(ineq),
-        "r0": (p.alpha * p.beta) / ((p.alpha + p.d0) * p.mu),
+        "r0": offspring_number(p),
         "rate_comparison": comparison,
         "expected_fate": fate,
     }
@@ -339,184 +287,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     alphas = _axis(args.alpha_range, "--alpha-range")
     betas = _axis(args.beta_range, "--beta-range")
     mus = _axis(args.mu_range, "--mu-range")
-    cfg = OrbitConfig(
-        max_iters=args.steps,
-        conv_tol=args.conv_tol,
-        div_threshold=args.div_threshold,
-        record_every=args.record_every,
-    )
-    s0 = State(args.x0, args.y0)
-    rows = ["alpha,beta,mu,d0,d1,in_condition,classification,verdict,n_steps,y_limit_estimate,agree"]
-    cells = 0
-    n_in = 0
-    n_agree = 0
-    n_disagree = 0
-    for a in alphas:
-        for b in betas:
-            for m in mus:
-                cells += 1
-                p = Parameters(float(a), float(b), float(m), args.d0, args.d1)
-                in_cond = validate_parameters(p, Mode.REDUCED).valid
-                try:
-                    cls = classify_origin(p, tol=args.tol).classification.value
-                except ValueError:
-                    cls = ""
-                verdict = ""
-                n_steps = ""
-                y_est = ""
-                agree = ""
-                if in_cond:
-                    n_in += 1
-                    orbit = iterate_orbit(p, s0, cfg)
-                    verdict = orbit.verdict.value
-                    n_steps = str(orbit.n_steps)
-                    y_est = fmt(orbit.y_limit_estimate)
-                    _, fate = _rate_comparison(p)
-                    cls_ok = (
-                        cls == Classification.ATTRACTING.value
-                        if p.beta < p.mu
-                        else cls in (Classification.SADDLE.value, Classification.REPELLING.value)
-                    )
-                    ok = cls_ok and verdict == fate
-                    agree = "true" if ok else "false"
-                    if ok:
-                        n_agree += 1
-                    else:
-                        n_disagree += 1
-                rows.append(
-                    f"{fmt(p.alpha)},{fmt(p.beta)},{fmt(p.mu)},{fmt(p.d0)},{fmt(p.d1)},"
-                    f"{'true' if in_cond else 'false'},{cls},{verdict},{n_steps},{y_est},{agree}"
-                )
-    atomic_write_lines(args.out, rows)
-    print(f"cells={cells} in_condition={n_in} agree={n_agree} disagree={n_disagree}")
-    return 4 if n_disagree > 0 else 0
+    cfg = _orbit_config(args, record_every=args.record_every)
+    cells = sweep(alphas, betas, mus, State(args.x0, args.y0), cfg, args.d0, args.d1, args.tol)
+    atomic_write_lines(args.out, [SWEEP_CSV_HEADER] + [c.csv_row() for c in cells])
+    n_in = sum(c.in_condition for c in cells)
+    n_agree = sum(c.agree is True for c in cells)
+    print(f"cells={len(cells)} in_condition={n_in} agree={n_agree} disagree={n_in - n_agree}")
+    return 4 if n_agree < n_in else 0
 
 
 # -------------------------------------------------------------- certify
-
-
-def _run_certificates(p: Parameters, args: argparse.Namespace) -> list[tuple[str, bool, str]]:
-    results: list[tuple[str, bool, str]] = []
-
-    l1, l2 = origin_eigenvalues(p)
-    numeric = np.linalg.eigvals(np.asarray([[1.0 - p.alpha, p.beta], [p.alpha, 1.0 - p.mu]]))
-    numeric = np.sort(numeric.real)[::-1]
-    eig_err = max(abs(l1 - numeric[0]), abs(l2 - numeric[1]))
-    vieta_sum = abs((l1 + l2) - (2.0 - p.alpha - p.mu))
-    vieta_prod = abs(l1 * l2 - ((1.0 - p.alpha) * (1.0 - p.mu) - p.alpha * p.beta))
-    ok = eig_err <= 1e-12 and vieta_sum <= 1e-12 and vieta_prod <= 1e-12
-    results.append(
-        ("spectral-agreement", ok, f"eig_err={eig_err:.2e} vieta=({vieta_sum:.2e},{vieta_prod:.2e})")
-    )
-
-    rep = classify_origin(p)
-    both = all(stability_inequalities(p))
-    ok = both == (rep.classification is Classification.ATTRACTING)
-    results.append(("stability-equivalence", ok, f"classification={rep.classification.value}"))
-
-    ok = check_interval_map_range(p)
-    results.append(("interval-map-range", ok, "T([0,1]) within [0,1]"))
-
-    try:
-        cert = two_cycle_certificate(p)
-        ok = cert.signs_ok
-        detail = f"A={cert.quad_a:.6g} B={cert.quad_b:.6g} C={cert.quad_c:.6g}"
-    except VerificationError as exc:
-        ok, detail = False, str(exc)
-    results.append(("two-cycle-signs", ok, detail))
-
-    try:
-        scan = scan_periodic_points(p, p_max=args.p_max, grid_n=args.grid)
-        n_roots = sum(len(r) for r in scan.roots_by_period.values())
-        ok, detail = True, f"periods 2..{args.p_max}: {n_roots} roots, all fixed points"
-    except VerificationError as exc:
-        ok, detail = False, str(exc)
-    results.append(("periodic-scan", ok, detail))
-
-    n_cycles = count_two_cycles_on_grid(p)
-    results.append(("two-cycle-grid", n_cycles == 0, f"{n_cycles} non-origin period-two cells"))
-
-    try:
-        find_fixed_points(p)
-        ok, detail = True, "origin only"
-    except VerificationError as exc:
-        ok, detail = False, str(exc)
-    results.append(("fixed-point-scan", ok, detail))
-
-    cfg = OrbitConfig(
-        max_iters=args.steps,
-        conv_tol=args.conv_tol,
-        div_threshold=args.div_threshold,
-        record_every=1,
-    )
-    orbit = iterate_orbit(p, State(args.x0, args.y0), cfg)
-    _, fate = _rate_comparison(p)
-    mon = orbit.monitors
-    ok = (
-        orbit.verdict.value == fate
-        and mon.y_bound_violations == 0
-        and mon.pattern_violations == 0
-        and mon.sum_identity_max_err <= 1e-9
-    )
-    results.append(
-        (
-            "orbit-dichotomy",
-            ok,
-            f"verdict={orbit.verdict.value} n={orbit.n_steps} "
-            f"y_bound={mon.y_bound_violations} patterns={mon.pattern_violations} "
-            f"sum_err={mon.sum_identity_max_err:.2e}",
-        )
-    )
-
-    if p.beta > p.mu and orbit.verdict is Verdict.SURVIVAL:
-        onset = mon.monotone_onset_estimate
-        try:
-            ok = check_growth_lower_bound(p, orbit, onset)
-            detail = f"anchored at onset {onset}"
-        except ValueError as exc:
-            ok, detail = False, str(exc)
-        results.append(("growth-lower-bound", ok, detail))
-    elif p.beta < p.mu and orbit.verdict is Verdict.EXTINCTION:
-        ok = check_decreasing_totals(p, orbit)
-        results.append(("decreasing-totals", ok, "x+y and (mu/beta)x+y nonincreasing"))
-
-    return results
-
-
-def _run_trials(args: argparse.Namespace, seed: int) -> list[tuple[str, bool, str]]:
-    rng = np.random.default_rng(seed)
-    results: list[tuple[str, bool, str]] = []
-    cfg = OrbitConfig(max_iters=args.steps, conv_tol=args.conv_tol,
-                      div_threshold=args.div_threshold, record_every=32)
-    for i in range(args.trials):
-        while True:
-            a, b, m = 1.0 - rng.random(3)
-            if abs(b - m) > 0.01:
-                break
-        p = Parameters(float(a), float(b), float(m))
-        s0 = State(float(rng.uniform(0.0, 10.0)), float(rng.uniform(0.0, 10.0)))
-        label = f"trial-{i + 1}"
-        try:
-            cert = two_cycle_certificate(p)
-            range_ok = check_interval_map_range(p, grid_n=201)
-            scan_periodic_points(p, p_max=4, grid_n=2001)
-            orbit = iterate_orbit(p, s0, cfg)
-            _, fate = _rate_comparison(p)
-            ok = (
-                cert.signs_ok
-                and range_ok
-                and orbit.verdict.value == fate
-                and orbit.monitors.y_bound_violations == 0
-                and orbit.monitors.pattern_violations == 0
-            )
-            detail = (
-                f"alpha={p.alpha:.6g} beta={p.beta:.6g} mu={p.mu:.6g} "
-                f"verdict={orbit.verdict.value} n={orbit.n_steps}"
-            )
-        except VerificationError as exc:
-            ok, detail = False, str(exc)
-        results.append((label, ok, detail))
-    return results
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
@@ -525,19 +305,20 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if not report.valid:
         print(report.message(), file=sys.stderr)
         return 2
-    results = _run_certificates(p, args)
+    cfg = _orbit_config(args)
+    results = run_certificates(p, State(args.x0, args.y0), cfg, args.p_max, args.grid)
     seed = None
     if args.trials > 0:
         seed = _resolve_seed(args)
         print(f"seed={seed}")
-        results.extend(_run_trials(args, seed))
+        results.extend(run_trials(args.trials, seed, cfg))
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     n_fail = sum(1 for _, ok, _ in results if not ok)
     print(f"certificates={len(results)} failed={n_fail}")
     if args.out:
         payload = {
-            "params": {"alpha": p.alpha, "beta": p.beta, "mu": p.mu, "d0": p.d0, "d1": p.d1},
+            "params": asdict(p),
             "seed": seed,
             "certificates": [
                 {"name": name, "pass": ok, "detail": detail} for name, ok, detail in results
@@ -572,25 +353,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
         f"positive_equilibrium={eq_txt}"
     )
     if reduced:
-        orbit = iterate_orbit(
-            p,
-            s0,
-            OrbitConfig(
-                max_iters=args.steps,
-                conv_tol=args.conv_tol,
-                div_threshold=args.div_threshold,
-                record_every=args.record_every,
-            ),
-        )
+        orbit = iterate_orbit(p, s0, _orbit_config(args, record_every=args.record_every))
         ns, xs, ys = orbit.steps, orbit.xs, orbit.ys
         summary.append(
             f"discrete: verdict={orbit.verdict.value} n={orbit.n_steps} "
             f"final=({fmt(xs[-1])}, {fmt(ys[-1])})"
         )
-        # with no larval mortality the flow's threshold is beta/mu, so the
-        # two notions of extinction-vs-survival must point the same way
-        coherent = (eq.r0 > 1.0) == (p.beta > p.mu)
-        summary.append(f"threshold_coherence={'true' if coherent else 'false'}")
+        summary.append(f"threshold_coherence={'true' if thresholds_agree(p) else 'false'}")
     else:
         ns, xs, ys = iterate_general(p, s0, args.steps, record_every=args.record_every)
         summary.append(

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError, VerificationError
-from .model import Mode, Parameters, State, require_valid, vector_field
+from .model import Mode, Parameters, State, _field, require_valid, vector_field
 
 __all__ = [
     "OdeConfig",
@@ -155,11 +155,6 @@ def integrate_flow(p: Parameters, s0: State, config: OdeConfig | None = None) ->
     cfg = config if config is not None else OdeConfig()
     h = cfg.step
     n_steps = int(math.floor(cfg.t_end / h + 1e-9))
-    alpha, beta, mu, d0, d1 = p.alpha, p.beta, p.mu, p.d0, p.d1
-
-    def rhs(x: float, y: float) -> tuple[float, float]:
-        em = alpha * (x / (1.0 + x))
-        return (beta * y - em) - (d0 + d1 * x) * x, em - mu * y
 
     ts = np.empty(n_steps + 1, dtype=np.float64)
     xs = np.empty(n_steps + 1, dtype=np.float64)
@@ -173,10 +168,10 @@ def integrate_flow(p: Parameters, s0: State, config: OdeConfig | None = None) ->
     sixth = h / 6.0
     try:
         for i in range(1, n_steps + 1):
-            k1x, k1y = rhs(x, y)
-            k2x, k2y = rhs(x + half * k1x, y + half * k1y)
-            k3x, k3y = rhs(x + half * k2x, y + half * k2y)
-            k4x, k4y = rhs(x + h * k3x, y + h * k3y)
+            k1x, k1y = _field(p, x, y)
+            k2x, k2y = _field(p, x + half * k1x, y + half * k1y)
+            k3x, k3y = _field(p, x + half * k2x, y + half * k2y)
+            k4x, k4y = _field(p, x + h * k3x, y + h * k3y)
             x = x + sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
             y = y + sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
             if not (math.isfinite(x) and math.isfinite(y)) or x < -0.5:

@@ -32,7 +32,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import VerificationError
-from .model import Mode, Parameters, State, require_valid, step_reduced
+from .model import Mode, Parameters, State, _map, require_valid, step_reduced
 
 __all__ = [
     "PeriodCertificate",
@@ -332,14 +332,7 @@ def count_two_cycles_on_grid(
     xs = np.linspace(0.0, x_max, n)
     ys = np.linspace(0.0, y_max, n)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-
-    def once(cx, cy):
-        em = p.alpha * (cx / (1.0 + cx))
-        nx = (p.beta * cy - em) + cx
-        ny = em + (1.0 - p.mu) * cy
-        return nx, ny
-
-    mx, my = once(*once(gx, gy))
+    mx, my = _map(p, *_map(p, gx, gy))
     res = np.maximum(np.abs(mx - gx), np.abs(my - gy))
     off_origin = np.maximum(np.abs(gx), np.abs(gy)) > origin_radius
     return int(np.count_nonzero((res < residual_tol) & off_origin))

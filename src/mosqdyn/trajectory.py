@@ -13,10 +13,13 @@ regime and the adult-limit estimator
 
 has stayed within conv_tol of alpha/mu for a confirmation window (the
 estimator removes the leading 1/(1+x) correction of the adult count, so
-it converges like 1/x^2 instead of 1/x).  The window demands both
-per-step increments >= -1e-14 throughout; under beta < mu the increments
-sum to (beta - mu)*y < 0, so a contracting orbit can never fill the
-window and the two verdicts cannot be confused.
+it converges like 1/x^2 instead of 1/x).  On every step of the window
+the larvae must strictly grow, dx > 1e-14, and the adults must not
+shrink, dy >= -1e-14, so dx + dy > 0.  The increments sum to
+(beta - mu)*y, which is <= 0 under beta < mu, so a contracting orbit can
+never fill the window.  That includes orbits creeping toward the origin,
+where both increments fall inside the 1e-14 tie band and the estimator
+already sits within conv_tol of alpha/mu.
 
 Monitors accumulated along the way, one pass, all tolerances absolute:
 
@@ -40,7 +43,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import Mode, Parameters, State, require_valid
+from .model import Mode, Parameters, State, _map, require_valid
 
 __all__ = [
     "Verdict",
@@ -300,7 +303,7 @@ def iterate_orbit(p: Parameters, s0: State, config: OrbitConfig | None = None) -
                 y_limit = y + am / (1.0 + x)
                 break
             yhat = y + am / (1.0 + x)
-            if dx >= -tie and dy >= -tie and abs(yhat - am) < conv:
+            if dx > tie and dy >= -tie and abs(yhat - am) < conv:
                 streak += 1
                 if streak >= confirm:
                     verdict = Verdict.SURVIVAL
@@ -372,17 +375,13 @@ def iterate_general(
         raise ValueError("n_steps must be nonnegative")
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
-    alpha, beta, mu, d0, d1 = p.alpha, p.beta, p.mu, p.d0, p.d1
     ns = [0]
     xs = [s0.x]
     ys = [s0.y]
     x = s0.x
     y = s0.y
     for n in range(1, n_steps + 1):
-        em = alpha * (x / (1.0 + x))
-        x1 = ((beta * y - em) - (d0 + d1 * x) * x) + x
-        y1 = em + (1.0 - mu) * y
-        x, y = x1, y1
+        x, y = _map(p, x, y)
         if not (0.0 <= x <= 1e15 and 0.0 <= y <= 1e15):
             ns.append(n)
             xs.append(x)

@@ -5,6 +5,8 @@ the installed entry point to cover module execution.
 """
 
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -70,6 +72,20 @@ def test_simulate_unwritable_output_path(tmp_path, capsys):
     _, err = capsys.readouterr()
     assert rc == 3
     assert "i/o error" in err
+
+
+def test_output_files_respect_umask(tmp_path, capsys):
+    orbit_path = tmp_path / "orbit.csv"
+    compare_path = tmp_path / "cmp.csv"
+    old = os.umask(0o027)
+    try:
+        assert main(["simulate", *EXT, "--x0", "1", "--y0", "1", "--out", str(orbit_path)]) == 0
+        assert main(["compare", *EXT, "--x0", "1", "--y0", "1", "--steps", "5",
+                     "--t-end", "1", "--out", str(compare_path)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(orbit_path.stat().st_mode) == 0o640
+    assert stat.S_IMODE(compare_path.stat().st_mode) == 0o640
 
 
 # --------------------------------------------------------------- classify
@@ -306,6 +322,24 @@ def test_config_file_with_override(tmp_path, capsys):
     first_row = out.strip().split("\n")[1]
     n, x, y = first_row.split(",")
     assert float(y) == 0.2  # explicit flag beat the config value
+
+
+def test_config_flag_with_equals_sign(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 0.5\nbeta = 0.3\nmu = 0.6\nx0 = 1.0\ny0 = 0.1\n")
+    rc = main(["simulate", f"--config={cfg}", "--y0", "0.2"])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert err.startswith("verdict=extinction")
+    assert float(out.strip().split("\n")[1].split(",")[2]) == 0.2
+    for argv, message in (
+        (["simulate", f"--config={cfg}", "--config", str(cfg)], "at most once"),
+        (["simulate", f"--config={cfg}", f"--config={cfg}"], "at most once"),
+        ([f"--config={cfg}", "simulate"], "must follow a subcommand"),
+        (["simulate", "--config="], "requires a path"),
+    ):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_config_file_missing(tmp_path, capsys):

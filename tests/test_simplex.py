@@ -7,6 +7,7 @@ an independent route.
 """
 
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mosqdyn as mq
-from mosqdyn.simplex import _verify_two_cycle_reduction_identity
+from mosqdyn.simplex import _two_cycle_coefficients, _verify_two_cycle_reduction_identity, interval_map_parts
 
 REF1 = mq.Parameters(0.6, 0.5, 0.48)
 REF2 = mq.Parameters(0.4, 0.35, 0.3)
@@ -136,6 +137,20 @@ def test_reduction_identity_rejects_corrupted_coefficients():
         _verify_two_cycle_reduction_identity(REF1, cert.quad_a + 0.1, cert.quad_b, cert.quad_c)
     with pytest.raises(mq.VerificationError):
         _verify_two_cycle_reduction_identity(REF1, -cert.quad_a, -cert.quad_b, -cert.quad_c)
+
+
+def test_reduction_identity_holds_symbolically():
+    # the identity the 33-point spot check samples, proved once over
+    # symbolic rates with the library's own coefficient and map formulas
+    sympy = pytest.importorskip("sympy")
+    x, alpha, beta, mu = sympy.symbols("x alpha beta mu")
+    p = SimpleNamespace(alpha=alpha, beta=beta, mu=mu)
+    qa, qb, qc = _two_cycle_coefficients(p)
+    num1, den1 = interval_map_parts(p, x)
+    # T(T(x)) = num2 / den2 after clearing den1**2 from both parts
+    num2, den2 = (sympy.cancel(part * den1**2) for part in interval_map_parts(p, num1 / den1))
+    identity = (num2 - x * den2) + (num1 - x * den1) * (qa * x**2 + qb * x + qc)
+    assert sympy.expand(sympy.nsimplify(identity, rational=True)) == 0
 
 
 def test_certificate_json_shape():

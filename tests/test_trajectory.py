@@ -146,6 +146,29 @@ def test_coarse_recording_still_converges():
     assert orb.steps[-1] == orb.n_steps
 
 
+def test_contracting_orbit_near_origin_never_confirms_survival():
+    # both increments sit inside the tie band and the adult estimator is
+    # within conv_tol of alpha/mu, so only strict larval growth in the
+    # confirmation window keeps this beta < mu orbit from "surviving"
+    p = mq.Parameters(0.001, 0.499999, 0.5)
+    orb = mq.iterate_orbit(p, mq.State(1e-6, 2e-9), mq.OrbitConfig(max_iters=5_000))
+    assert orb.verdict is mq.Verdict.EXHAUSTED
+
+
+def test_orbit_loop_matches_map_kernel_bit_for_bit():
+    # iterate_orbit inlines the map step for speed; it must stay the
+    # shared kernel's arithmetic exactly
+    from mosqdyn.model import _map
+
+    cfg = mq.OrbitConfig(max_iters=2_000)
+    for p, s0 in ((REF1, mq.State(2.0, 0.1)), (REF3, mq.State(0.01, 0.2)), (EXT, mq.State(1.0, 1.0))):
+        orb = mq.iterate_orbit(p, s0, cfg)
+        xs, ys = _map(p, orb.xs[:-1], orb.ys[:-1])
+        assert np.array_equal(xs, orb.xs[1:]) and np.array_equal(ys, orb.ys[1:])
+        x, y = _map(p, float(orb.xs[-2]), float(orb.ys[-2]))
+        assert (x, y) == (orb.xs[-1], orb.ys[-1])
+
+
 def test_orbit_rejects_full_map_parameters():
     with pytest.raises(ValueError):
         mq.iterate_orbit(mq.Parameters(0.6, 0.5, 0.48, 0.1, 0.0), mq.State(1.0, 1.0))
