@@ -214,11 +214,14 @@ def run_certificates(p: Parameters, s0: State, config: OrbitConfig, p_max: int, 
     orbit = iterate_orbit(p, s0, config)
     _, fate = expected_fate(p)
     mon = orbit.monitors
+    # a few ulps of the largest total; x + y is monotone along the orbit,
+    # so that total is the first or the last one
+    total = max(1.0, s0.x + s0.y, float(orbit.xs[-1] + orbit.ys[-1]))
     ok = (
         orbit.verdict.value == fate
         and mon.y_bound_violations == 0
         and mon.pattern_violations == 0
-        and mon.sum_identity_max_err <= 1e-9
+        and mon.sum_identity_max_err <= max(1e-9, 8 * np.finfo(float).eps * total)
     )
     results.append(
         Certificate(

@@ -9,7 +9,8 @@ Subcommands:
     compare    discrete orbit next to the continuous flow
 
 Exit codes: 0 success, 2 invalid parameters/config (argparse errors
-included), 3 I/O failure, 4 a verification or agreement failure.
+included, and budgets too large for memory), 3 I/O failure, 4 a
+verification or agreement failure.
 
 Options may come from a config file (--config PATH or --config=PATH,
 lines of "key = value", # comments allowed, keys named like the long
@@ -411,6 +412,9 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: budget too large for memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

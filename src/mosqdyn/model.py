@@ -1,4 +1,4 @@
-"""Parameter and state types plus the one-generation evolution operators.
+"""Parameter and state types plus the one-generation evolution operator.
 
 The model follows a wild mosquito population in two stages, larvae ``x``
 and adults ``y``.  One generation advances by
@@ -11,7 +11,8 @@ where ``alpha`` is the emergence rate with crowding saturation x/(1+x),
 mortality splits into a density-independent part ``d0`` and a
 density-dependent part ``d1*x``.  Dropping larval mortality gives the
 reduced map (d0 = d1 = 0); the asymptotic analysis implemented by the
-rest of the package concerns that case with beta != mu.
+rest of the package concerns that case with beta != mu.  One `step`
+serves both maps.
 
 The map is the identity plus the continuous-time right-hand side.  Two
 private kernels hold all of the map arithmetic, for scalars and numpy
@@ -39,7 +40,6 @@ __all__ = [
     "require_valid",
     "vector_field",
     "step",
-    "step_reduced",
 ]
 
 
@@ -189,19 +189,9 @@ def vector_field(p: Parameters, s: State) -> tuple[float, float]:
 
 
 def step(p: Parameters, s: State) -> State:
-    """Advance one generation under the full map."""
+    """Advance one generation under the full map (the reduced map when
+    d0 = d1 = 0).  Checks general-mode validity only; callers that need
+    the reduced condition beta != mu check it themselves."""
     require_valid(p, Mode.GENERAL)
-    dx, dy = vector_field(p, s)
-    return State(s.x + dx, s.y + dy)
-
-
-def step_reduced(p: Parameters, s: State) -> State:
-    """Advance one generation under the reduced map (no larval mortality).
-
-    Requires reduced-mode validity, in particular beta != mu.  With
-    d0 = d1 = 0 the mortality term contributes exactly nothing to the
-    floating-point sum, so this shares `vector_field` with `step`.
-    """
-    require_valid(p, Mode.REDUCED)
     dx, dy = vector_field(p, s)
     return State(s.x + dx, s.y + dy)

@@ -45,8 +45,6 @@ __all__ = [
     "positive_equilibrium",
     "equilibrium_report",
     "integrate_flow",
-    "flow_to_csv",
-    "write_flow_csv",
 ]
 
 
@@ -57,15 +55,12 @@ class OdeConfig:
 
     step: float = 0.01
     t_end: float = 500.0
-    conv_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if not (0.0 < self.step <= 1.0):
             raise ValueError("step must lie in (0, 1]")
         if self.t_end < self.step:
             raise ValueError("t_end must be at least one step")
-        if not (self.conv_tol > 0.0):
-            raise ValueError("conv_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -93,10 +88,6 @@ class FlowTrajectory:
     @property
     def final(self) -> tuple[float, float]:
         return (float(self.xs[-1]), float(self.ys[-1]))
-
-    def points(self):
-        for t, x, y in zip(self.ts, self.xs, self.ys):
-            yield (float(t), float(x), float(y))
 
 
 def offspring_number(p: Parameters) -> float:
@@ -184,19 +175,3 @@ def integrate_flow(p: Parameters, s0: State, config: OdeConfig | None = None) ->
     except ZeroDivisionError as exc:
         raise IntegrationError("vector field pole reached (x = -1)") from exc
     return FlowTrajectory(params=p, ts=ts, xs=xs, ys=ys)
-
-
-def _csv_rows(traj: FlowTrajectory):
-    yield "t,x,y"
-    for t, x, y in zip(traj.ts, traj.xs, traj.ys):
-        yield f"{float(t):.6f},{float(x):.16e},{float(y):.16e}"
-
-
-def flow_to_csv(traj: FlowTrajectory) -> str:
-    return "\n".join(_csv_rows(traj)) + "\n"
-
-
-def write_flow_csv(traj: FlowTrajectory, path) -> None:
-    from .ioutil import atomic_write_lines
-
-    atomic_write_lines(path, _csv_rows(traj))

@@ -32,7 +32,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import VerificationError
-from .model import Mode, Parameters, State, _map, require_valid, step_reduced
+from .model import Mode, Parameters, State, _map, require_valid, step
 
 __all__ = [
     "PeriodCertificate",
@@ -306,7 +306,7 @@ def check_two_cycle_reduction(p: Parameters, s: State, periodic_tol: float = 1e-
     raises VerificationError.
     """
     require_valid(p, Mode.REDUCED)
-    s2 = step_reduced(p, step_reduced(p, s))
+    s2 = step(p, step(p, s))
     if max(abs(s2.x - s.x), abs(s2.y - s.y)) >= periodic_tol:
         return True
     if max(abs(s.x), abs(s.y)) < 1e-8:

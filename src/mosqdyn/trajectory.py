@@ -21,7 +21,9 @@ never fill the window.  That includes orbits creeping toward the origin,
 where both increments fall inside the 1e-14 tie band and the estimator
 already sits within conv_tol of alpha/mu.
 
-Monitors accumulated along the way, one pass, all tolerances absolute:
+Monitors accumulated along the way, one pass, all tolerances absolute
+(the bound `battery.run_certificates` holds the identity residual to is
+relative: a few ulps of the largest total x + y, floored at 1e-9):
 
 * adult envelope  y^(n) <= alpha/mu + (1-mu)^n * (y^(0) - alpha/mu),
   violations beyond 1e-12 counted;
@@ -37,9 +39,9 @@ Monitors accumulated along the way, one pass, all tolerances absolute:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
@@ -59,7 +61,6 @@ __all__ = [
     "check_growth_lower_bound",
     "check_decreasing_totals",
     "orbit_to_csv",
-    "write_orbit_csv",
 ]
 
 TIE_TOL = 1e-14
@@ -137,7 +138,8 @@ class MonitorLog:
 class Orbit:
     """A recorded orbit.  `steps`, `xs`, `ys` are aligned arrays of the
     recorded step indices and coordinates; index 0 and the final state
-    are always present regardless of record_every."""
+    are always present regardless of record_every.  They grow with the
+    rows kept, not with max_iters."""
 
     params: Parameters
     config: OrbitConfig
@@ -152,9 +154,6 @@ class Orbit:
     @property
     def final_state(self) -> State:
         return State(float(self.xs[-1]), float(self.ys[-1]))
-
-    def states(self) -> list[State]:
-        return [State(float(x), float(y)) for x, y in zip(self.xs, self.ys)]
 
 
 def iterate_orbit(p: Parameters, s0: State, config: OrbitConfig | None = None) -> Orbit:
@@ -184,17 +183,14 @@ def iterate_orbit(p: Parameters, s0: State, config: OrbitConfig | None = None) -
     tie = TIE_TOL
     ybtol = Y_BOUND_TOL
 
-    n_rec_cap = cfg.max_iters // every + 2
-    rec_n = np.empty(n_rec_cap, dtype=np.int64)
-    rec_x = np.empty(n_rec_cap, dtype=np.float64)
-    rec_y = np.empty(n_rec_cap, dtype=np.float64)
-
     x = s0.x
     y = s0.y
-    rec_n[0] = 0
-    rec_x[0] = x
-    rec_y[0] = y
-    k = 1
+    rec_n = array("q", [0])
+    rec_x = array("d", [x])
+    rec_y = array("d", [y])
+    put_n = rec_n.append
+    put_x = rec_x.append
+    put_y = rec_y.append
 
     ybv = 0
     per_step_pat = 0
@@ -211,119 +207,110 @@ def iterate_orbit(p: Parameters, s0: State, config: OrbitConfig | None = None) -
     switches = 0
     gain_growth = 0
     drop_shrink = 0
-    prev_dx = 0.0
-    prev_dy = 0.0
+    dx = dy = prev_dx = prev_dy = 0.0
     have_prev = False
     streak = 0
     n = 0
+    max_iters = cfg.max_iters
 
+    # The state of step n is judged at the top of the loop, n = 0
+    # included, before the budget is looked at: extinction first, then
+    # escape, then the survival window, whose increments dx, dy are
+    # those of the step that led to this state (zero at n = 0).
     verdict = Verdict.EXHAUSTED
-    y_limit = y if not growth else y + am / (1.0 + x)
+    while True:
+        if x < conv and y < conv:
+            verdict = Verdict.EXTINCTION
+            break
+        if x > div:
+            verdict = Verdict.SURVIVAL
+            break
+        if dx > tie and dy >= -tie and abs((y + am / (1.0 + x)) - am) < conv:
+            streak += 1
+            if streak >= confirm:
+                verdict = Verdict.SURVIVAL
+                break
+        else:
+            streak = 0
+        if n >= max_iters:
+            break
 
-    if x < conv and y < conv:
-        verdict = Verdict.EXTINCTION
-        y_limit = y
-    elif x > div:
-        verdict = Verdict.SURVIVAL
+        em = alpha * (x / (1.0 + x))
+        x1 = (beta * y - em) + x
+        y1 = em + omm * y
+        n += 1
+        dx = x1 - x
+        dy = y1 - y
+
+        err = abs((x1 + y1) - ((bmm * y + x) + y))
+        if err > sum_err:
+            sum_err = err
+
+        pw *= omm
+        bound = am + pw * y0_excess
+        if y1 > bound + ybtol or y1 < -ybtol:
+            ybv += 1
+
+        up_x = dx > tie
+        dn_x = dx < -tie
+        up_y = dy > tie
+        dn_y = dy < -tie
+        if up_x and up_y:
+            c_uu += 1
+        elif dn_x and dn_y:
+            c_dd += 1
+        elif up_x and dn_y:
+            c_ud += 1
+        elif dn_x and up_y:
+            c_du += 1
+        else:
+            c_tie += 1
+        if dn_x or dn_y:
+            last_bad = n
+
+        if growth:
+            if dn_x and dn_y:
+                per_step_pat += 1
+            if seen_both_up and (dn_x or dn_y):
+                per_step_pat += 1
+            elif up_x and up_y:
+                seen_both_up = True
+            if not (dn_x and up_y):
+                all_down_up = False
+            if not (up_x and dn_y):
+                all_up_down = False
+            if have_prev:
+                n_pairs += 1
+                was_ud = prev_dx > tie and prev_dy < -tie
+                if was_ud and dn_x and up_y:
+                    switches += 1
+                else:
+                    alternation_all = False
+                if was_ud and up_x and dn_y:
+                    if dx > prev_dx + tie:
+                        gain_growth += 1
+                    if -dy < -prev_dy - tie:
+                        drop_shrink += 1
+
+        x = x1
+        y = y1
+        if n % every == 0:
+            put_n(n)
+            put_x(x)
+            put_y(y)
+
+        prev_dx = dx
+        prev_dy = dy
+        have_prev = True
+
+    if rec_n[-1] != n:
+        put_n(n)
+        put_x(x)
+        put_y(y)
+    if verdict is Verdict.SURVIVAL or (growth and verdict is Verdict.EXHAUSTED):
         y_limit = y + am / (1.0 + x)
     else:
-        max_iters = cfg.max_iters
-        while n < max_iters:
-            em = alpha * (x / (1.0 + x))
-            x1 = (beta * y - em) + x
-            y1 = em + omm * y
-            n += 1
-            dx = x1 - x
-            dy = y1 - y
-
-            err = abs((x1 + y1) - ((bmm * y + x) + y))
-            if err > sum_err:
-                sum_err = err
-
-            pw *= omm
-            bound = am + pw * y0_excess
-            if y1 > bound + ybtol or y1 < -ybtol:
-                ybv += 1
-
-            up_x = dx > tie
-            dn_x = dx < -tie
-            up_y = dy > tie
-            dn_y = dy < -tie
-            if up_x and up_y:
-                c_uu += 1
-            elif dn_x and dn_y:
-                c_dd += 1
-            elif up_x and dn_y:
-                c_ud += 1
-            elif dn_x and up_y:
-                c_du += 1
-            else:
-                c_tie += 1
-            if dn_x or dn_y:
-                last_bad = n
-
-            if growth:
-                if dn_x and dn_y:
-                    per_step_pat += 1
-                if seen_both_up and (dn_x or dn_y):
-                    per_step_pat += 1
-                elif up_x and up_y:
-                    seen_both_up = True
-                if not (dn_x and up_y):
-                    all_down_up = False
-                if not (up_x and dn_y):
-                    all_up_down = False
-                if have_prev:
-                    n_pairs += 1
-                    was_ud = prev_dx > tie and prev_dy < -tie
-                    if was_ud and dn_x and up_y:
-                        switches += 1
-                    else:
-                        alternation_all = False
-                    if was_ud and up_x and dn_y:
-                        if dx > prev_dx + tie:
-                            gain_growth += 1
-                        if -dy < -prev_dy - tie:
-                            drop_shrink += 1
-
-            x = x1
-            y = y1
-            if n % every == 0:
-                rec_n[k] = n
-                rec_x[k] = x
-                rec_y[k] = y
-                k += 1
-
-            if x < conv and y < conv:
-                verdict = Verdict.EXTINCTION
-                y_limit = y
-                break
-            if x > div:
-                verdict = Verdict.SURVIVAL
-                y_limit = y + am / (1.0 + x)
-                break
-            yhat = y + am / (1.0 + x)
-            if dx > tie and dy >= -tie and abs(yhat - am) < conv:
-                streak += 1
-                if streak >= confirm:
-                    verdict = Verdict.SURVIVAL
-                    y_limit = yhat
-                    break
-            else:
-                streak = 0
-
-            prev_dx = dx
-            prev_dy = dy
-            have_prev = True
-
-        if verdict is Verdict.EXHAUSTED:
-            y_limit = y + am / (1.0 + x) if growth else y
-
-    if k == 0 or rec_n[k - 1] != n:
-        rec_n[k] = n
-        rec_x[k] = x
-        rec_y[k] = y
-        k += 1
+        y_limit = y
 
     pattern_violations = per_step_pat
     if growth and verdict is not Verdict.EXHAUSTED:
@@ -352,9 +339,9 @@ def iterate_orbit(p: Parameters, s0: State, config: OrbitConfig | None = None) -
     return Orbit(
         params=p,
         config=cfg,
-        steps=rec_n[:k].copy(),
-        xs=rec_x[:k].copy(),
-        ys=rec_y[:k].copy(),
+        steps=np.frombuffer(rec_n, dtype=np.int64),
+        xs=np.frombuffer(rec_x, dtype=np.float64),
+        ys=np.frombuffer(rec_y, dtype=np.float64),
         verdict=verdict,
         n_steps=n,
         y_limit_estimate=y_limit,
@@ -375,26 +362,24 @@ def iterate_general(
         raise ValueError("n_steps must be nonnegative")
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
-    ns = [0]
-    xs = [s0.x]
-    ys = [s0.y]
     x = s0.x
     y = s0.y
+    ns = array("q", [0])
+    xs = array("d", [x])
+    ys = array("d", [y])
     for n in range(1, n_steps + 1):
         x, y = _map(p, x, y)
-        if not (0.0 <= x <= 1e15 and 0.0 <= y <= 1e15):
+        outside = not (0.0 <= x <= 1e15 and 0.0 <= y <= 1e15)
+        if outside or n % record_every == 0 or n == n_steps:
             ns.append(n)
             xs.append(x)
             ys.append(y)
+        if outside:
             break
-        if n % record_every == 0 or n == n_steps:
-            ns.append(n)
-            xs.append(x)
-            ys.append(y)
     return (
-        np.asarray(ns, dtype=np.int64),
-        np.asarray(xs, dtype=np.float64),
-        np.asarray(ys, dtype=np.float64),
+        np.frombuffer(ns, dtype=np.int64),
+        np.frombuffer(xs, dtype=np.float64),
+        np.frombuffer(ys, dtype=np.float64),
     )
 
 
@@ -539,21 +524,9 @@ def check_decreasing_totals(p: Parameters, orbit: Orbit, tol: float = TIE_TOL) -
     return True
 
 
-def _csv_rows(orbit: Orbit) -> Iterable[str]:
-    yield "n,x,y"
-    for n, x, y in zip(orbit.steps, orbit.xs, orbit.ys):
-        yield f"{int(n)},{float(x):.16e},{float(y):.16e}"
-
-
 def orbit_to_csv(orbit: Orbit) -> str:
     """The orbit as CSV text: header n,x,y then one row per recorded
     step, coordinates in 17-significant-digit scientific notation, LF
     line endings."""
-    return "\n".join(_csv_rows(orbit)) + "\n"
-
-
-def write_orbit_csv(orbit: Orbit, path) -> None:
-    """Write `orbit_to_csv` output atomically (temp file, then rename)."""
-    from .ioutil import atomic_write_lines
-
-    atomic_write_lines(path, _csv_rows(orbit))
+    rows = [f"{int(n)},{float(x):.16e},{float(y):.16e}" for n, x, y in zip(orbit.steps, orbit.xs, orbit.ys)]
+    return "n,x,y\n" + "\n".join(rows) + "\n"

@@ -74,6 +74,19 @@ def test_simulate_unwritable_output_path(tmp_path, capsys):
     assert "i/o error" in err
 
 
+def test_simulate_budget_far_beyond_memory_matches_default(tmp_path, capsys):
+    default_path = tmp_path / "default.csv"
+    huge_path = tmp_path / "huge.csv"
+    start = [*REF1, "--x0", "2", "--y0", "0.1"]
+    assert main(["simulate", *start, "--out", str(default_path)]) == 0
+    default_out = capsys.readouterr().out
+    rc = main(["simulate", *start, "--steps", "1000000000000", "--out", str(huge_path)])
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    assert out == default_out
+    assert huge_path.read_bytes() == default_path.read_bytes()
+
+
 def test_output_files_respect_umask(tmp_path, capsys):
     orbit_path = tmp_path / "orbit.csv"
     compare_path = tmp_path / "cmp.csv"
@@ -213,6 +226,14 @@ def test_certify_fails_on_starved_budget(capsys):
     assert "verdict=exhausted" in out
 
 
+def test_certify_sum_bound_scales_with_state_size(capsys):
+    # one ulp of 1e8 is 1.5e-8, above the 1e-9 floor of the bound
+    rc = main(["certify", *REF1, "--x0", "1e8", "--y0", "1", "--grid", "2001", "--p-max", "4"])
+    out, _ = capsys.readouterr()
+    assert rc == 0
+    assert "PASS orbit-dichotomy" in out
+
+
 def test_certify_trials_echo_default_seed(capsys):
     rc = main(["certify", *REF1, "--x0", "2", "--y0", "0.1",
                "--grid", "2001", "--p-max", "4", "--trials", "3"])
@@ -298,6 +319,16 @@ def test_compare_shorter_side_padded(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 22  # header + 21 flow rows
     assert lines[-1].startswith(",,,")  # discrete side exhausted after 6 rows
+
+
+def test_compare_horizon_beyond_memory_exits_2(capsys):
+    # 1e14 RK4 steps need 800 TB of samples, beyond any address space
+    rc = main(["compare", *EXT, "--x0", "1", "--y0", "1", "--steps", "10", "--t-end", "1e12"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------ config files

@@ -46,7 +46,7 @@ def test_step_full_map_frozen():
 
 
 def test_step_reduced_frozen_decay_side():
-    s = mq.step_reduced(REF1, mq.State(2.0, 0.1))
+    s = mq.step(REF1, mq.State(2.0, 0.1))
     assert s.x == pytest.approx(1.65, abs=1e-15)
     assert s.y == pytest.approx(0.452, abs=1e-15)
     ex, ey = exact_image(0.6, 0.5, 0.48, 0.0, 0.0, 2.0, 0.1)
@@ -55,7 +55,7 @@ def test_step_reduced_frozen_decay_side():
 
 
 def test_step_reduced_frozen_small_start():
-    s = mq.step_reduced(REF3, mq.State(0.01, 0.2))
+    s = mq.step(REF3, mq.State(0.01, 0.2))
     # rational oracle gives 182.9/1010 and 33.2409.../1010 for these inputs
     assert s.x == pytest.approx(0.1810891089108911, abs=1e-15)
     assert s.y == pytest.approx(0.03291089108910891, abs=1e-16)
@@ -140,10 +140,6 @@ def test_parameters_coerced_to_float():
 def test_step_requires_valid_parameters():
     with pytest.raises(ValueError):
         mq.step(mq.Parameters(1.5, 0.5, 0.5), mq.State(1.0, 1.0))
-    with pytest.raises(ValueError):
-        mq.step_reduced(mq.Parameters(0.6, 0.5, 0.48, 0.1, 0.0), mq.State(1.0, 1.0))
-    with pytest.raises(ValueError):
-        mq.step_reduced(mq.Parameters(0.6, 0.5, 0.5), mq.State(1.0, 1.0))
 
 
 # ------------------------------------------------------------- properties
@@ -170,7 +166,7 @@ def test_step_is_identity_plus_vector_field(alpha, beta, mu, d0, d1, x, y):
 def test_reduced_map_preserves_quadrant(alpha, beta, mu, x, y):
     assume(abs(beta - mu) > 1e-9)
     p = mq.Parameters(alpha, beta, mu)
-    s = mq.step_reduced(p, mq.State(x, y))
+    s = mq.step(p, mq.State(x, y))
     assert s.x >= 0.0
     assert s.y >= 0.0
 
@@ -180,7 +176,7 @@ def test_reduced_step_matches_rational_oracle(alpha, beta, mu, x, y):
     assume(abs(beta - mu) > 1e-9)
     assume(x < 1e6 and y < 1e6)
     p = mq.Parameters(alpha, beta, mu)
-    s = mq.step_reduced(p, mq.State(x, y))
+    s = mq.step(p, mq.State(x, y))
     ex, ey = exact_image(alpha, beta, mu, 0.0, 0.0, x, y)
     assert abs(s.x - float(ex)) <= ulps(s.x, 16)
     assert abs(s.y - float(ey)) <= ulps(s.y, 16)
@@ -195,7 +191,7 @@ def test_reduced_invariance_randomized_bulk():
         if b == m:
             continue
         p = mq.Parameters(float(a), float(b), float(m))
-        s = mq.step_reduced(p, mq.State(float(rng.uniform(0, 1e6)), float(rng.uniform(0, 1e6))))
+        s = mq.step(p, mq.State(float(rng.uniform(0, 1e6)), float(rng.uniform(0, 1e6))))
         assert s.x >= 0.0 and s.y >= 0.0
 
 

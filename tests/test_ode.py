@@ -6,7 +6,6 @@ is measured empirically (a 4th-order scheme must show an error ratio
 near 16 when the step halves).
 """
 
-import io
 import math
 from fractions import Fraction as F
 
@@ -140,36 +139,9 @@ def test_ode_config_validation():
         mq.OdeConfig(step=1.5)
     with pytest.raises(ValueError):
         mq.OdeConfig(step=0.01, t_end=0.005)
-    with pytest.raises(ValueError):
-        mq.OdeConfig(conv_tol=0.0)
 
 
 def test_flow_rejects_invalid_parameters():
     with pytest.raises(ValueError):
         mq.integrate_flow(mq.Parameters(1.5, 0.5, 0.5), mq.State(1.0, 1.0))
 
-
-# ------------------------------------------------------------------- CSV
-
-
-def test_flow_csv_round_trip(tmp_path):
-    traj = mq.integrate_flow(RED, mq.State(1.0, 1.0), mq.OdeConfig(step=0.1, t_end=2.0))
-    text = mq.flow_to_csv(traj)
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,x,y"
-    assert len(lines) == len(traj.ts) + 1
-    data = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
-    assert np.allclose(data[:, 0], traj.ts, atol=1e-6)
-    assert np.array_equal(data[:, 1], traj.xs)
-    assert np.array_equal(data[:, 2], traj.ys)
-
-    path = tmp_path / "flow.csv"
-    mq.write_flow_csv(traj, path)
-    assert path.read_text() == text
-
-
-def test_flow_points_iterator():
-    traj = mq.integrate_flow(RED, mq.State(1.0, 1.0), mq.OdeConfig(step=0.5, t_end=1.0))
-    pts = list(traj.points())
-    assert len(pts) == 3
-    assert pts[0] == (0.0, 1.0, 1.0)

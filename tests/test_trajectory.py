@@ -130,6 +130,28 @@ def test_start_beyond_divergence_threshold():
     assert orb.y_limit_estimate == pytest.approx(1.0, abs=1e-8)
 
 
+def test_budget_far_beyond_memory_gives_the_default_budget_orbit(ref1_orbit):
+    # recording grows with the rows kept, so an unreachable budget costs
+    # nothing once the orbit decides
+    orb = mq.iterate_orbit(REF1, mq.State(2.0, 0.1), mq.OrbitConfig(max_iters=10**15))
+    assert (orb.verdict, orb.n_steps) == (ref1_orbit.verdict, ref1_orbit.n_steps)
+    for got, want in ((orb.steps, ref1_orbit.steps), (orb.xs, ref1_orbit.xs), (orb.ys, ref1_orbit.ys)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_recording_memory_does_not_scale_with_budget():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        orb = mq.iterate_orbit(EXT, mq.State(1.0, 1.0), mq.OrbitConfig(max_iters=10**7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert orb.verdict is mq.Verdict.EXTINCTION
+    assert peak < 1_000_000
+
+
 def test_exhausted_budget():
     orb = mq.iterate_orbit(REF1, mq.State(2.0, 0.1), mq.OrbitConfig(max_iters=10))
     assert orb.verdict is mq.Verdict.EXHAUSTED
@@ -153,6 +175,17 @@ def test_contracting_orbit_near_origin_never_confirms_survival():
     p = mq.Parameters(0.001, 0.499999, 0.5)
     orb = mq.iterate_orbit(p, mq.State(1e-6, 2e-9), mq.OrbitConfig(max_iters=5_000))
     assert orb.verdict is mq.Verdict.EXHAUSTED
+
+
+def test_extinction_outranks_a_window_completing_on_the_same_step():
+    # after one step this beta > mu orbit sits inside the extinction box
+    # and also completes a one-step survival window
+    y0 = 1e-8 + 2e-15
+    em = 0.5 * y0 - 5e-15
+    orb = mq.iterate_orbit(mq.Parameters(1.0, 0.6, 0.5), mq.State(em / (1.0 - em), y0),
+                           mq.OrbitConfig(confirm_window=1))
+    assert (orb.verdict, orb.n_steps) == (mq.Verdict.EXTINCTION, 1)
+    assert orb.y_limit_estimate == orb.final_state.y
 
 
 def test_orbit_loop_matches_map_kernel_bit_for_bit():
@@ -366,7 +399,7 @@ def test_general_iteration_argument_validation():
 # ------------------------------------------------------------------- CSV
 
 
-def test_csv_round_trip(tmp_path):
+def test_csv_round_trip():
     orb = mq.iterate_orbit(REF1, mq.State(2.0, 0.1), mq.OrbitConfig(max_iters=50))
     text = mq.orbit_to_csv(orb)
     lines = text.strip().split("\n")
@@ -376,7 +409,3 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(data[:, 0].astype(np.int64), orb.steps)
     assert np.array_equal(data[:, 1], orb.xs)  # %.16e round-trips exactly
     assert np.array_equal(data[:, 2], orb.ys)
-
-    path = tmp_path / "orbit.csv"
-    mq.write_orbit_csv(orb, path)
-    assert path.read_text() == text
