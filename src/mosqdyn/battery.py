@@ -122,7 +122,10 @@ def sweep(
 ) -> list[SweepCell]:
     """Classify the origin (unit-circle tolerance `tol`) and simulate the
     orbit from s0 on every cell of alphas x betas x mus, mu varying
-    fastest."""
+    fastest.  A tolerance that is not positive is rejected before any
+    cell runs."""
+    if not (tol > 0.0):
+        raise ValueError(f"tol must be positive, got {tol}")
     cells = []
     for a in alphas:
         for b in betas:

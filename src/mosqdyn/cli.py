@@ -274,6 +274,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def _axis(rng3: list[float], name: str) -> np.ndarray:
     lo, hi, n_f = rng3
+    if not np.all(np.isfinite(rng3)):
+        raise ValueError(f"{name}: low, high and count must be finite, got {lo} {hi} {n_f}")
     n = int(round(n_f))
     if n < 1:
         raise ValueError(f"{name}: grid count must be at least 1, got {n_f}")

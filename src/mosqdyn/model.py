@@ -70,11 +70,6 @@ class Parameters:
         for name in ("alpha", "beta", "mu", "d0", "d1"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
-    @property
-    def is_reduced(self) -> bool:
-        """True when larval mortality vanishes and birth != death rate."""
-        return self.d0 == 0.0 and self.d1 == 0.0 and self.beta != self.mu
-
 
 @dataclass(frozen=True)
 class State:

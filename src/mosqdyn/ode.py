@@ -59,6 +59,8 @@ class OdeConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.step <= 1.0):
             raise ValueError("step must lie in (0, 1]")
+        if not math.isfinite(self.t_end):
+            raise ValueError(f"t_end must be finite, got {self.t_end}")
         if self.t_end < self.step:
             raise ValueError("t_end must be at least one step")
 

@@ -317,22 +317,15 @@ def check_two_cycle_reduction(p: Parameters, s: State, periodic_tol: float = 1e-
     )
 
 
-def count_two_cycles_on_grid(
-    p: Parameters,
-    x_max: float = 5.0,
-    y_max: float = 5.0,
-    n: int = 500,
-    residual_tol: float = 1e-10,
-    origin_radius: float = 1e-8,
-) -> int:
-    """Count grid states in [0, x_max] x [0, y_max] whose second iterate
-    under the reduced map returns to them within residual_tol, excluding
-    the origin ball.  Expected 0 for admissible rates."""
+def count_two_cycles_on_grid(p: Parameters) -> int:
+    """Count the states of a 500 x 500 grid on [0, 5] x [0, 5] whose
+    second iterate under the reduced map returns to them within 1e-10,
+    excluding the origin ball of radius 1e-8.  Expected 0 for admissible
+    rates."""
     require_valid(p, Mode.REDUCED)
-    xs = np.linspace(0.0, x_max, n)
-    ys = np.linspace(0.0, y_max, n)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    xs = np.linspace(0.0, 5.0, 500)
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
     mx, my = _map(p, *_map(p, gx, gy))
     res = np.maximum(np.abs(mx - gx), np.abs(my - gy))
-    off_origin = np.maximum(np.abs(gx), np.abs(gy)) > origin_radius
-    return int(np.count_nonzero((res < residual_tol) & off_origin))
+    off_origin = np.maximum(np.abs(gx), np.abs(gy)) > 1e-8
+    return int(np.count_nonzero((res < 1e-10) & off_origin))

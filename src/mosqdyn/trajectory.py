@@ -28,13 +28,15 @@ relative: a few ulps of the largest total x + y, floored at 1e-9):
 * adult envelope  y^(n) <= alpha/mu + (1-mu)^n * (y^(0) - alpha/mu),
   violations beyond 1e-12 counted;
 * forbidden increment-sign patterns in the growth regime (see
-  `count_forbidden_patterns` for the list);
+  `count_forbidden_patterns` for the list), read off the sign census
+  except the decrease-after-both-up count (b), the one pattern that
+  needs state carried across steps;
 * the total-increment identity
   x^(n) + y^(n) = (beta - mu)*y^(n-1) + x^(n-1) + y^(n-1), exact in real
   arithmetic, tracked as a running max of the float residual;
 * the monotone onset: the last step index whose increments dipped below
   the -1e-14 tie tolerance (0 if none);
-* an observational census of increment sign combinations.
+* a census of increment sign combinations, one class per step.
 """
 
 from __future__ import annotations
@@ -108,11 +110,14 @@ class OrbitConfig:
 class StepSignCensus:
     """Counts of per-step increment sign combinations (tie tolerance
     1e-14; steps with either increment inside the tie band land in
-    `ties`).  The last three fields are observational only: switches
-    counts (x up, y down) -> (x down, y up) transitions between
-    consecutive steps, and the two event counters record breaks of the
-    conjectured gain/drop monotonicity inside an (x up, y down) stretch.
-    None of these constitute violations.
+    `ties`).  The first five fields partition the steps: they sum to
+    n_steps.  In the growth regime pattern (a) is `both_down` and
+    patterns (c), (d) are `x_down_y_up` resp. `x_up_y_down` equal to
+    n_steps.  The last three fields are observational only, counted in
+    the growth regime: switches counts (x up, y down) -> (x down, y up)
+    transitions between consecutive steps, and the two event counters
+    record breaks of the conjectured gain/drop monotonicity inside an
+    (x up, y down) stretch.  None of these constitute violations.
     """
 
     both_up: int
@@ -193,12 +198,8 @@ def iterate_orbit(p: Parameters, s0: State, config: OrbitConfig | None = None) -
     put_y = rec_y.append
 
     ybv = 0
-    per_step_pat = 0
     seen_both_up = False
-    all_down_up = True
-    all_up_down = True
-    alternation_all = True
-    n_pairs = 0
+    drops_after_both_up = 0
     sum_err = 0.0
     last_bad = 0
     pw = 1.0
@@ -208,7 +209,6 @@ def iterate_orbit(p: Parameters, s0: State, config: OrbitConfig | None = None) -
     gain_growth = 0
     drop_shrink = 0
     dx = dy = prev_dx = prev_dy = 0.0
-    have_prev = False
     streak = 0
     n = 0
     max_iters = cfg.max_iters
@@ -251,46 +251,36 @@ def iterate_orbit(p: Parameters, s0: State, config: OrbitConfig | None = None) -
         if y1 > bound + ybtol or y1 < -ybtol:
             ybv += 1
 
+        # One classification per step: the census branches partition the
+        # steps, so patterns (a), (c), (d) are read off their counts after
+        # the loop.  The previous increments are zero at step 1, which is
+        # therefore never "after an (x up, y down) step".
         up_x = dx > tie
         dn_x = dx < -tie
         up_y = dy > tie
         dn_y = dy < -tie
         if up_x and up_y:
             c_uu += 1
+            seen_both_up = True
         elif dn_x and dn_y:
             c_dd += 1
         elif up_x and dn_y:
             c_ud += 1
+            if growth and prev_dx > tie and prev_dy < -tie:
+                if dx > prev_dx + tie:
+                    gain_growth += 1
+                if -dy < -prev_dy - tie:
+                    drop_shrink += 1
         elif dn_x and up_y:
             c_du += 1
+            if growth and prev_dx > tie and prev_dy < -tie:
+                switches += 1
         else:
             c_tie += 1
         if dn_x or dn_y:
             last_bad = n
-
-        if growth:
-            if dn_x and dn_y:
-                per_step_pat += 1
-            if seen_both_up and (dn_x or dn_y):
-                per_step_pat += 1
-            elif up_x and up_y:
-                seen_both_up = True
-            if not (dn_x and up_y):
-                all_down_up = False
-            if not (up_x and dn_y):
-                all_up_down = False
-            if have_prev:
-                n_pairs += 1
-                was_ud = prev_dx > tie and prev_dy < -tie
-                if was_ud and dn_x and up_y:
-                    switches += 1
-                else:
-                    alternation_all = False
-                if was_ud and up_x and dn_y:
-                    if dx > prev_dx + tie:
-                        gain_growth += 1
-                    if -dy < -prev_dy - tie:
-                        drop_shrink += 1
+            if seen_both_up:
+                drops_after_both_up += 1
 
         x = x1
         y = y1
@@ -301,7 +291,6 @@ def iterate_orbit(p: Parameters, s0: State, config: OrbitConfig | None = None) -
 
         prev_dx = dx
         prev_dy = dy
-        have_prev = True
 
     if rec_n[-1] != n:
         put_n(n)
@@ -312,12 +301,11 @@ def iterate_orbit(p: Parameters, s0: State, config: OrbitConfig | None = None) -
     else:
         y_limit = y
 
-    pattern_violations = per_step_pat
-    if growth and verdict is not Verdict.EXHAUSTED:
-        if n >= 2:
-            pattern_violations += int(all_down_up) + int(all_up_down)
-        if n_pairs >= 2:
-            pattern_violations += int(alternation_all)
+    pattern_violations = 0
+    if growth:
+        pattern_violations = c_dd + drops_after_both_up
+        if verdict is not Verdict.EXHAUSTED and n >= 2:
+            pattern_violations += (c_du == n) + (c_ud == n)
 
     census = StepSignCensus(
         both_up=c_uu,
@@ -435,9 +423,11 @@ def count_forbidden_patterns(orbit: Orbit, tie: float = TIE_TOL) -> int:
     Counted once if they hold on every available step (>= 2 steps;
     persistence statements, diagnostic on truncated windows):
       (c) x strictly down, y strictly up on every step;
-      (d) x strictly up, y strictly down on every step;
-      (e) the alternation (x up, y down) -> (x down, y up) on every
-          consecutive step pair.
+      (d) x strictly up, y strictly down on every step.
+
+    `iterate_orbit` counts the same patterns online: (a), (c) and (d)
+    from its sign census, (b) from the first both-up step on, and (c),
+    (d) only for runs that reached a verdict.
 
     A strict inequality here means beyond the `tie` tolerance; the
     sub-tolerance churn of late orbits stays out of the counts.
@@ -467,9 +457,6 @@ def count_forbidden_patterns(orbit: Orbit, tie: float = TIE_TOL) -> int:
     if dx.size >= 2:
         violations += int(np.all(dn_x & up_y))
         violations += int(np.all(up_x & dn_y))
-    if dx.size >= 3:
-        pair = up_x[:-1] & dn_x[1:] & dn_y[:-1] & up_y[1:]
-        violations += int(np.all(pair))
     return violations
 
 

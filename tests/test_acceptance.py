@@ -169,10 +169,10 @@ def test_c4_periodicity_exclusion():
 
     grid_counts = []
     for p in (REF1, REF2, ref3):
-        grid_counts.append(mq.count_two_cycles_on_grid(p, x_max=5.0, y_max=5.0, n=500))
+        grid_counts.append(mq.count_two_cycles_on_grid(p))
     for _ in range(10):
         p = mq.Parameters(*_draw_rates(rng))
-        grid_counts.append(mq.count_two_cycles_on_grid(p, x_max=5.0, y_max=5.0, n=500))
+        grid_counts.append(mq.count_two_cycles_on_grid(p))
 
     ok = sign_failures == 0 and not scan_errors and spurious == 0 and sum(grid_counts) == 0
     _emit("C4 periodicity exclusion", ok,

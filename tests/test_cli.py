@@ -182,6 +182,37 @@ def test_sweep_rejects_inverted_range(tmp_path, capsys):
     assert "inverted range" in err
 
 
+@pytest.mark.parametrize("tol", ["0", "nan"])
+def test_sweep_rejects_invalid_tolerance_before_any_cell(tmp_path, capsys, tol):
+    assert main(["classify", *REF1, "--tol", tol]) == 2
+    _, classify_err = capsys.readouterr()
+    out_path = tmp_path / "s.csv"
+    rc = main(["sweep", "--alpha-range", "0.6", "0.6", "1",
+               "--beta-range", "0.3", "0.7", "3",
+               "--mu-range", "0.3", "0.7", "3",
+               "--tol", tol, "--out", str(out_path)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err == classify_err and err.startswith("error: tol must be positive")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("axis", [("0.6", "0.6", "inf"), ("0.6", "0.6", "nan"),
+                                  ("0.6", "inf", "2"), ("nan", "0.6", "1")])
+def test_sweep_rejects_non_finite_axis(tmp_path, capsys, axis):
+    out_path = tmp_path / "s.csv"
+    rc = main(["sweep", "--alpha-range", *axis,
+               "--beta-range", "0.3", "0.7", "3",
+               "--mu-range", "0.3", "0.7", "3",
+               "--out", str(out_path)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: --alpha-range: ") and err.count("\n") == 1
+    assert not out_path.exists()
+
+
 def test_sweep_requires_out_flag():
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--alpha-range", "0.6", "0.6", "1",
@@ -329,6 +360,15 @@ def test_compare_horizon_beyond_memory_exits_2(capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("t_end", ["inf", "nan"])
+def test_compare_non_finite_horizon_exits_2(capsys, t_end):
+    rc = main(["compare", *EXT, "--x0", "1", "--y0", "1", "--steps", "10", "--t-end", t_end])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: t_end must be finite, got {float(t_end)}\n"
 
 
 # ------------------------------------------------------------ config files

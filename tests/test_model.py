@@ -113,12 +113,6 @@ def test_validation_mode_accepts_strings():
     assert mq.validate_parameters(REF1, "general").valid
 
 
-def test_is_reduced_flag():
-    assert REF1.is_reduced
-    assert not mq.Parameters(0.5, 0.5, 0.5).is_reduced
-    assert not mq.Parameters(0.6, 0.5, 0.48, 0.1, 0.0).is_reduced
-
-
 def test_state_rejects_bad_values():
     with pytest.raises(ValueError):
         mq.State(-1e-9, 0.0)

@@ -133,7 +133,7 @@ def test_stability_inequalities_equivalent_to_modulus(alpha, beta, mu):
 
 @pytest.mark.parametrize("p", [REF1, REF2, REF3])
 def test_origin_is_only_fixed_point(p):
-    pts = mq.find_fixed_points(p, x_max=20.0, y_max=20.0, grid_step=0.1)
+    pts = mq.find_fixed_points(p)
     assert len(pts) == 1
     assert pts[0].as_tuple() == (0.0, 0.0)
 

@@ -367,6 +367,40 @@ def test_online_persistence_flags_gated_by_exhaustion():
     assert mq.count_forbidden_patterns(orb) == 1
 
 
+def test_sign_census_partitions_the_steps(ref1_orbit, ref2_orbit, ref3_orbit, ext_orbit):
+    # the online monitors read patterns (a), (c) and (d) off the census,
+    # which is exact only if every step lands in exactly one class
+    orbits = [ref1_orbit, ref2_orbit, ref3_orbit, ext_orbit]
+    rng = np.random.default_rng(2024)
+    for _ in range(20):
+        p = mq.Parameters(*(1.0 - rng.random(3)))
+        s0 = mq.State(*rng.uniform(0.0, 10.0, 2))
+        for cfg in (mq.OrbitConfig(max_iters=20_000, record_every=16), mq.OrbitConfig(max_iters=7)):
+            orbits.append(mq.iterate_orbit(p, s0, cfg))
+    assert any(orb.verdict is mq.Verdict.EXHAUSTED for orb in orbits)
+    for orb in orbits:
+        c = orb.monitors.sign_census
+        assert c.both_up + c.both_down + c.x_up_y_down + c.x_down_y_up + c.ties == orb.n_steps
+
+
+def test_online_patterns_match_the_offline_scan_on_completed_orbits(ref1_orbit, ref2_orbit, ref3_orbit):
+    orbits = [ref1_orbit, ref2_orbit, ref3_orbit]
+    # growth orbits started this close to the origin fall into the
+    # extinction box after two and three (x down, y up) steps, so the
+    # persistence pattern (c) fires on both routes
+    for p in (mq.Parameters(0.3, 0.25, 0.1), mq.Parameters(0.2, 0.2, 0.15)):
+        orbits.append(mq.iterate_orbit(p, mq.State(1.5e-8, 0.0)))
+    rng = np.random.default_rng(99)
+    for _ in range(10):
+        mu = float(rng.uniform(0.3, 0.9))
+        p = mq.Parameters(float(rng.uniform(0.05, 1.0)), mu + float(rng.uniform(0.05, 0.5)), mu)
+        orbits.append(mq.iterate_orbit(p, mq.State(*rng.uniform(0.0, 5.0, 2))))
+    assert [orb.monitors.pattern_violations for orb in orbits[3:5]] == [1, 1]
+    for orb in orbits:
+        assert orb.verdict is not mq.Verdict.EXHAUSTED
+        assert orb.monitors.pattern_violations == mq.count_forbidden_patterns(orb)
+
+
 # ----------------------------------------------------------- raw full map
 
 
