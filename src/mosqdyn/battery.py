@@ -33,8 +33,6 @@ from .spectral import (
     Classification,
     classify_origin,
     find_fixed_points,
-    jacobian_at_origin,
-    origin_eigenvalues,
     stability_inequalities,
 )
 from .trajectory import (
@@ -169,8 +167,9 @@ def run_certificates(p: Parameters, s0: State, config: OrbitConfig, p_max: int, 
     matching its verdict.  `p_max` and `grid` size the interval-map scan."""
     results: list[Certificate] = []
 
-    l1, l2 = origin_eigenvalues(p)
-    numeric = np.linalg.eigvals(np.asarray(jacobian_at_origin(p)))
+    rep = classify_origin(p)
+    l1, l2 = rep.lambda1, rep.lambda2
+    numeric = np.linalg.eigvals(np.asarray(rep.jacobian))
     numeric = np.sort(numeric.real)[::-1]
     eig_err = max(abs(l1 - numeric[0]), abs(l2 - numeric[1]))
     vieta_sum = abs((l1 + l2) - (2.0 - p.alpha - p.mu))
@@ -180,7 +179,6 @@ def run_certificates(p: Parameters, s0: State, config: OrbitConfig, p_max: int, 
         Certificate("spectral-agreement", ok, f"eig_err={eig_err:.2e} vieta=({vieta_sum:.2e},{vieta_prod:.2e})")
     )
 
-    rep = classify_origin(p)
     both = all(stability_inequalities(p))
     ok = both == (rep.classification is Classification.ATTRACTING)
     results.append(Certificate("stability-equivalence", ok, f"classification={rep.classification.value}"))
@@ -197,8 +195,8 @@ def run_certificates(p: Parameters, s0: State, config: OrbitConfig, p_max: int, 
     results.append(Certificate("two-cycle-signs", ok, detail))
 
     try:
-        scan = scan_periodic_points(p, p_max=p_max, grid_n=grid)
-        n_roots = sum(len(r) for r in scan.roots_by_period.values())
+        roots_by_period = scan_periodic_points(p, p_max=p_max, grid_n=grid)
+        n_roots = sum(len(r) for r in roots_by_period.values())
         ok, detail = True, f"periods 2..{p_max}: {n_roots} roots, all fixed points"
     except VerificationError as exc:
         ok, detail = False, str(exc)
@@ -238,14 +236,19 @@ def run_certificates(p: Parameters, s0: State, config: OrbitConfig, p_max: int, 
 
     if p.beta > p.mu and orbit.verdict is Verdict.SURVIVAL:
         onset = mon.monotone_onset_estimate
+        # the bound needs adults at its anchor, which an orbit started
+        # on the x-axis lacks until its first step
+        anchor = max(onset, int(orbit.steps[np.argmax(orbit.ys > 0.0)]))
         try:
-            ok = check_growth_lower_bound(p, orbit, onset)
+            ok = check_growth_lower_bound(orbit, anchor)
             detail = f"anchored at onset {onset}"
+            if anchor != onset:
+                detail = f"anchored at step {anchor}, the first with adults"
         except ValueError as exc:
             ok, detail = False, str(exc)
         results.append(Certificate("growth-lower-bound", ok, detail))
     elif p.beta < p.mu and orbit.verdict is Verdict.EXTINCTION:
-        ok = check_decreasing_totals(p, orbit)
+        ok = check_decreasing_totals(orbit)
         results.append(Certificate("decreasing-totals", ok, "x+y and (mu/beta)x+y nonincreasing"))
 
     return results

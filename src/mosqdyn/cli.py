@@ -308,6 +308,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if not report.valid:
         print(report.message(), file=sys.stderr)
         return 2
+    if args.trials < 0:
+        raise ValueError(f"--trials must be nonnegative, got {args.trials}")
     cfg = _orbit_config(args)
     results = run_certificates(p, State(args.x0, args.y0), cfg, args.p_max, args.grid)
     seed = None

@@ -101,13 +101,13 @@ def offspring_number(p: Parameters) -> float:
     return (p.alpha * p.beta) / denom
 
 
-def positive_equilibrium(p: Parameters, residual_tol: float = 1e-9) -> State | None:
+def positive_equilibrium(p: Parameters) -> State | None:
     """The unique positive equilibrium of the flow, or None when r0 <= 1.
 
     Requires d1 > 0 (with d1 = 0 the equilibrium escapes to infinity as
     the larval balance degenerates; callers in the reduced world should
     not ask).  The closed form is verified against the vector field
-    before being returned; a residual above `residual_tol` raises
+    before being returned; a residual above 1e-9 raises
     VerificationError.
     """
     require_valid(p, Mode.GENERAL)
@@ -121,10 +121,9 @@ def positive_equilibrium(p: Parameters, residual_tol: float = 1e-9) -> State | N
     y0 = p.alpha * x0 / (p.mu * (1.0 + x0))
     eq = State(x0, y0)
     fx, fy = vector_field(p, eq)
-    if max(abs(fx), abs(fy)) > residual_tol:
-        raise VerificationError(
-            f"positive equilibrium residual {max(abs(fx), abs(fy)):.3e} exceeds {residual_tol:.1e}"
-        )
+    res = max(abs(fx), abs(fy))
+    if res > 1e-9:
+        raise VerificationError(f"positive equilibrium residual {res:.3e} exceeds 1.0e-09")
     return eq
 
 

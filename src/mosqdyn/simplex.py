@@ -18,16 +18,17 @@ A x^2 + B x + C in [0, 1] via the exact polynomial identity
 
 which `two_cycle_certificate` re-verifies numerically on every call
 before reporting the sign conditions (A + B + C < 0, B < 0, C < 0) that
-exclude such roots.  Higher low periods are excluded by direct scan
-(`scan_periodic_points`), and `check_two_cycle_reduction` certifies the
-planar statement: a two-periodic point of the reduced map forces the
-emergence term to equal (mu - 2) y, which is negative off the origin.
+exclude such roots.  Higher low periods are excluded by direct scan:
+`scan_periodic_points` returns the roots of T^q(x) = x it finds, all of
+them fixed points of T, and leaves the signs to `two_cycle_certificate`.
+`check_two_cycle_reduction` certifies the planar statement: a
+two-periodic point of the reduced map forces the emergence term to equal
+(mu - 2) y, which is negative off the origin.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,36 +52,14 @@ SIMPLEX_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PeriodCertificate:
-    """Certificate describing periodic-point exclusion for one parameter
-    set: the quadratic coefficients with their sign verdict, the range of
-    periods scanned on the interval map, every root of T^q(x) = x found
-    per period, and the roots that were not fixed points of T (must be
-    empty; a non-empty list never reaches the caller, the scan raises)."""
+    """The period-two exclusion for one parameter set: the coefficients
+    A, B, C of the quadratic and whether their signs exclude a root in
+    [0, 1]."""
 
-    alpha: float
-    beta: float
-    mu: float
     quad_a: float
     quad_b: float
     quad_c: float
     signs_ok: bool
-    scanned_periods: tuple[int, int]
-    roots_by_period: Mapping[int, tuple[float, ...]] = field(default_factory=dict)
-    spurious_roots: tuple[float, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "mu": self.mu,
-            "quad_a": self.quad_a,
-            "quad_b": self.quad_b,
-            "quad_c": self.quad_c,
-            "signs_ok": self.signs_ok,
-            "scanned_periods": list(self.scanned_periods),
-            "roots_by_period": {str(q): list(r) for q, r in sorted(self.roots_by_period.items())},
-            "spurious_roots": list(self.spurious_roots),
-        }
 
 
 def simplex_step(p: Parameters, s: State) -> State:
@@ -198,18 +177,7 @@ def two_cycle_certificate(p: Parameters) -> PeriodCertificate:
     qa, qb, qc = _two_cycle_coefficients(p)
     _verify_two_cycle_reduction_identity(p, qa, qb, qc)
     signs_ok = (qa + qb + qc < 0.0) and (qb < 0.0) and (qc < 0.0)
-    return PeriodCertificate(
-        alpha=p.alpha,
-        beta=p.beta,
-        mu=p.mu,
-        quad_a=qa,
-        quad_b=qb,
-        quad_c=qc,
-        signs_ok=signs_ok,
-        scanned_periods=(2, 2),
-        roots_by_period={},
-        spurious_roots=(),
-    )
+    return PeriodCertificate(quad_a=qa, quad_b=qb, quad_c=qc, signs_ok=signs_ok)
 
 
 def _iterate_interval_scalar(p: Parameters, x: float, q: int) -> float:
@@ -233,23 +201,23 @@ def _bisect_root(p: Parameters, q: int, lo: float, hi: float, flo: float, width:
     return 0.5 * (lo + hi)
 
 
-def scan_periodic_points(p: Parameters, p_max: int = 8, grid_n: int = 10_000) -> PeriodCertificate:
+def scan_periodic_points(p: Parameters, p_max: int = 8, grid_n: int = 10_000) -> dict[int, tuple[float, ...]]:
     """Scan T^q(x) = x for q = 2..p_max on [0, 1] and certify that every
     root is an ordinary fixed point of T.
 
     Grid sign changes of T^q(x) - x are refined by bisection to width
     1e-12; a refined root r with |T(r) - r| >= 1e-10 would witness a
     genuine q-periodic point and raises VerificationError.  Returns the
-    certificate carrying per-period root lists (every root found so far
-    has been a fixed point of T, as the theory demands for q = 2 and the
-    scan observes for the rest).
+    roots found, by period q (every root found so far has been a fixed
+    point of T, as the theory demands for q = 2 and the scan observes
+    for the rest).  The period-two sign certificate is
+    `two_cycle_certificate`'s, not the scan's.
     """
     require_valid(p, Mode.REDUCED)
     if p_max < 2:
         raise ValueError("p_max must be at least 2")
     if grid_n < 10:
         raise ValueError("grid_n must be at least 10")
-    base = two_cycle_certificate(p)
     xs = np.linspace(0.0, 1.0, grid_n)
     cur = xs.copy()
     roots_by_period: dict[int, tuple[float, ...]] = {}
@@ -280,18 +248,7 @@ def scan_periodic_points(p: Parameters, p_max: int = 8, grid_n: int = 10_000) ->
             f"periodic-point scan found roots that are not fixed points of the interval map: "
             f"{[round(r, 12) for r in spurious]} (alpha={p.alpha}, beta={p.beta}, mu={p.mu})"
         )
-    return PeriodCertificate(
-        alpha=p.alpha,
-        beta=p.beta,
-        mu=p.mu,
-        quad_a=base.quad_a,
-        quad_b=base.quad_b,
-        quad_c=base.quad_c,
-        signs_ok=base.signs_ok,
-        scanned_periods=(2, p_max),
-        roots_by_period=roots_by_period,
-        spurious_roots=tuple(spurious),
-    )
+    return roots_by_period
 
 
 def check_two_cycle_reduction(p: Parameters, s: State, periodic_tol: float = 1e-10) -> bool:

@@ -19,7 +19,10 @@ shrink, dy >= -1e-14, so dx + dy > 0.  The increments sum to
 (beta - mu)*y, which is <= 0 under beta < mu, so a contracting orbit can
 never fill the window.  That includes orbits creeping toward the origin,
 where both increments fall inside the 1e-14 tie band and the estimator
-already sits within conv_tol of alpha/mu.
+already sits within conv_tol of alpha/mu.  The other two rules are just
+as one-sided: the extinction box (both coordinates below conv_tol)
+decides only beta < mu, or the fixed point (0, 0) itself, and the escape
+threshold decides only beta > mu.
 
 Monitors accumulated along the way, one pass, all tolerances absolute
 (the bound `battery.run_certificates` holds the identity residual to is
@@ -27,10 +30,10 @@ relative: a few ulps of the largest total x + y, floored at 1e-9):
 
 * adult envelope  y^(n) <= alpha/mu + (1-mu)^n * (y^(0) - alpha/mu),
   violations beyond 1e-12 counted;
-* forbidden increment-sign patterns in the growth regime (see
-  `count_forbidden_patterns` for the list), read off the sign census
-  except the decrease-after-both-up count (b), the one pattern that
-  needs state carried across steps;
+* forbidden increment-sign patterns in the growth regime: (a) both
+  coordinates down in one step, read off the sign census, and (b) a
+  decrease after the first both-up step, the one pattern that needs
+  state carried across steps (see `count_forbidden_patterns`);
 * the total-increment identity
   x^(n) + y^(n) = (beta - mu)*y^(n-1) + x^(n-1) + y^(n-1), exact in real
   arithmetic, tracked as a running max of the float residual;
@@ -79,12 +82,17 @@ class Verdict(str, Enum):
 class OrbitConfig:
     """Iteration budget and detection thresholds.
 
-    extinction: both coordinates below conv_tol.
-    survival:   x above div_threshold, or the monotone-regime estimator
-                window described in the module docstring, sustained for
-                confirm_window recorded steps (confirm_window *
-                record_every raw steps).
+    extinction: both coordinates below conv_tol, for beta < mu; for
+                beta > mu only the fixed point (0, 0) itself.
+    survival:   for beta > mu only: x above div_threshold, or the
+                monotone-regime estimator window described in the module
+                docstring, sustained for confirm_window recorded steps
+                (confirm_window * record_every raw steps).
     exhausted:  neither within max_iters.
+
+    Each rule decides only the regime whose fate it names, so no verdict
+    falls on the wrong side of the dichotomy.  The two patterns counted
+    online are (a) and (b) of `count_forbidden_patterns`.
     """
 
     max_iters: int = 1_000_000
@@ -111,13 +119,12 @@ class StepSignCensus:
     """Counts of per-step increment sign combinations (tie tolerance
     1e-14; steps with either increment inside the tie band land in
     `ties`).  The first five fields partition the steps: they sum to
-    n_steps.  In the growth regime pattern (a) is `both_down` and
-    patterns (c), (d) are `x_down_y_up` resp. `x_up_y_down` equal to
-    n_steps.  The last three fields are observational only, counted in
-    the growth regime: switches counts (x up, y down) -> (x down, y up)
-    transitions between consecutive steps, and the two event counters
-    record breaks of the conjectured gain/drop monotonicity inside an
-    (x up, y down) stretch.  None of these constitute violations.
+    n_steps.  In the growth regime pattern (a) is `both_down`.  The last
+    three fields are observational only, counted in the growth regime:
+    switches counts (x up, y down) -> (x down, y up) transitions between
+    consecutive steps, and the two event counters record breaks of the
+    conjectured gain/drop monotonicity inside an (x up, y down) stretch.
+    None of these constitute violations.
     """
 
     both_up: int
@@ -165,11 +172,7 @@ def iterate_orbit(p: Parameters, s0: State, config: OrbitConfig | None = None) -
     """Iterate the reduced map from s0 until a verdict or exhaustion.
 
     Single pass; all monitors from the module docstring are accumulated
-    on the fly.  Forbidden-pattern persistence flags (patterns that the
-    theory rules out only "for all steps") are folded into
-    pattern_violations solely for completed runs; a window truncated by
-    max_iters cannot certify a forever-statement, so exhausted runs keep
-    only the per-step pattern counts.
+    on the fly.
     """
     require_valid(p, Mode.REDUCED)
     cfg = config if config is not None else OrbitConfig()
@@ -216,13 +219,18 @@ def iterate_orbit(p: Parameters, s0: State, config: OrbitConfig | None = None) -
     # The state of step n is judged at the top of the loop, n = 0
     # included, before the budget is looked at: extinction first, then
     # escape, then the survival window, whose increments dx, dy are
-    # those of the step that led to this state (zero at n = 0).
+    # those of the step that led to this state (zero at n = 0).  Each
+    # rule decides only its own regime: the box is extinction for
+    # beta < mu and, for beta > mu, only at the fixed point (0, 0);
+    # escape is survival for beta > mu only.  The regime is tested after
+    # the comparisons, so a step outside the box and below the
+    # threshold pays nothing for it.
     verdict = Verdict.EXHAUSTED
     while True:
-        if x < conv and y < conv:
+        if x < conv and y < conv and (not growth or (x == 0.0 and y == 0.0)):
             verdict = Verdict.EXTINCTION
             break
-        if x > div:
+        if x > div and growth:
             verdict = Verdict.SURVIVAL
             break
         if dx > tie and dy >= -tie and abs((y + am / (1.0 + x)) - am) < conv:
@@ -252,9 +260,9 @@ def iterate_orbit(p: Parameters, s0: State, config: OrbitConfig | None = None) -
             ybv += 1
 
         # One classification per step: the census branches partition the
-        # steps, so patterns (a), (c), (d) are read off their counts after
-        # the loop.  The previous increments are zero at step 1, which is
-        # therefore never "after an (x up, y down) step".
+        # steps, so pattern (a) is read off their counts after the loop.
+        # The previous increments are zero at step 1, which is therefore
+        # never "after an (x up, y down) step".
         up_x = dx > tie
         dn_x = dx < -tie
         up_y = dy > tie
@@ -301,11 +309,7 @@ def iterate_orbit(p: Parameters, s0: State, config: OrbitConfig | None = None) -
     else:
         y_limit = y
 
-    pattern_violations = 0
-    if growth:
-        pattern_violations = c_dd + drops_after_both_up
-        if verdict is not Verdict.EXHAUSTED and n >= 2:
-            pattern_violations += (c_du == n) + (c_ud == n)
+    pattern_violations = c_dd + drops_after_both_up if growth else 0
 
     census = StepSignCensus(
         both_up=c_uu,
@@ -371,32 +375,27 @@ def iterate_general(
     )
 
 
-def _require_same_params(p: Parameters, orbit: Orbit) -> None:
-    if p != orbit.params:
-        raise ValueError("parameters do not match the orbit's parameters")
-
-
-def check_y_bound(p: Parameters, orbit: Orbit, tol: float = Y_BOUND_TOL) -> int:
+def check_y_bound(orbit: Orbit) -> int:
     """Count recorded states violating the adult envelope
-    y^(n) <= alpha/mu + (1-mu)^n (y^(0) - alpha/mu), beyond `tol`.
+    y^(n) <= alpha/mu + (1-mu)^n (y^(0) - alpha/mu), beyond 1e-12.
     Offline counterpart of the online monitor; 0 on valid orbits.
     """
-    _require_same_params(p, orbit)
+    p = orbit.params
     am = p.alpha / p.mu
     y0 = float(orbit.ys[0])
     decay = np.power(1.0 - p.mu, orbit.steps.astype(np.float64))
     bound = am + decay * (y0 - am)
-    bad = (orbit.ys > bound + tol) | (orbit.ys < -tol)
+    bad = (orbit.ys > bound + Y_BOUND_TOL) | (orbit.ys < -Y_BOUND_TOL)
     return int(np.count_nonzero(bad[1:]))
 
 
-def check_sum_identity(p: Parameters, orbit: Orbit) -> float:
+def check_sum_identity(orbit: Orbit) -> float:
     """Max float residual of the total-increment identity
     x^(n) + y^(n) = (beta - mu) y^(n-1) + x^(n-1) + y^(n-1)
     over consecutive recorded states.  Requires a full-resolution
     recording (record_every == 1); the identity links adjacent steps.
     """
-    _require_same_params(p, orbit)
+    p = orbit.params
     if orbit.config.record_every != 1:
         raise ValueError("sum identity needs record_every == 1 (consecutive states)")
     if len(orbit.xs) < 2:
@@ -408,7 +407,7 @@ def check_sum_identity(p: Parameters, orbit: Orbit) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def count_forbidden_patterns(orbit: Orbit, tie: float = TIE_TOL) -> int:
+def count_forbidden_patterns(orbit: Orbit) -> int:
     """Scan a full-resolution growth-regime orbit for increment-sign
     patterns the dynamics forbids.  Returns a violation count; 0 on any
     orbit of the reduced map with beta > mu.
@@ -420,16 +419,10 @@ def count_forbidden_patterns(orbit: Orbit, tie: float = TIE_TOL) -> int:
           coordinates strictly increased (the both-up regime is
           forward-invariant).
 
-    Counted once if they hold on every available step (>= 2 steps;
-    persistence statements, diagnostic on truncated windows):
-      (c) x strictly down, y strictly up on every step;
-      (d) x strictly up, y strictly down on every step.
+    `iterate_orbit` counts the same patterns online: (a) from its sign
+    census, (b) from the first both-up step on.
 
-    `iterate_orbit` counts the same patterns online: (a), (c) and (d)
-    from its sign census, (b) from the first both-up step on, and (c),
-    (d) only for runs that reached a verdict.
-
-    A strict inequality here means beyond the `tie` tolerance; the
+    A strict inequality here means beyond the 1e-14 tie tolerance; the
     sub-tolerance churn of late orbits stays out of the counts.
     """
     p = orbit.params
@@ -441,10 +434,10 @@ def count_forbidden_patterns(orbit: Orbit, tie: float = TIE_TOL) -> int:
     dy = np.diff(orbit.ys)
     if dx.size == 0:
         return 0
-    up_x = dx > tie
-    dn_x = dx < -tie
-    up_y = dy > tie
-    dn_y = dy < -tie
+    up_x = dx > TIE_TOL
+    dn_x = dx < -TIE_TOL
+    up_y = dy > TIE_TOL
+    dn_y = dy < -TIE_TOL
 
     violations = int(np.count_nonzero(dn_x & dn_y))
 
@@ -453,14 +446,10 @@ def count_forbidden_patterns(orbit: Orbit, tie: float = TIE_TOL) -> int:
     if idx.size:
         first = int(idx[0])
         violations += int(np.count_nonzero(dn_x[first + 1 :] | dn_y[first + 1 :]))
-
-    if dx.size >= 2:
-        violations += int(np.all(dn_x & up_y))
-        violations += int(np.all(up_x & dn_y))
     return violations
 
 
-def check_growth_lower_bound(p: Parameters, orbit: Orbit, n_start: int, slack: float = 1e-12) -> bool:
+def check_growth_lower_bound(orbit: Orbit, n_start: int) -> bool:
     """Check the linear growth bound along a recorded growth orbit.
 
     Anchoring at the first recorded step n_a >= n_start (intended: at or
@@ -469,44 +458,46 @@ def check_growth_lower_bound(p: Parameters, orbit: Orbit, n_start: int, slack: f
 
         x^(n) > x^(n_a) + y^(n_a) - theta + (beta - mu)*(n - n_a)*y^(n_a)
 
-    up to `slack`.  The anchor adult count must be positive (starting on
-    the x-axis at the origin gives a y == 0 anchor and an empty bound).
+    up to a slack of 1e-12.  With a later step to bound, the anchor
+    adult count must be positive (an anchor on the x-axis gives an empty
+    bound); with none, the bound holds vacuously.
     """
-    _require_same_params(p, orbit)
+    p = orbit.params
     if not p.beta > p.mu:
         raise ValueError("growth bound applies to beta > mu only")
     pos = int(np.searchsorted(orbit.steps, n_start))
     if pos >= len(orbit.steps):
         raise ValueError(f"no recorded step at or after n_start={n_start}")
+    after = orbit.steps > orbit.steps[pos]
+    if not np.any(after):
+        return True
     n_a = float(orbit.steps[pos])
     x_a = float(orbit.xs[pos])
     y_a = float(orbit.ys[pos])
     if not y_a > 0.0:
         raise ValueError("anchor adult count must be positive for the growth bound")
     theta = max(float(orbit.ys[0]), p.alpha / p.mu)
-    after = orbit.steps > orbit.steps[pos]
-    if not np.any(after):
-        return True
     gap = orbit.steps[after].astype(np.float64) - n_a
     lower = x_a + y_a - theta + (p.beta - p.mu) * gap * y_a
-    return bool(np.all(orbit.xs[after] > lower - slack))
+    return bool(np.all(orbit.xs[after] > lower - 1e-12))
 
 
-def check_decreasing_totals(p: Parameters, orbit: Orbit, tol: float = TIE_TOL) -> bool:
+def check_decreasing_totals(orbit: Orbit) -> bool:
     """Check the two weighted totals that certify contraction for
     beta < mu: both x + y and (mu/beta) x + y must be nonnegative and
-    nonincreasing along the orbit (their one-step increments are
-    (beta - mu) y <= 0 and (1 - mu/beta) * emergence <= 0).
+    nonincreasing along the orbit, up to the 1e-14 tie tolerance (their
+    one-step increments are (beta - mu) y <= 0 and
+    (1 - mu/beta) * emergence <= 0).
     """
-    _require_same_params(p, orbit)
+    p = orbit.params
     if not p.beta < p.mu:
         raise ValueError("decreasing totals apply to beta < mu only")
     plain = orbit.xs + orbit.ys
     weighted = (p.mu / p.beta) * orbit.xs + orbit.ys
     for total in (plain, weighted):
-        if np.any(total < -tol):
+        if np.any(total < -TIE_TOL):
             return False
-        if total.size >= 2 and np.any(np.diff(total) > tol):
+        if total.size >= 2 and np.any(np.diff(total) > TIE_TOL):
             return False
     return True
 

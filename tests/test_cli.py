@@ -66,6 +66,21 @@ def test_simulate_rejects_equal_rates(capsys):
     assert "beta != mu" in err
 
 
+def test_simulate_growth_orbit_through_the_extinction_box_survives(capsys):
+    rc = main(["simulate", "--alpha", "0.3", "--beta", "0.25", "--mu", "0.1", "--x0", "1.5e-8", "--y0", "0"])
+    _, err = capsys.readouterr()
+    assert rc == 0
+    assert err.startswith("verdict=survival ")
+
+
+def test_simulate_contracting_orbit_beyond_the_escape_threshold_does_not_survive(capsys):
+    # escape decides only beta > mu; extinction from 2e9 takes about 8e9 steps
+    rc = main(["simulate", *EXT, "--x0", "2e9", "--y0", "1", "--steps", "1000"])
+    _, err = capsys.readouterr()
+    assert rc == 0
+    assert err.startswith("verdict=exhausted n_steps=1000 ")
+
+
 def test_simulate_unwritable_output_path(tmp_path, capsys):
     rc = main(["simulate", *EXT, "--x0", "1", "--y0", "1",
                "--out", str(tmp_path / "missing" / "orbit.csv")])
@@ -263,6 +278,32 @@ def test_certify_sum_bound_scales_with_state_size(capsys):
     out, _ = capsys.readouterr()
     assert rc == 0
     assert "PASS orbit-dichotomy" in out
+
+
+@pytest.mark.parametrize("argv", [
+    # falls into the extinction box after two steps
+    ["--alpha", "0.3", "--beta", "0.25", "--mu", "0.1", "--x0", "1.5e-8", "--y0", "0"],
+    # starts on the x-axis, so the growth bound anchors after step 0
+    ["--alpha", "0.9", "--beta", "0.9", "--mu", "0.88", "--x0", "1e-300", "--y0", "0"],
+    # escapes after two (x up, y down) steps
+    [*REF1, "--x0", "999999940", "--y0", "100"],
+    # escaped at step 0, on the x-axis: no later step to bound
+    [*REF1, "--x0", "2e9", "--y0", "0"],
+], ids=["through-the-box", "on-the-x-axis", "escaping", "escaped-at-start"])
+def test_certify_growth_orbits_from_edge_starts(capsys, argv):
+    rc = main(["certify", *argv, "--grid", "2001", "--p-max", "4"])
+    out, _ = capsys.readouterr()
+    assert rc == 0, out
+    assert "PASS orbit-dichotomy: verdict=survival" in out
+    assert "PASS growth-lower-bound" in out
+
+
+def test_certify_rejects_negative_trials(capsys):
+    rc = main(["certify", *REF1, "--grid", "2001", "--p-max", "4", "--trials", "-3", "--seed", "7"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: --trials") and err.count("\n") == 1
 
 
 def test_certify_trials_echo_default_seed(capsys):
