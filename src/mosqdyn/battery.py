@@ -4,12 +4,18 @@ for the command line interface and the scripts to print and write.
 * `expected_fate`: the dichotomy, extinction for beta < mu and survival
   for beta > mu; `thresholds_agree` holds the flow's r0 threshold to it.
 * `sweep`: classify and simulate every cell of a rate grid.  A cell
-  agrees when its verdict is the expected fate and the origin is
-  attracting for beta < mu, a saddle or repeller for beta > mu; a
-  nonhyperbolic origin counts as disagreement.
+  agrees when its orbit is accepted and the origin is attracting for
+  beta < mu, a saddle or repeller for beta > mu; a nonhyperbolic origin
+  counts as disagreement.
 * `run_certificates`: the certificate battery for one parameter set, each
   certificate re-deriving a statement of the theory by an independent
   route; `run_trials` adds cheaper checks on random rates.
+
+All three hold their orbits to one acceptance rule (`_orbit_accepted`):
+the verdict is the fate expected from the start, and the online monitors
+saw no adult-bound or pattern violation and no identity residual beyond
+a few ulps of the largest total.  The start at the origin, a fixed point
+in either regime, is expected to end in extinction whatever the rates.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .spectral import (
     stability_inequalities,
 )
 from .trajectory import (
+    Orbit,
     OrbitConfig,
     Verdict,
     check_decreasing_totals,
@@ -73,6 +80,22 @@ def thresholds_agree(p: Parameters) -> bool:
     (beta > mu) point the same way; with no larval mortality r0 = beta/mu,
     so for the reduced map they must."""
     return (offspring_number(p) > 1.0) == (expected_fate(p)[1] == Verdict.SURVIVAL.value)
+
+
+def _orbit_accepted(p: Parameters, s0: State, orbit: Orbit) -> bool:
+    """The orbit acceptance rule: the verdict is the expected fate from
+    s0, and the monitors are clean, the total-increment residual held to
+    a few ulps of the largest total (x + y is monotone along the orbit,
+    so that total is the first or the last one), floored at 1e-9."""
+    fate = Verdict.EXTINCTION.value if s0.x == 0.0 and s0.y == 0.0 else expected_fate(p)[1]
+    mon = orbit.monitors
+    total = max(1.0, s0.x + s0.y, float(orbit.xs[-1] + orbit.ys[-1]))
+    return (
+        orbit.verdict.value == fate
+        and mon.y_bound_violations == 0
+        and mon.pattern_violations == 0
+        and mon.sum_identity_max_err <= max(1e-9, 8 * np.finfo(float).eps * total)
+    )
 
 
 # ---------------------------------------------------------------- sweep
@@ -138,16 +161,13 @@ def sweep(
                     cells.append(SweepCell(p, cls))
                     continue
                 orbit = iterate_orbit(p, s0, config)
-                _, fate = expected_fate(p)
                 cls_ok = (
                     cls == Classification.ATTRACTING.value
-                    if fate == Verdict.EXTINCTION.value
+                    if p.beta < p.mu
                     else cls in (Classification.SADDLE.value, Classification.REPELLING.value)
                 )
-                verdict = orbit.verdict.value
-                cells.append(
-                    SweepCell(p, cls, verdict, orbit.n_steps, orbit.y_limit_estimate, cls_ok and verdict == fate)
-                )
+                ok = cls_ok and _orbit_accepted(p, s0, orbit)
+                cells.append(SweepCell(p, cls, orbit.verdict.value, orbit.n_steps, orbit.y_limit_estimate, ok))
     return cells
 
 
@@ -213,21 +233,11 @@ def run_certificates(p: Parameters, s0: State, config: OrbitConfig, p_max: int, 
     results.append(Certificate("fixed-point-scan", ok, detail))
 
     orbit = iterate_orbit(p, s0, config)
-    _, fate = expected_fate(p)
     mon = orbit.monitors
-    # a few ulps of the largest total; x + y is monotone along the orbit,
-    # so that total is the first or the last one
-    total = max(1.0, s0.x + s0.y, float(orbit.xs[-1] + orbit.ys[-1]))
-    ok = (
-        orbit.verdict.value == fate
-        and mon.y_bound_violations == 0
-        and mon.pattern_violations == 0
-        and mon.sum_identity_max_err <= max(1e-9, 8 * np.finfo(float).eps * total)
-    )
     results.append(
         Certificate(
             "orbit-dichotomy",
-            ok,
+            _orbit_accepted(p, s0, orbit),
             f"verdict={orbit.verdict.value} n={orbit.n_steps} "
             f"y_bound={mon.y_bound_violations} patterns={mon.pattern_violations} "
             f"sum_err={mon.sum_identity_max_err:.2e}",
@@ -275,14 +285,7 @@ def run_trials(n_trials: int, seed: int, config: OrbitConfig) -> list[Certificat
             range_ok = check_interval_map_range(p, grid_n=201)
             scan_periodic_points(p, p_max=4, grid_n=2001)
             orbit = iterate_orbit(p, s0, cfg)
-            _, fate = expected_fate(p)
-            ok = (
-                cert.signs_ok
-                and range_ok
-                and orbit.verdict.value == fate
-                and orbit.monitors.y_bound_violations == 0
-                and orbit.monitors.pattern_violations == 0
-            )
+            ok = cert.signs_ok and range_ok and _orbit_accepted(p, s0, orbit)
             detail = (
                 f"alpha={p.alpha:.6g} beta={p.beta:.6g} mu={p.mu:.6g} "
                 f"verdict={orbit.verdict.value} n={orbit.n_steps}"

@@ -89,9 +89,6 @@ class State:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
 
 @dataclass(frozen=True)
 class ValidationReport:

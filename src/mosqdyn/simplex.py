@@ -21,9 +21,6 @@ before reporting the sign conditions (A + B + C < 0, B < 0, C < 0) that
 exclude such roots.  Higher low periods are excluded by direct scan:
 `scan_periodic_points` returns the roots of T^q(x) = x it finds, all of
 them fixed points of T, and leaves the signs to `two_cycle_certificate`.
-`check_two_cycle_reduction` certifies the planar statement: a
-two-periodic point of the reduced map forces the emergence term to equal
-(mu - 2) y, which is negative off the origin.
 """
 
 from __future__ import annotations
@@ -33,21 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import VerificationError
-from .model import Mode, Parameters, State, _map, require_valid, step
+from .model import Mode, Parameters, _map, require_valid
 
 __all__ = [
     "PeriodCertificate",
-    "simplex_step",
     "interval_map",
     "interval_map_parts",
     "check_interval_map_range",
     "two_cycle_certificate",
     "scan_periodic_points",
-    "check_two_cycle_reduction",
     "count_two_cycles_on_grid",
 ]
-
-SIMPLEX_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,23 +53,6 @@ class PeriodCertificate:
     quad_b: float
     quad_c: float
     signs_ok: bool
-
-
-def simplex_step(p: Parameters, s: State) -> State:
-    """One step of the induced simplex map U.  The state must satisfy
-    x + y = 1 within 1e-12; the image does so exactly in real arithmetic
-    and to roundoff here."""
-    require_valid(p, Mode.REDUCED)
-    x = s.x
-    y = s.y
-    if abs((x + y) - 1.0) > SIMPLEX_TOL:
-        raise ValueError(f"state must lie on the unit simplex, got x + y = {x + y!r}")
-    den = (1.0 + x) * (x + (p.beta - p.mu + 1.0) * y)
-    if not den > 0.0:
-        raise ValueError("simplex map denominator vanished; state outside its domain")
-    nx = ((1.0 + x) * (x + p.beta * y) - p.alpha * x) / den
-    ny = (p.alpha * x + (1.0 + x) * ((1.0 - p.mu) * y)) / den
-    return State(nx, ny)
 
 
 def interval_map_parts(p: Parameters, x):
@@ -251,34 +227,15 @@ def scan_periodic_points(p: Parameters, p_max: int = 8, grid_n: int = 10_000) ->
     return roots_by_period
 
 
-def check_two_cycle_reduction(p: Parameters, s: State, periodic_tol: float = 1e-10) -> bool:
-    """Certify the planar two-cycle exclusion at a single state.
-
-    If s is not two-periodic for the reduced map (residual of the second
-    iterate >= periodic_tol), there is nothing to check and the answer
-    is vacuously True.  If it is two-periodic, the pair equations force
-    the emergence term alpha*x/(1+x), which is nonnegative, to equal
-    (mu - 2)*y, which is negative unless y = 0; the only consistent
-    state is the origin.  A two-periodic state away from the origin
-    raises VerificationError.
-    """
-    require_valid(p, Mode.REDUCED)
-    s2 = step(p, step(p, s))
-    if max(abs(s2.x - s.x), abs(s2.y - s.y)) >= periodic_tol:
-        return True
-    if max(abs(s.x), abs(s.y)) < 1e-8:
-        return True
-    raise VerificationError(
-        f"two-periodic state away from the origin: ({s.x!r}, {s.y!r}) "
-        f"at alpha={p.alpha}, beta={p.beta}, mu={p.mu}"
-    )
-
-
 def count_two_cycles_on_grid(p: Parameters) -> int:
     """Count the states of a 500 x 500 grid on [0, 5] x [0, 5] whose
     second iterate under the reduced map returns to them within 1e-10,
     excluding the origin ball of radius 1e-8.  Expected 0 for admissible
-    rates."""
+    rates, by the planar argument: one step changes the total by
+    x' + y' - x - y = (beta - mu) y exactly, so a two-cycle
+    (x, y) -> (x', y') -> (x, y) forces (beta - mu)(y + y') = 0, hence
+    y = y' = 0 with beta != mu; then y' is the emergence term alone, so
+    x = 0.  The origin is the only period-two state."""
     require_valid(p, Mode.REDUCED)
     xs = np.linspace(0.0, 5.0, 500)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")

@@ -88,7 +88,9 @@ class OrbitConfig:
                 monotone-regime estimator window described in the module
                 docstring, sustained for confirm_window recorded steps
                 (confirm_window * record_every raw steps).
-    exhausted:  neither within max_iters.
+    exhausted:  neither within max_iters, or a step returned the state
+                bit for bit: rounding has frozen it, so the run ends
+                there.
 
     Each rule decides only the regime whose fate it names, so no verdict
     falls on the wrong side of the dichotomy.  The two patterns counted
@@ -118,13 +120,8 @@ class OrbitConfig:
 class StepSignCensus:
     """Counts of per-step increment sign combinations (tie tolerance
     1e-14; steps with either increment inside the tie band land in
-    `ties`).  The first five fields partition the steps: they sum to
-    n_steps.  In the growth regime pattern (a) is `both_down`.  The last
-    three fields are observational only, counted in the growth regime:
-    switches counts (x up, y down) -> (x down, y up) transitions between
-    consecutive steps, and the two event counters record breaks of the
-    conjectured gain/drop monotonicity inside an (x up, y down) stretch.
-    None of these constitute violations.
+    `ties`).  The fields partition the steps: they sum to n_steps.  In
+    the growth regime pattern (a) is `both_down`.
     """
 
     both_up: int
@@ -132,9 +129,6 @@ class StepSignCensus:
     x_up_y_down: int
     x_down_y_up: int
     ties: int
-    switches: int
-    gain_growth_events: int
-    drop_shrink_events: int
 
 
 @dataclass(frozen=True)
@@ -151,7 +145,9 @@ class Orbit:
     """A recorded orbit.  `steps`, `xs`, `ys` are aligned arrays of the
     recorded step indices and coordinates; index 0 and the final state
     are always present regardless of record_every.  They grow with the
-    rows kept, not with max_iters."""
+    rows kept, not with max_iters.  `y_limit_estimate` is the estimator
+    y + (alpha/mu)/(1+x) at the final state after survival, or after a
+    growth-regime orbit ran out with x past x0; otherwise it is y."""
 
     params: Parameters
     config: OrbitConfig
@@ -162,10 +158,6 @@ class Orbit:
     n_steps: int
     y_limit_estimate: float
     monitors: MonitorLog
-
-    @property
-    def final_state(self) -> State:
-        return State(float(self.xs[-1]), float(self.ys[-1]))
 
 
 def iterate_orbit(p: Parameters, s0: State, config: OrbitConfig | None = None) -> Orbit:
@@ -208,10 +200,7 @@ def iterate_orbit(p: Parameters, s0: State, config: OrbitConfig | None = None) -
     pw = 1.0
     y0_excess = y - am
     c_uu = c_dd = c_ud = c_du = c_tie = 0
-    switches = 0
-    gain_growth = 0
-    drop_shrink = 0
-    dx = dy = prev_dx = prev_dy = 0.0
+    dx = dy = 0.0
     streak = 0
     n = 0
     max_iters = cfg.max_iters
@@ -261,8 +250,6 @@ def iterate_orbit(p: Parameters, s0: State, config: OrbitConfig | None = None) -
 
         # One classification per step: the census branches partition the
         # steps, so pattern (a) is read off their counts after the loop.
-        # The previous increments are zero at step 1, which is therefore
-        # never "after an (x up, y down) step".
         up_x = dx > tie
         dn_x = dx < -tie
         up_y = dy > tie
@@ -274,17 +261,15 @@ def iterate_orbit(p: Parameters, s0: State, config: OrbitConfig | None = None) -
             c_dd += 1
         elif up_x and dn_y:
             c_ud += 1
-            if growth and prev_dx > tie and prev_dy < -tie:
-                if dx > prev_dx + tie:
-                    gain_growth += 1
-                if -dy < -prev_dy - tie:
-                    drop_shrink += 1
         elif dn_x and up_y:
             c_du += 1
-            if growth and prev_dx > tie and prev_dy < -tie:
-                switches += 1
         else:
             c_tie += 1
+            # A step that returns its input bit for bit (with gradual
+            # underflow, exactly zero increments) has frozen the state:
+            # every later step would do the same, and no rule can fire.
+            if dx == 0.0 and dy == 0.0:
+                break
         if dn_x or dn_y:
             last_bad = n
             if seen_both_up:
@@ -297,14 +282,13 @@ def iterate_orbit(p: Parameters, s0: State, config: OrbitConfig | None = None) -
             put_x(x)
             put_y(y)
 
-        prev_dx = dx
-        prev_dy = dy
-
     if rec_n[-1] != n:
         put_n(n)
         put_x(x)
         put_y(y)
-    if verdict is Verdict.SURVIVAL or (growth and verdict is Verdict.EXHAUSTED):
+    # the estimator only for an orbit that has shown growth: survival, or
+    # a growth-regime orbit that ended exhausted with x past x0
+    if verdict is Verdict.SURVIVAL or (growth and verdict is Verdict.EXHAUSTED and x > s0.x):
         y_limit = y + am / (1.0 + x)
     else:
         y_limit = y
@@ -317,9 +301,6 @@ def iterate_orbit(p: Parameters, s0: State, config: OrbitConfig | None = None) -
         x_up_y_down=c_ud,
         x_down_y_up=c_du,
         ties=c_tie,
-        switches=switches,
-        gain_growth_events=gain_growth,
-        drop_shrink_events=drop_shrink,
     )
     monitors = MonitorLog(
         y_bound_violations=ybv,

@@ -4,6 +4,7 @@ Everything drives `main(argv)` in-process; one smoke test goes through
 the installed entry point to cover module execution.
 """
 
+import dataclasses
 import json
 import os
 import stat
@@ -12,6 +13,7 @@ import sys
 
 import pytest
 
+from mosqdyn import battery
 from mosqdyn.cli import DEFAULT_SEED, _resolve_seed, build_parser, main
 
 REF1 = ["--alpha", "0.6", "--beta", "0.5", "--mu", "0.48"]
@@ -79,6 +81,18 @@ def test_simulate_contracting_orbit_beyond_the_escape_threshold_does_not_survive
     _, err = capsys.readouterr()
     assert rc == 0
     assert err.startswith("verdict=exhausted n_steps=1000 ")
+
+
+def test_simulate_stops_on_a_state_frozen_by_rounding(capsys):
+    # from step 1 the state is (0, 5e-324): beta*y rounds to 0 and
+    # (1 - mu)*y rounds back to y, so step 2 returns its input bit for bit
+    rc = main(["simulate", *REF1, "--x0", "5e-324", "--y0", "0"])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert err == "verdict=exhausted n_steps=2 y_limit_estimate=4.9406564584124654e-324\n"
+    assert out.splitlines()[1:] == ["0,4.9406564584124654e-324,0.0000000000000000e+00",
+                                    "1,0.0000000000000000e+00,4.9406564584124654e-324",
+                                    "2,0.0000000000000000e+00,4.9406564584124654e-324"]
 
 
 def test_simulate_unwritable_output_path(tmp_path, capsys):
@@ -185,6 +199,23 @@ def test_sweep_detects_disagreement(tmp_path, capsys):
     assert rc == 4
     assert "disagree=1" in out
     assert ",exhausted," in out_path.read_text()
+
+
+def test_sweep_origin_start_agrees_in_either_regime(tmp_path, capsys):
+    # the start (0, 0) is a fixed point, so every cell ends in extinction
+    # at step 0; the classification is still held to the rates
+    out_path = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--alpha-range", "0.6", "0.6", "1",
+               "--beta-range", "0.3", "0.7", "3",
+               "--mu-range", "0.3", "0.7", "3",
+               "--x0", "0", "--y0", "0", "--out", str(out_path)])
+    out, _ = capsys.readouterr()
+    assert rc == 0
+    assert out.strip() == "cells=9 in_condition=6 agree=6 disagree=0"
+    rows = [ln.split(",") for ln in out_path.read_text().strip().split("\n")[1:]]
+    growth = [r for r in rows if r[5] == "true" and float(r[1]) > float(r[2])]
+    assert len(growth) == 3
+    assert all(r[6] in ("saddle", "repelling") and r[7:9] == ["extinction", "0"] for r in growth)
 
 
 def test_sweep_rejects_inverted_range(tmp_path, capsys):
@@ -296,6 +327,32 @@ def test_certify_growth_orbits_from_edge_starts(capsys, argv):
     assert rc == 0, out
     assert "PASS orbit-dichotomy: verdict=survival" in out
     assert "PASS growth-lower-bound" in out
+
+
+def test_certify_origin_start_is_extinction_for_growth_rates(capsys):
+    # (0, 0) is a fixed point whatever the rates
+    rc = main(["certify", *REF1, "--x0", "0", "--y0", "0", "--grid", "2001", "--p-max", "4"])
+    out, _ = capsys.readouterr()
+    assert rc == 0, out
+    assert "PASS orbit-dichotomy: verdict=extinction n=0 " in out
+
+
+def test_certify_trial_fails_on_a_broken_sum_bound(monkeypatch, capsys):
+    # trial orbits are held to the orbit-dichotomy acceptance rule, the
+    # total-increment residual bound included
+    real = battery.iterate_orbit
+
+    def broken(p, s0, config=None):
+        orbit = real(p, s0, config)
+        return dataclasses.replace(orbit, monitors=dataclasses.replace(orbit.monitors, sum_identity_max_err=1.0))
+
+    monkeypatch.setattr(battery, "iterate_orbit", broken)
+    rc = main(["certify", *REF1, "--x0", "2", "--y0", "0.1", "--grid", "2001", "--p-max", "4",
+               "--trials", "2", "--seed", "7"])
+    out, _ = capsys.readouterr()
+    assert rc == 4
+    assert "FAIL orbit-dichotomy:" in out
+    assert "FAIL trial-1:" in out and "FAIL trial-2:" in out
 
 
 def test_certify_rejects_negative_trials(capsys):

@@ -128,7 +128,7 @@ def test_parameters_coerced_to_float():
     p = mq.Parameters(1, 2, 1)
     assert isinstance(p.alpha, float) and p.alpha == 1.0
     s = mq.State(1, 2)
-    assert isinstance(s.x, float) and s.as_tuple() == (1.0, 2.0)
+    assert isinstance(s.x, float) and (s.x, s.y) == (1.0, 2.0)
 
 
 def test_step_requires_valid_parameters():

@@ -43,7 +43,7 @@ PINS = {
                      "05828a01f74c8ec6e039068682309d066d7fb7bcffa9e9144d042b4b3e58d464", None),
     "simulate-invalid": (2, EMPTY, "1603cf5269b7bd9aeb0c826cf63989d752a886a4cf18a623dd841d71d1972447", None),
     "simulate-json": (0, "05828a01f74c8ec6e039068682309d066d7fb7bcffa9e9144d042b4b3e58d464", EMPTY,
-                      "bbe56504e36a6a1457bfeeb9c8462554e72c54f1a24509766f865d9657d9e0d7"),
+                      "03b35bb6a3100a7318a26473e8a921895cf58e6690e2b21be9b4751b0badeefe"),
     "sweep": (0, "2fe7ac67c2ca037aedda26bb4b50920b4a4f2fa206f4bbc7ad253c3b7c51bdbc", EMPTY,
               "ac7a73ac1e01b0e764ec5dff7cd1ef94b7ef283bc42284f16d7c9e11d3e082ee"),
     "sweep-inverted": (2, EMPTY, "1c3a0ea741731ebe70e31d317a4d6d7c4c9351a54410174bb7f8bf410d64e184", None),

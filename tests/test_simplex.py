@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mosqdyn as mq
+from mosqdyn.model import _map
 from mosqdyn.simplex import _two_cycle_coefficients, _verify_two_cycle_reduction_identity, interval_map_parts
 
 REF1 = mq.Parameters(0.6, 0.5, 0.48)
@@ -39,17 +40,17 @@ def fixed_point_cubic(p, r):
 # ------------------------------------------------------------ simplex map
 
 
+def simplex_step(p, x, y):
+    """The induced simplex map U(s) = F(s) / (F_x + F_y), F the reduced
+    map's step: a route to T that does not go through its polynomials."""
+    s = mq.step(p, mq.State(x, y))
+    return s.x / (s.x + s.y), s.y / (s.x + s.y)
+
+
 def test_simplex_image_of_pure_adult_state():
-    s = mq.simplex_step(REF1, mq.State(0.0, 1.0))
-    assert s.x == pytest.approx(0.5 / 1.02, abs=1e-15)
-    assert s.y == pytest.approx(0.52 / 1.02, abs=1e-15)
-
-
-def test_simplex_step_rejects_off_simplex_states():
-    with pytest.raises(ValueError):
-        mq.simplex_step(REF1, mq.State(0.5, 0.6))
-    with pytest.raises(ValueError):
-        mq.simplex_step(REF1, mq.State(0.0, 0.0))
+    x, y = simplex_step(REF1, 0.0, 1.0)
+    assert x == pytest.approx(0.5 / 1.02, abs=1e-15)
+    assert y == pytest.approx(0.52 / 1.02, abs=1e-15)
 
 
 @given(x=st.floats(min_value=0.0, max_value=1.0),
@@ -60,11 +61,11 @@ def test_simplex_map_agrees_with_interval_coordinate(x, alpha, beta, mu):
     if abs(beta - mu) < 1e-9:
         return
     p = mq.Parameters(alpha, beta, mu)
-    s = mq.simplex_step(p, mq.State(x, 1.0 - x))
-    assert abs((s.x + s.y) - 1.0) <= 1e-12
+    sx, sy = simplex_step(p, x, 1.0 - x)
+    assert abs((sx + sy) - 1.0) <= 1e-12
     t = mq.interval_map(p, x)
-    assert abs(s.x - t) <= 1e-12
-    assert abs(s.y - (1.0 - t)) <= 1e-12
+    assert abs(sx - t) <= 1e-12
+    assert abs(sy - (1.0 - t)) <= 1e-12
 
 
 # ------------------------------------------------------------ interval map
@@ -152,6 +153,18 @@ def test_reduction_identity_holds_symbolically():
     assert sympy.expand(sympy.nsimplify(identity, rational=True)) == 0
 
 
+def test_total_increment_identity_holds_symbolically():
+    # x' + y' - x - y = (beta - mu) y for the library's own map, over
+    # symbolic rates and states: the premise of the planar two-cycle
+    # exclusion that `count_two_cycles_on_grid` checks on a grid
+    sympy = pytest.importorskip("sympy")
+    x, y, alpha, beta, mu = sympy.symbols("x y alpha beta mu")
+    p = SimpleNamespace(alpha=alpha, beta=beta, mu=mu, d0=0, d1=0)
+    x1, y1 = _map(p, x, y)
+    identity = (x1 + y1 - x - y) - (beta - mu) * y
+    assert sympy.simplify(sympy.nsimplify(identity, rational=True)) == 0
+
+
 # ---------------------------------------------------------- periodic scan
 
 
@@ -186,10 +199,10 @@ def test_scan_argument_validation():
 
 
 def test_simplex_iteration_converges_to_scanned_root():
-    s = mq.State(0.0, 1.0)
+    x, y = 0.0, 1.0
     for _ in range(300):
-        s = mq.simplex_step(REF1, s)
-    assert s.x == pytest.approx(0.5595799440085467, abs=1e-12)
+        x, y = simplex_step(REF1, x, y)
+    assert x == pytest.approx(0.5595799440085467, abs=1e-12)
     t = 0.3
     for _ in range(300):
         t = mq.interval_map(REF1, t)
@@ -199,30 +212,6 @@ def test_simplex_iteration_converges_to_scanned_root():
 # -------------------------------------------------------- planar two-cycle
 
 
-def test_two_cycle_reduction_vacuous_and_origin_cases():
-    assert mq.check_two_cycle_reduction(REF1, mq.State(1.0, 1.0))
-    assert mq.check_two_cycle_reduction(REF1, mq.State(0.0, 0.0))
-
-
-def test_two_cycle_reduction_raises_on_claimed_cycle():
-    # an absurd tolerance turns every state into a "two-periodic" one;
-    # the certificate must then refuse the off-origin state loudly
-    with pytest.raises(mq.VerificationError):
-        mq.check_two_cycle_reduction(REF1, mq.State(1.0, 1.0), periodic_tol=1e9)
-
-
 @pytest.mark.parametrize("p", [REF1, REF2, REF3])
 def test_no_two_cycles_on_grid(p):
     assert mq.count_two_cycles_on_grid(p) == 0
-
-
-@given(alpha=st.floats(min_value=0.05, max_value=1.0),
-       beta=st.floats(min_value=0.05, max_value=2.0),
-       mu=st.floats(min_value=0.05, max_value=1.0),
-       x=st.floats(min_value=0.0, max_value=10.0),
-       y=st.floats(min_value=0.0, max_value=10.0))
-@settings(max_examples=40)
-def test_two_cycle_reduction_randomized(alpha, beta, mu, x, y):
-    if abs(beta - mu) < 1e-9:
-        return
-    assert mq.check_two_cycle_reduction(mq.Parameters(alpha, beta, mu), mq.State(x, y))

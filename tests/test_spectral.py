@@ -135,7 +135,7 @@ def test_stability_inequalities_equivalent_to_modulus(alpha, beta, mu):
 def test_origin_is_only_fixed_point(p):
     pts = mq.find_fixed_points(p)
     assert len(pts) == 1
-    assert pts[0].as_tuple() == (0.0, 0.0)
+    assert (pts[0].x, pts[0].y) == (0.0, 0.0)
 
 
 # ------------------------------------------------------------ error paths

@@ -54,8 +54,8 @@ def test_growth_orbit_survival_and_limit(ref1_orbit):
     assert orb.monitors.sum_identity_max_err < 1e-9
     # the raw adult count still carries its 1/(1+x) correction; the
     # reported limit must be exactly the estimator at the final state
-    assert orb.final_state.y == pytest.approx(0.6 / 0.48, abs=1e-3)
-    est = orb.final_state.y + (0.6 / 0.48) / (1.0 + orb.final_state.x)
+    assert orb.ys[-1] == pytest.approx(0.6 / 0.48, abs=1e-3)
+    est = orb.ys[-1] + (0.6 / 0.48) / (1.0 + orb.xs[-1])
     assert orb.y_limit_estimate == pytest.approx(est, abs=1e-12)
 
 
@@ -72,9 +72,6 @@ def test_near_critical_orbit(ref3_orbit):
     assert orb.verdict is mq.Verdict.SURVIVAL
     assert abs(orb.y_limit_estimate - 0.9 / 0.88) < 1e-6
     assert orb.monitors.pattern_violations == 0
-    # observational regression pin: this orbit shows exactly five
-    # (x up, y down) -> (x down, y up) transitions in its transient
-    assert orb.monitors.sign_census.switches == 5
 
 
 def test_monotone_onset_is_consistent(ref1_orbit):
@@ -90,9 +87,9 @@ def test_extinction_orbit(ext_orbit):
     orb = ext_orbit
     assert orb.verdict is mq.Verdict.EXTINCTION
     assert orb.n_steps <= 200
-    assert orb.final_state.x < 1e-8
-    assert orb.final_state.y < 1e-8
-    assert orb.y_limit_estimate == orb.final_state.y
+    assert orb.xs[-1] < 1e-8
+    assert orb.ys[-1] < 1e-8
+    assert orb.y_limit_estimate == orb.ys[-1]
     assert orb.monitors.pattern_violations == 0
     assert orb.monitors.y_bound_violations == 0
 
@@ -158,6 +155,29 @@ def test_exhausted_budget():
     assert orb.n_steps == 10
 
 
+def test_state_frozen_by_rounding_ends_exhausted():
+    # one step takes (5e-324, 0) to (0, 5e-324), where beta*y rounds to 0
+    # and (1 - mu)*y rounds back to y; the next step returns its input
+    # bit for bit, and so would every later one
+    for every in (1, 16):
+        orb = mq.iterate_orbit(REF1, mq.State(5e-324, 0.0), mq.OrbitConfig(record_every=every))
+        assert (orb.verdict, orb.n_steps) == (mq.Verdict.EXHAUSTED, 2)
+        assert (orb.xs[-1], orb.ys[-1]) == (0.0, 5e-324)
+        # x never grew past x0, so the limit reported is the adult count
+        assert orb.y_limit_estimate == 5e-324
+        assert orb.monitors.sign_census.ties == 2
+    assert list(orb.steps) == [0, 2]
+
+
+def test_exhausted_orbit_that_has_not_grown_reports_the_adult_count():
+    # the first step from (5, 0) lowers x; the estimator's alpha/mu would
+    # claim a limit this orbit has shown nothing of
+    orb = mq.iterate_orbit(REF1, mq.State(5.0, 0.0), mq.OrbitConfig(max_iters=1))
+    assert (orb.verdict, orb.n_steps) == (mq.Verdict.EXHAUSTED, 1)
+    assert orb.xs[-1] < 5.0
+    assert orb.y_limit_estimate == orb.ys[-1]
+
+
 def test_coarse_recording_still_converges():
     cfg = mq.OrbitConfig(record_every=1024)
     orb = mq.iterate_orbit(REF1, mq.State(2.0, 0.1), cfg)
@@ -186,7 +206,7 @@ def test_growth_orbit_in_the_extinction_box_completes_its_window():
     orb = mq.iterate_orbit(mq.Parameters(1.0, 0.6, 0.5), mq.State(em / (1.0 - em), y0),
                            mq.OrbitConfig(confirm_window=1))
     assert (orb.verdict, orb.n_steps) == (mq.Verdict.SURVIVAL, 1)
-    assert orb.final_state.x < 1e-8 and orb.final_state.y < 1e-8
+    assert orb.xs[-1] < 1e-8 and orb.ys[-1] < 1e-8
 
 
 def test_escaping_growth_orbit_has_no_pattern_violations():
@@ -356,8 +376,8 @@ def test_pattern_scan_does_not_flag_honest_alternation():
 
 
 def test_sign_census_partitions_the_steps(ref1_orbit, ref2_orbit, ref3_orbit, ext_orbit):
-    # the online monitors read patterns (a), (c) and (d) off the census,
-    # which is exact only if every step lands in exactly one class
+    # the online monitors read pattern (a) off the census, which is
+    # exact only if every step lands in exactly one class
     orbits = [ref1_orbit, ref2_orbit, ref3_orbit, ext_orbit]
     rng = np.random.default_rng(2024)
     for _ in range(20):
