@@ -3,10 +3,11 @@ for the command line interface and the scripts to print and write.
 
 * `expected_fate`: the dichotomy, extinction for beta < mu and survival
   for beta > mu; `thresholds_agree` holds the flow's r0 threshold to it.
-* `sweep`: classify and simulate every cell of a rate grid.  A cell
-  agrees when its orbit is accepted and the origin is attracting for
-  beta < mu, a saddle or repeller for beta > mu; a nonhyperbolic origin
-  counts as disagreement.
+* `sweep`: classify and simulate every cell of a rate grid, each orbit
+  stopped at its survival certificate (`iterate_orbit`'s
+  `stop_at_certificate`).  A cell agrees when its orbit is accepted and
+  the origin is attracting for beta < mu, a saddle or repeller for
+  beta > mu; a nonhyperbolic origin counts as disagreement.
 * `run_certificates`: the certificate battery for one parameter set, each
   certificate re-deriving a statement of the theory by an independent
   route; `run_trials` adds cheaper checks on random rates.
@@ -160,7 +161,7 @@ def sweep(
                 if not in_cond:
                     cells.append(SweepCell(p, cls))
                     continue
-                orbit = iterate_orbit(p, s0, config)
+                orbit = iterate_orbit(p, s0, config, stop_at_certificate=True)
                 cls_ok = (
                     cls == Classification.ATTRACTING.value
                     if p.beta < p.mu
@@ -269,7 +270,7 @@ def run_trials(n_trials: int, seed: int, config: OrbitConfig) -> list[Certificat
     rates uniform on (0, 1] with abs(beta - mu) > 0.01 and a start in
     [0, 10)^2, each checked by the two-cycle signs, the interval-map
     range, a short periodic scan and its orbit under `config`, recorded
-    every 32 steps."""
+    every 32 steps and stopped at its survival certificate."""
     rng = np.random.default_rng(seed)
     cfg = replace(config, record_every=32)
     results: list[Certificate] = []
@@ -284,7 +285,7 @@ def run_trials(n_trials: int, seed: int, config: OrbitConfig) -> list[Certificat
             cert = two_cycle_certificate(p)
             range_ok = check_interval_map_range(p, grid_n=201)
             scan_periodic_points(p, p_max=4, grid_n=2001)
-            orbit = iterate_orbit(p, s0, cfg)
+            orbit = iterate_orbit(p, s0, cfg, stop_at_certificate=True)
             ok = cert.signs_ok and range_ok and _orbit_accepted(p, s0, orbit)
             detail = (
                 f"alpha={p.alpha:.6g} beta={p.beta:.6g} mu={p.mu:.6g} "

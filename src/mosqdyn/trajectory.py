@@ -19,10 +19,30 @@ shrink, dy >= -1e-14, so dx + dy > 0.  The increments sum to
 (beta - mu)*y, which is <= 0 under beta < mu, so a contracting orbit can
 never fill the window.  That includes orbits creeping toward the origin,
 where both increments fall inside the 1e-14 tie band and the estimator
-already sits within conv_tol of alpha/mu.  The other two rules are just
-as one-sided: the extinction box (both coordinates below conv_tol)
-decides only beta < mu, or the fixed point (0, 0) itself, and the escape
+already sits within conv_tol of alpha/mu.  The other rules are just as
+one-sided: the extinction box (both coordinates below conv_tol) decides
+only beta < mu, or the fixed point (0, 0) itself, and the escape
 threshold decides only beta > mu.
+
+On request (`stop_at_certificate`, passed by `battery.sweep` and
+`battery.run_trials`) survival is certified sooner, once the orbit has
+entered the both-up region R = {mu*y < f(x) < beta*y}, f(x) =
+alpha*x/(1+x): the states whose next step raises both x and y.  With
+g = alpha/((1+x)(1+x')) the next increments are exactly
+
+    dx' = (1 - g)*dx + beta*dy,    dy' = (1 - mu)*dy + g*dx,
+
+and for 0 < alpha <= 1, x' > x >= 0 every coefficient is positive, so R
+is forward-invariant.  There y stays under the adult envelope and x
+increases; the origin is the only fixed point, so x grows without
+bound.  R is empty for beta < mu, since dx + dy = (beta - mu)*y.  The
+test is exact in integer arithmetic on the float state, so, like every
+other rule here, it certifies the computed state, which then starts an
+exact orbit that survives.  It runs only on steps whose float
+increments are both positive, and the run ends at the first state in R:
+`n_steps` is that step and `y_limit_estimate` the estimator there, not a
+limit.  `simulate`, the `certify` orbit and `compare` run on to the
+estimator window.
 
 Monitors accumulated along the way, one pass, all tolerances absolute
 (the bound `battery.run_certificates` holds the identity residual to is
@@ -70,6 +90,7 @@ __all__ = [
 
 TIE_TOL = 1e-14
 Y_BOUND_TOL = 1e-12
+_INF = float("inf")
 
 
 class Verdict(str, Enum):
@@ -87,10 +108,14 @@ class OrbitConfig:
     survival:   for beta > mu only: x above div_threshold, or the
                 monotone-regime estimator window described in the module
                 docstring, sustained for confirm_window recorded steps
-                (confirm_window * record_every raw steps).
-    exhausted:  neither within max_iters, or a step returned the state
-                bit for bit: rounding has frozen it, so the run ends
-                there.
+                (confirm_window * record_every raw steps); or, where the
+                caller asks for it (`battery.sweep`, `battery.run_trials`),
+                a state in the both-up region, a certificate that needs
+                none of these thresholds.
+    exhausted:  neither within max_iters, or a step returned its own
+                input or that of the step before it bit for bit:
+                rounding has frozen the state or caught it in a
+                two-cycle, so the run ends there.
 
     Each rule decides only the regime whose fate it names, so no verdict
     falls on the wrong side of the dichotomy.  The two patterns counted
@@ -146,8 +171,8 @@ class Orbit:
     recorded step indices and coordinates; index 0 and the final state
     are always present regardless of record_every.  They grow with the
     rows kept, not with max_iters.  `y_limit_estimate` is the estimator
-    y + (alpha/mu)/(1+x) at the final state after survival, or after a
-    growth-regime orbit ran out with x past x0; otherwise it is y."""
+    y + (alpha/mu)/(1+x) at the final state after survival; after
+    extinction or exhaustion it is the last y."""
 
     params: Parameters
     config: OrbitConfig
@@ -160,11 +185,34 @@ class Orbit:
     monitors: MonitorLog
 
 
-def iterate_orbit(p: Parameters, s0: State, config: OrbitConfig | None = None) -> Orbit:
+def _in_both_up_region(alpha: float, beta: float, mu: float, x: float, y: float) -> bool:
+    """Whether (x, y) lies in the both-up region R, that is
+    mu*y*(1+x) < alpha*x < beta*y*(1+x), decided exactly on the given
+    floats: each is a ratio of integers with a power-of-two denominator,
+    and the inequalities are cross-multiplied in integer arithmetic.  A
+    state that is not finite is outside R."""
+    if not (x < _INF and y < _INF):
+        return False
+    an, ad = alpha.as_integer_ratio()
+    bn, bd = beta.as_integer_ratio()
+    mn, md = mu.as_integer_ratio()
+    xn, xd = x.as_integer_ratio()
+    yn, yd = y.as_integer_ratio()
+    # times xd*yd: mu*w < alpha*v < beta*w with w = y*(1+x), v = x
+    w = yn * (xd + xn)
+    v = xn * yd
+    return mn * w * ad < an * v * md and an * v * bd < bn * w * ad
+
+
+def iterate_orbit(
+    p: Parameters, s0: State, config: OrbitConfig | None = None, *, stop_at_certificate: bool = False
+) -> Orbit:
     """Iterate the reduced map from s0 until a verdict or exhaustion.
 
     Single pass; all monitors from the module docstring are accumulated
-    on the fly.
+    on the fly.  With `stop_at_certificate`, a state in the both-up
+    region ends the run in survival at that step (see the module
+    docstring); without it the orbit runs on to the estimator window.
     """
     require_valid(p, Mode.REDUCED)
     cfg = config if config is not None else OrbitConfig()
@@ -182,6 +230,7 @@ def iterate_orbit(p: Parameters, s0: State, config: OrbitConfig | None = None) -
     confirm = cfg.confirm_window * every
     tie = TIE_TOL
     ybtol = Y_BOUND_TOL
+    stop = stop_at_certificate
 
     x = s0.x
     y = s0.y
@@ -193,13 +242,14 @@ def iterate_orbit(p: Parameters, s0: State, config: OrbitConfig | None = None) -
     put_y = rec_y.append
 
     ybv = 0
-    seen_both_up = False
     drops_after_both_up = 0
     sum_err = 0.0
     last_bad = 0
     pw = 1.0
     y0_excess = y - am
     c_uu = c_dd = c_ud = c_du = c_tie = 0
+    tie_n = -1  # the last tie step, and its input state
+    tie_x = tie_y = 0.0
     dx = dy = 0.0
     streak = 0
     n = 0
@@ -248,15 +298,22 @@ def iterate_orbit(p: Parameters, s0: State, config: OrbitConfig | None = None) -
         if y1 > bound + ybtol or y1 < -ybtol:
             ybv += 1
 
-        # One classification per step: the census branches partition the
-        # steps, so pattern (a) is read off their counts after the loop.
         up_x = dx > tie
         dn_x = dx < -tie
         up_y = dy > tie
         dn_y = dy < -tie
+        if dn_x or dn_y:
+            last_bad = n
+            if c_uu:  # after the first both-up step
+                drops_after_both_up += 1
+        # One classification per step: the census branches partition the
+        # steps, so pattern (a) is read off their counts after the loop.
+        # A break below ends the run at the new state, step n complete.
         if up_x and up_y:
             c_uu += 1
-            seen_both_up = True
+            if stop and _in_both_up_region(alpha, beta, mu, x1, y1):
+                x, y, verdict = x1, y1, Verdict.SURVIVAL
+                break
         elif dn_x and dn_y:
             c_dd += 1
         elif up_x and dn_y:
@@ -265,15 +322,17 @@ def iterate_orbit(p: Parameters, s0: State, config: OrbitConfig | None = None) -
             c_du += 1
         else:
             c_tie += 1
-            # A step that returns its input bit for bit (with gradual
-            # underflow, exactly zero increments) has frozen the state:
-            # every later step would do the same, and no rule can fire.
-            if dx == 0.0 and dy == 0.0:
+            if stop and dx > 0.0 and dy > 0.0 and _in_both_up_region(alpha, beta, mu, x1, y1):
+                x, y, verdict = x1, y1, Verdict.SURVIVAL
                 break
-        if dn_x or dn_y:
-            last_bad = n
-            if seen_both_up:
-                drops_after_both_up += 1
+            # A step that returns its own input (with gradual underflow,
+            # exactly zero increments) or the input of the step before it
+            # bit for bit has caught the float map in a fixed point or a
+            # two-cycle: every later step repeats, and no rule can fire.
+            if (dx == 0.0 and dy == 0.0) or (tie_n == n - 1 and x1 == tie_x and y1 == tie_y):
+                x, y = x1, y1
+                break
+            tie_n, tie_x, tie_y = n, x, y
 
         x = x1
         y = y1
@@ -286,12 +345,7 @@ def iterate_orbit(p: Parameters, s0: State, config: OrbitConfig | None = None) -
         put_n(n)
         put_x(x)
         put_y(y)
-    # the estimator only for an orbit that has shown growth: survival, or
-    # a growth-regime orbit that ended exhausted with x past x0
-    if verdict is Verdict.SURVIVAL or (growth and verdict is Verdict.EXHAUSTED and x > s0.x):
-        y_limit = y + am / (1.0 + x)
-    else:
-        y_limit = y
+    y_limit = y + am / (1.0 + x) if verdict is Verdict.SURVIVAL else y
 
     pattern_violations = c_dd + drops_after_both_up if growth else 0
 

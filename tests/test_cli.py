@@ -95,6 +95,34 @@ def test_simulate_stops_on_a_state_frozen_by_rounding(capsys):
                                     "2,0.0000000000000000e+00,4.9406564584124654e-324"]
 
 
+def test_simulate_stops_on_a_float_two_cycle(capsys):
+    # beta*y rounds up to 5e-324 and (1 - mu)*y rounds to 0, so the
+    # state alternates between (5e-324, 0) and (0, 5e-324): step 2
+    # returns the input of step 1 bit for bit
+    rc = main(["simulate", "--alpha", "0.9", "--beta", "0.9", "--mu", "0.88",
+               "--x0", "5e-324", "--y0", "0"])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert err == "verdict=exhausted n_steps=2 y_limit_estimate=0.0000000000000000e+00\n"
+    assert out.splitlines()[1:] == ["0,4.9406564584124654e-324,0.0000000000000000e+00",
+                                    "1,0.0000000000000000e+00,4.9406564584124654e-324",
+                                    "2,4.9406564584124654e-324,0.0000000000000000e+00"]
+
+
+def test_simulate_exhausted_growth_orbit_reports_the_adult_count(capsys):
+    # x grows past x0 but stays near 1e-300, where the estimator
+    # y + (alpha/mu)/(1+x) is alpha/mu to rounding
+    rc = main(["simulate", "--alpha", "0.6", "--beta", "0.3001", "--mu", "0.3",
+               "--x0", "1e-300", "--y0", "0", "--steps", "20000"])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    first, last = out.splitlines()[1], out.splitlines()[-1]
+    assert float(last.split(",")[1]) > float(first.split(",")[1])
+    y_last = last.split(",")[2]
+    assert err == f"verdict=exhausted n_steps=20000 y_limit_estimate={y_last}\n"
+    assert float(y_last) < 1e-250
+
+
 def test_simulate_unwritable_output_path(tmp_path, capsys):
     rc = main(["simulate", *EXT, "--x0", "1", "--y0", "1",
                "--out", str(tmp_path / "missing" / "orbit.csv")])
@@ -188,17 +216,35 @@ def test_sweep_grid_with_diagonal(tmp_path, capsys):
 
 
 def test_sweep_detects_disagreement(tmp_path, capsys):
-    # a 50-step budget cannot confirm survival, so the cell reads
-    # "exhausted" against a saddle classification and the scan must say so
+    # from (5, 0) the orbit first enters the both-up region at step 3, so
+    # a 2-step budget cannot certify survival: the cell reads "exhausted"
+    # against a saddle classification and the scan must say so
     out_path = tmp_path / "sweep.csv"
     rc = main(["sweep", "--alpha-range", "0.6", "0.6", "1",
                "--beta-range", "0.8", "0.8", "1",
                "--mu-range", "0.2", "0.2", "1",
-               "--steps", "50", "--out", str(out_path)])
+               "--x0", "5", "--y0", "0",
+               "--steps", "2", "--out", str(out_path)])
     out, _ = capsys.readouterr()
     assert rc == 4
     assert "disagree=1" in out
     assert ",exhausted," in out_path.read_text()
+
+
+def test_sweep_certifies_a_tie_band_orbit(tmp_path, capsys):
+    # the increments of this orbit stay inside the 1e-14 tie band for
+    # over 1e6 steps, so the estimator window never fills; the both-up
+    # region test certifies survival at step 8
+    out_path = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--alpha-range", "0.6", "0.6", "1",
+               "--beta-range", "0.300001", "0.300001", "1",
+               "--mu-range", "0.3", "0.3", "1",
+               "--x0", "1e-8", "--y0", "0", "--out", str(out_path)])
+    out, _ = capsys.readouterr()
+    assert rc == 0
+    assert out.strip() == "cells=1 in_condition=1 agree=1 disagree=0"
+    row = out_path.read_text().strip().split("\n")[1].split(",")
+    assert row[6:9] == ["saddle", "survival", "8"] and row[10] == "true"
 
 
 def test_sweep_origin_start_agrees_in_either_regime(tmp_path, capsys):
@@ -342,8 +388,8 @@ def test_certify_trial_fails_on_a_broken_sum_bound(monkeypatch, capsys):
     # total-increment residual bound included
     real = battery.iterate_orbit
 
-    def broken(p, s0, config=None):
-        orbit = real(p, s0, config)
+    def broken(p, s0, config=None, **flags):
+        orbit = real(p, s0, config, **flags)
         return dataclasses.replace(orbit, monitors=dataclasses.replace(orbit.monitors, sum_identity_max_err=1.0))
 
     monkeypatch.setattr(battery, "iterate_orbit", broken)

@@ -4,9 +4,8 @@ Each case runs one command through `main` and compares its exit code and
 the sha256 of its stdout, its stderr and every file it writes with the
 values below.  A change meant to keep the output (a refactor, a speedup)
 must pass this file unchanged; a change meant to alter an output updates
-the pin and says why.  The sweep runs the README grid at 6 x 6 instead of
-20 x 20 to keep the suite fast.  `certify` is pinned line by line except
-for the `spectral-agreement` detail, which quotes a LAPACK eigensolver.
+the pin and says why.  `certify` is pinned line by line except for the
+`spectral-agreement` detail, which quotes a LAPACK eigensolver.
 """
 
 import hashlib
@@ -23,8 +22,8 @@ CASES = {
     "simulate-json": (["simulate", *REF1, "--x0", "2", "--y0", "0.1",
                        "--format", "json", "--out", "{}"], "orbit.json"),
     "classify": (["classify", *REF1], None),
-    "sweep": (["sweep", "--alpha-range", "0.6", "0.6", "1", "--beta-range", "0.05", "1.0", "6",
-               "--mu-range", "0.05", "1.0", "6", "--out", "{}"], "sweep.csv"),
+    "sweep": (["sweep", "--alpha-range", "0.6", "0.6", "1", "--beta-range", "0.05", "1.0", "20",
+               "--mu-range", "0.05", "1.0", "20", "--out", "{}"], "sweep.csv"),
     "compare": (["compare", "--alpha", "0.5", "--beta", "0.3", "--mu", "0.6", "--x0", "1", "--y0", "1",
                  "--steps", "200", "--t-end", "50"], None),
     "simulate-invalid": (["simulate", "--alpha", "1.5", "--beta", "0.5", "--mu", "0.48",
@@ -44,8 +43,8 @@ PINS = {
     "simulate-invalid": (2, EMPTY, "1603cf5269b7bd9aeb0c826cf63989d752a886a4cf18a623dd841d71d1972447", None),
     "simulate-json": (0, "05828a01f74c8ec6e039068682309d066d7fb7bcffa9e9144d042b4b3e58d464", EMPTY,
                       "03b35bb6a3100a7318a26473e8a921895cf58e6690e2b21be9b4751b0badeefe"),
-    "sweep": (0, "2fe7ac67c2ca037aedda26bb4b50920b4a4f2fa206f4bbc7ad253c3b7c51bdbc", EMPTY,
-              "ac7a73ac1e01b0e764ec5dff7cd1ef94b7ef283bc42284f16d7c9e11d3e082ee"),
+    "sweep": (0, "ef952bc05e7a27f0b9a203ca5d7b270d966ce728f797e6894dc651fa165d51e5", EMPTY,
+              "e5fcfe319aff8dd9c232ee1e1f2d118b20f289e03c2068b1e5c301d39f3edd75"),
     "sweep-inverted": (2, EMPTY, "1c3a0ea741731ebe70e31d317a4d6d7c4c9351a54410174bb7f8bf410d64e184", None),
 }
 
@@ -69,7 +68,7 @@ def test_readme_command_output_is_pinned(name, tmp_path, capsys):
 
 
 CERTIFY_TRIALS = ["certify", *REF1, "--trials", "25", "--seed", "7"]
-CERTIFY_TRIALS_SHA = "882c5ff4c54bd5ee2e8a6b583a34f27ac2ebe5a5a12ee8deed34348a386042cd"
+CERTIFY_TRIALS_SHA = "016ef4739738f99763279abe77bf54d79bbe5827895c46ff30167812b26aa9f3"
 
 
 def certify_lines(capsys):

@@ -7,7 +7,6 @@ an independent route.
 """
 
 from fractions import Fraction as F
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mosqdyn as mq
-from mosqdyn.model import _map
-from mosqdyn.simplex import _two_cycle_coefficients, _verify_two_cycle_reduction_identity, interval_map_parts
+from mosqdyn.simplex import _verify_two_cycle_reduction_identity
 
 REF1 = mq.Parameters(0.6, 0.5, 0.48)
 REF2 = mq.Parameters(0.4, 0.35, 0.3)
@@ -137,32 +135,6 @@ def test_reduction_identity_rejects_corrupted_coefficients():
         _verify_two_cycle_reduction_identity(REF1, cert.quad_a + 0.1, cert.quad_b, cert.quad_c)
     with pytest.raises(mq.VerificationError):
         _verify_two_cycle_reduction_identity(REF1, -cert.quad_a, -cert.quad_b, -cert.quad_c)
-
-
-def test_reduction_identity_holds_symbolically():
-    # the identity the 33-point spot check samples, proved once over
-    # symbolic rates with the library's own coefficient and map formulas
-    sympy = pytest.importorskip("sympy")
-    x, alpha, beta, mu = sympy.symbols("x alpha beta mu")
-    p = SimpleNamespace(alpha=alpha, beta=beta, mu=mu)
-    qa, qb, qc = _two_cycle_coefficients(p)
-    num1, den1 = interval_map_parts(p, x)
-    # T(T(x)) = num2 / den2 after clearing den1**2 from both parts
-    num2, den2 = (sympy.cancel(part * den1**2) for part in interval_map_parts(p, num1 / den1))
-    identity = (num2 - x * den2) + (num1 - x * den1) * (qa * x**2 + qb * x + qc)
-    assert sympy.expand(sympy.nsimplify(identity, rational=True)) == 0
-
-
-def test_total_increment_identity_holds_symbolically():
-    # x' + y' - x - y = (beta - mu) y for the library's own map, over
-    # symbolic rates and states: the premise of the planar two-cycle
-    # exclusion that `count_two_cycles_on_grid` checks on a grid
-    sympy = pytest.importorskip("sympy")
-    x, y, alpha, beta, mu = sympy.symbols("x y alpha beta mu")
-    p = SimpleNamespace(alpha=alpha, beta=beta, mu=mu, d0=0, d1=0)
-    x1, y1 = _map(p, x, y)
-    identity = (x1 + y1 - x - y) - (beta - mu) * y
-    assert sympy.simplify(sympy.nsimplify(identity, rational=True)) == 0
 
 
 # ---------------------------------------------------------- periodic scan

@@ -8,6 +8,8 @@ actually fail.
 
 import dataclasses
 import io
+import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mosqdyn as mq
+from mosqdyn.trajectory import _in_both_up_region
 
 REF1 = mq.Parameters(0.6, 0.5, 0.48)
 REF2 = mq.Parameters(0.4, 0.35, 0.3)
@@ -178,6 +181,35 @@ def test_exhausted_orbit_that_has_not_grown_reports_the_adult_count():
     assert orb.y_limit_estimate == orb.ys[-1]
 
 
+@pytest.mark.parametrize("p, s0", [
+    (mq.Parameters(0.9, 0.9, 0.88), (5e-324, 0.0)),
+    (mq.Parameters(1.0, 0.6, 0.5), (5e-324, 0.0)),
+    (mq.Parameters(1.0, 0.6, 0.5), (0.0, 5e-324)),
+])
+def test_float_two_cycle_ends_exhausted(p, s0):
+    # rounding swaps (5e-324, 0) and (0, 5e-324) forever; step 2 returns
+    # the input of step 1 bit for bit, so no later step can differ
+    for every in (1, 16):
+        orb = mq.iterate_orbit(p, mq.State(*s0), mq.OrbitConfig(record_every=every))
+        assert (orb.verdict, orb.n_steps) == (mq.Verdict.EXHAUSTED, 2)
+        assert (orb.xs[-1], orb.ys[-1]) == s0
+        assert orb.y_limit_estimate == s0[1]
+    assert list(orb.steps) == [0, 2]
+    orb = mq.iterate_orbit(p, mq.State(*s0))
+    assert list(orb.steps) == [0, 1, 2]
+    assert (orb.xs[1], orb.ys[1]) == s0[::-1]
+
+
+def test_exhausted_growth_orbit_reports_the_adult_count():
+    # x grows past x0 yet stays near 1e-300; the estimator there is
+    # alpha/mu to rounding, a limit this orbit has shown nothing of
+    s0 = mq.State(1e-300, 0.0)
+    orb = mq.iterate_orbit(mq.Parameters(0.6, 0.3001, 0.3), s0, mq.OrbitConfig(max_iters=20_000))
+    assert (orb.verdict, orb.n_steps) == (mq.Verdict.EXHAUSTED, 20_000)
+    assert orb.xs[-1] > s0.x
+    assert orb.y_limit_estimate == orb.ys[-1] < 1e-250
+
+
 def test_coarse_recording_still_converges():
     cfg = mq.OrbitConfig(record_every=1024)
     orb = mq.iterate_orbit(REF1, mq.State(2.0, 0.1), cfg)
@@ -251,6 +283,124 @@ def test_config_validation():
         mq.OrbitConfig(record_every=0)
     with pytest.raises(ValueError):
         mq.OrbitConfig(confirm_window=0)
+
+
+# ---------------------------------------------------- survival certificate
+
+
+def in_both_up_region_exact(alpha, beta, mu, x, y):
+    """mu*y*(1+x) < alpha*x < beta*y*(1+x) in rational arithmetic."""
+    a, b, m, x, y = (F(v) for v in (alpha, beta, mu, x, y))
+    return m * y * (1 + x) < a * x < b * y * (1 + x)
+
+
+admissible_rate = st.floats(min_value=5e-324, max_value=1.0)
+larval = st.one_of(
+    st.floats(min_value=0.0, max_value=2.2250738585072014e-308),  # subnormal
+    st.floats(min_value=1e-300, max_value=1e-8),
+    st.floats(min_value=0.0, max_value=100.0),
+    st.floats(min_value=1e11, max_value=1e13),
+)
+
+
+@st.composite
+def rates_and_state(draw):
+    alpha, mu = draw(admissible_rate), draw(admissible_rate)
+    beta = draw(st.floats(min_value=5e-324, max_value=2.0))
+    x = draw(larval)
+    # adult counts on either edge of the region, a few ulps either side,
+    # where the floats decide the answer, or anywhere at the same scale
+    edge = min(alpha * (x / (1.0 + x)) / draw(st.sampled_from([beta, mu])), 1e300)
+    y = edge
+    for _ in range(draw(st.integers(0, 3))):
+        y = math.nextafter(y, math.inf if draw(st.booleans()) else 0.0)
+    y = draw(st.one_of(st.just(y), st.floats(min_value=0.0, max_value=max(2.0 * edge, 5e-324))))
+    return alpha, beta, mu, x, y
+
+
+@given(rates_and_state())
+@settings(max_examples=300)
+def test_region_test_agrees_with_rational_arithmetic(case):
+    assert _in_both_up_region(*case) == in_both_up_region_exact(*case)
+
+
+def test_region_test_at_the_edges():
+    # on either edge one inequality is an equality: outside the open region
+    assert not _in_both_up_region(0.5, 0.5, 0.25, 1.0, 0.5)  # alpha*x = beta*y*(1+x)
+    assert not _in_both_up_region(0.5, 1.0, 0.25, 1.0, 1.0)  # alpha*x = mu*y*(1+x)
+    assert _in_both_up_region(0.5, 1.0, 0.25, 1.0, 0.5)
+    assert not _in_both_up_region(0.5, 1.0, 0.25, 0.0, 0.0)
+    assert not _in_both_up_region(0.5, 1.0, 0.25, math.inf, 1.0)
+    assert not _in_both_up_region(0.5, 1.0, 0.25, 1.0, math.inf)
+    # 5e-324 is 2**-1074; the rational route sees it whole
+    assert _in_both_up_region(1.0, 1.0, 0.5, 5e-324, 5e-324) == in_both_up_region_exact(1.0, 1.0, 0.5, 5e-324, 5e-324)
+
+
+def test_certificate_skips_an_overflowed_step():
+    # with no escape threshold, beta*y + x overflows on the first step
+    # while both increments are positive; inf is no state to certify
+    p = mq.Parameters(1.0, 1e306, 0.5)
+    cfg = mq.OrbitConfig(max_iters=3, div_threshold=math.inf)
+    orb = mq.iterate_orbit(p, mq.State(1.79e308, 1.0), cfg, stop_at_certificate=True)
+    assert orb.xs[1] == math.inf and orb.monitors.sign_census.both_up >= 1
+    assert orb.verdict is mq.Verdict.EXHAUSTED
+
+
+def seeded_sets(seed, n, contracting):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        a, b, m = 1.0 - rng.random(3)
+        if (b < m) != contracting:
+            b, m = m, b
+        if b == m:
+            continue
+        scale = 10.0 ** rng.integers(-12, 2)
+        yield mq.Parameters(float(a), float(b), float(m)), mq.State(*(scale * rng.uniform(0.0, 10.0, 2)))
+
+
+def test_contracting_orbits_never_enter_the_region():
+    # dx + dy = (beta - mu) y, so no state of a beta < mu orbit can have
+    # both increments positive; checked on every computed state
+    cfg = mq.OrbitConfig(max_iters=20_000)
+    for p, s0 in seeded_sets(11, 300, contracting=True):
+        orb = mq.iterate_orbit(p, s0, cfg, stop_at_certificate=True)
+        assert orb.verdict is not mq.Verdict.SURVIVAL, (p, s0)
+        assert not any(_in_both_up_region(p.alpha, p.beta, p.mu, float(x), float(y))
+                       for x, y in zip(orb.xs, orb.ys)), (p, s0)
+
+
+def test_growth_orbits_stop_at_the_certificate():
+    for p, s0 in seeded_sets(12, 300, contracting=False):
+        for every in (1, 16):
+            orb = mq.iterate_orbit(p, s0, mq.OrbitConfig(record_every=every), stop_at_certificate=True)
+            assert orb.verdict is mq.Verdict.SURVIVAL, (p, s0)
+            x, y = float(orb.xs[-1]), float(orb.ys[-1])
+            assert orb.steps[-1] == orb.n_steps
+            # the escape rule may come first; otherwise the last state is
+            # certified and the limit reported is the estimator there
+            assert x > 1e9 or in_both_up_region_exact(p.alpha, p.beta, p.mu, x, y), (p, s0)
+            assert orb.y_limit_estimate == y + (p.alpha / p.mu) / (1.0 + x)
+            assert orb.monitors.pattern_violations == 0 and orb.monitors.y_bound_violations == 0
+
+
+def test_certificate_stops_only_when_asked(ref1_orbit):
+    cert = mq.iterate_orbit(REF1, mq.State(2.0, 0.1), stop_at_certificate=True)
+    assert (cert.verdict, cert.n_steps) == (mq.Verdict.SURVIVAL, 5)
+    # the first five steps are those of the full orbit, bit for bit
+    assert np.array_equal(cert.xs, ref1_orbit.xs[:6]) and np.array_equal(cert.ys, ref1_orbit.ys[:6])
+    assert ref1_orbit.n_steps > 100_000
+
+
+def test_tie_band_orbit_is_certified():
+    # the increments never clear the 1e-14 tie band together, so the
+    # estimator window never fills; the exact region test decides the
+    # orbit on a tie step, at step 8
+    p, s0 = mq.Parameters(0.6, 0.300001, 0.3), mq.State(1e-8, 0.0)
+    assert mq.iterate_orbit(p, s0, mq.OrbitConfig(max_iters=5_000)).verdict is mq.Verdict.EXHAUSTED
+    orb = mq.iterate_orbit(p, s0, stop_at_certificate=True)
+    assert (orb.verdict, orb.n_steps) == (mq.Verdict.SURVIVAL, 8)
+    census = orb.monitors.sign_census
+    assert census.both_up == 0 and census.ties > 0
 
 
 # ------------------------------------------------------------- properties
