@@ -94,8 +94,13 @@ def _expand_config(argv: list[str]) -> list[str]:
     return [head[0]] + _config_tokens(path) + head[1:] + tail
 
 
-def _orbit_config(args: argparse.Namespace, **fields) -> OrbitConfig:
-    return OrbitConfig(max_iters=args.steps, conv_tol=args.conv_tol, div_threshold=args.div_threshold, **fields)
+def _orbit_config(args: argparse.Namespace) -> OrbitConfig:
+    return OrbitConfig(
+        max_iters=args.steps,
+        conv_tol=args.conv_tol,
+        div_threshold=args.div_threshold,
+        record_every=getattr(args, "record_every", 1),  # certify keeps every step
+    )
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -114,13 +119,10 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_rate_flags(sp: argparse.ArgumentParser, with_mortality: bool = True) -> None:
+def _add_rate_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--alpha", type=float, required=True, help="emergence rate, in (0, 1]")
     sp.add_argument("--beta", type=float, required=True, help="egg production rate, > 0")
     sp.add_argument("--mu", type=float, required=True, help="adult mortality, in (0, 1]")
-    if with_mortality:
-        sp.add_argument("--d0", type=float, default=0.0, help="density-independent larval mortality (default 0)")
-        sp.add_argument("--d1", type=float, default=0.0, help="density-dependent larval mortality (default 0)")
 
 
 def _add_start_flags(sp: argparse.ArgumentParser, required: bool, default: float = 1.0) -> None:
@@ -145,8 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=1_000_000, help="iteration budget (default 1000000)")
     sp.add_argument("--conv-tol", type=float, default=1e-8, help="detection tolerance (default 1e-8)")
     sp.add_argument("--div-threshold", type=float, default=1e9, help="larval escape threshold (default 1e9)")
-    sp.add_argument("--record-every", type=int, default=1, help="record every k-th step (default 1)")
-    sp.add_argument("--confirm-window", type=int, default=100, help="recorded steps confirming survival (default 100)")
+    sp.add_argument("--record-every", type=int, default=1, help="keep every k-th step of the orbit (default 1)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv", help="orbit dump format (default csv)")
     sp.add_argument("--out", type=str, default=None, help="output path (default: orbit to stdout)")
     sp.set_defaults(func=cmd_simulate)
@@ -163,13 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="egg production grid: low, high, count")
     sp.add_argument("--mu-range", type=float, nargs=3, required=True, metavar=("LO", "HI", "N"),
                     help="adult mortality grid: low, high, count")
-    sp.add_argument("--d0", type=float, default=0.0, help="fixed density-independent larval mortality")
-    sp.add_argument("--d1", type=float, default=0.0, help="fixed density-dependent larval mortality")
     _add_start_flags(sp, required=False)
     sp.add_argument("--steps", type=int, default=1_000_000, help="iteration budget per cell (default 1000000)")
     sp.add_argument("--conv-tol", type=float, default=1e-8)
     sp.add_argument("--div-threshold", type=float, default=1e9)
-    sp.add_argument("--record-every", type=int, default=16, help="recording stride per cell (default 16)")
+    sp.add_argument("--record-every", type=int, default=16,
+                    help="keep every k-th step of each cell's orbit in memory (default 16)")
     sp.add_argument("--tol", type=float, default=1e-9, help="unit-circle tolerance for classification")
     sp.add_argument("--out", type=str, required=True, help="CSV output path")
     sp.set_defaults(func=cmd_sweep)
@@ -189,6 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compare", help="discrete orbit next to the continuous flow")
     _add_rate_flags(sp)
+    sp.add_argument("--d0", type=float, default=0.0, help="density-independent larval mortality (default 0)")
+    sp.add_argument("--d1", type=float, default=0.0, help="density-dependent larval mortality (default 0)")
     _add_start_flags(sp, required=True)
     sp.add_argument("--steps", type=int, default=500, help="discrete steps (default 500)")
     sp.add_argument("--record-every", type=int, default=1)
@@ -221,13 +223,12 @@ def _orbit_json(orbit: Orbit) -> dict:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    p = Parameters(args.alpha, args.beta, args.mu, args.d0, args.d1)
+    p = Parameters(args.alpha, args.beta, args.mu)
     report = validate_parameters(p, Mode.REDUCED)
     if not report.valid:
         print(report.message(), file=sys.stderr)
         return 2
-    cfg = _orbit_config(args, record_every=args.record_every, confirm_window=args.confirm_window)
-    orbit = iterate_orbit(p, State(args.x0, args.y0), cfg)
+    orbit = iterate_orbit(p, State(args.x0, args.y0), _orbit_config(args))
     verdict_line = (
         f"verdict={orbit.verdict.value} n_steps={orbit.n_steps} "
         f"y_limit_estimate={fmt(orbit.y_limit_estimate)}"
@@ -249,7 +250,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    p = Parameters(args.alpha, args.beta, args.mu, args.d0, args.d1)
+    p = Parameters(args.alpha, args.beta, args.mu)
     report = classify_origin(p, tol=args.tol)
     ineq = stability_inequalities(p)
     comparison, fate = expected_fate(p)
@@ -290,8 +291,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     alphas = _axis(args.alpha_range, "--alpha-range")
     betas = _axis(args.beta_range, "--beta-range")
     mus = _axis(args.mu_range, "--mu-range")
-    cfg = _orbit_config(args, record_every=args.record_every)
-    cells = sweep(alphas, betas, mus, State(args.x0, args.y0), cfg, args.d0, args.d1, args.tol)
+    cells = sweep(alphas, betas, mus, State(args.x0, args.y0), _orbit_config(args), args.tol)
     atomic_write_lines(args.out, [SWEEP_CSV_HEADER] + [c.csv_row() for c in cells])
     n_in = sum(c.in_condition for c in cells)
     n_agree = sum(c.agree is True for c in cells)
@@ -303,7 +303,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    p = Parameters(args.alpha, args.beta, args.mu, args.d0, args.d1)
+    p = Parameters(args.alpha, args.beta, args.mu)
     report = validate_parameters(p, Mode.REDUCED)
     if not report.valid:
         print(report.message(), file=sys.stderr)
@@ -358,7 +358,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         f"positive_equilibrium={eq_txt}"
     )
     if reduced:
-        orbit = iterate_orbit(p, s0, _orbit_config(args, record_every=args.record_every))
+        orbit = iterate_orbit(p, s0, _orbit_config(args))
         ns, xs, ys = orbit.steps, orbit.xs, orbit.ys
         summary.append(
             f"discrete: verdict={orbit.verdict.value} n={orbit.n_steps} "

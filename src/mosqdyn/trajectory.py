@@ -11,9 +11,10 @@ regime and the adult-limit estimator
 
     yhat = y + (alpha/mu) / (1 + x)
 
-has stayed within conv_tol of alpha/mu for a confirmation window (the
-estimator removes the leading 1/(1+x) correction of the adult count, so
-it converges like 1/x^2 instead of 1/x).  On every step of the window
+has stayed within conv_tol of alpha/mu for a confirmation window of
+CONFIRM_STEPS = 100 computed steps (the estimator removes the leading
+1/(1+x) correction of the adult count, so it converges like 1/x^2
+instead of 1/x).  On every step of the window
 the larvae must strictly grow, dx > 1e-14, and the adults must not
 shrink, dy >= -1e-14, so dx + dy > 0.  The increments sum to
 (beta - mu)*y, which is <= 0 under beta < mu, so a contracting orbit can
@@ -22,7 +23,14 @@ where both increments fall inside the 1e-14 tie band and the estimator
 already sits within conv_tol of alpha/mu.  The other rules are just as
 one-sided: the extinction box (both coordinates below conv_tol) decides
 only beta < mu, or the fixed point (0, 0) itself, and the escape
-threshold decides only beta > mu.
+threshold decides only beta > mu.  A step that overflows (only the
+larval count can: y' = f(x) + (1 - mu)*y is at most alpha + y) ends the
+run `exhausted` at its state, inf being no state to decide from.
+
+Every rule is judged on every computed step.  The recording stride
+`record_every` only picks the rows kept, every k-th step plus the start
+and the final state; no verdict, step count, estimate or monitor
+depends on it.
 
 On request (`stop_at_certificate`, passed by `battery.sweep` and
 `battery.run_trials`) survival is certified sooner, once the orbit has
@@ -90,6 +98,7 @@ __all__ = [
 
 TIE_TOL = 1e-14
 Y_BOUND_TOL = 1e-12
+CONFIRM_STEPS = 100
 _INF = float("inf")
 
 
@@ -105,40 +114,38 @@ class OrbitConfig:
 
     extinction: both coordinates below conv_tol, for beta < mu; for
                 beta > mu only the fixed point (0, 0) itself.
-    survival:   for beta > mu only: x above div_threshold, or the
-                monotone-regime estimator window described in the module
-                docstring, sustained for confirm_window recorded steps
-                (confirm_window * record_every raw steps); or, where the
-                caller asks for it (`battery.sweep`, `battery.run_trials`),
-                a state in the both-up region, a certificate that needs
-                none of these thresholds.
-    exhausted:  neither within max_iters, or a step returned its own
-                input or that of the step before it bit for bit:
-                rounding has frozen the state or caught it in a
-                two-cycle, so the run ends there.
+    survival:   for beta > mu only: x above div_threshold (finite), or
+                the monotone-regime estimator window of CONFIRM_STEPS
+                computed steps described in the module docstring; or,
+                where the caller asks for it (`battery.sweep`,
+                `battery.run_trials`), a state in the both-up region, a
+                certificate that needs none of these thresholds.
+    exhausted:  neither within max_iters; or a step overflowed; or a
+                step returned its own input or that of the step before
+                it bit for bit: rounding has frozen the state or caught
+                it in a two-cycle, so the run ends there.
 
     Each rule decides only the regime whose fate it names, so no verdict
     falls on the wrong side of the dichotomy.  The two patterns counted
-    online are (a) and (b) of `count_forbidden_patterns`.
+    online are (a) and (b) of `count_forbidden_patterns`.  record_every
+    only thins the rows kept: every k-th step, plus the start and the
+    final state.
     """
 
     max_iters: int = 1_000_000
     conv_tol: float = 1e-8
     div_threshold: float = 1e9
     record_every: int = 1
-    confirm_window: int = 100
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not (self.conv_tol > 0.0):
             raise ValueError("conv_tol must be positive")
-        if not (self.div_threshold > 1.0):
-            raise ValueError("div_threshold must exceed 1")
+        if not (1.0 < self.div_threshold < _INF):
+            raise ValueError("div_threshold must be finite and exceed 1")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
-        if self.confirm_window < 1:
-            raise ValueError("confirm_window must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -227,7 +234,7 @@ def iterate_orbit(
     conv = cfg.conv_tol
     div = cfg.div_threshold
     every = cfg.record_every
-    confirm = cfg.confirm_window * every
+    confirm = CONFIRM_STEPS
     tie = TIE_TOL
     ybtol = Y_BOUND_TOL
     stop = stop_at_certificate
@@ -263,15 +270,19 @@ def iterate_orbit(
     # beta < mu and, for beta > mu, only at the fixed point (0, 0);
     # escape is survival for beta > mu only.  The regime is tested after
     # the comparisons, so a step outside the box and below the
-    # threshold pays nothing for it.
+    # threshold pays nothing for it.  The threshold is finite, so an
+    # overflowed state passes it too, and ends the run exhausted there.
     verdict = Verdict.EXHAUSTED
     while True:
         if x < conv and y < conv and (not growth or (x == 0.0 and y == 0.0)):
             verdict = Verdict.EXTINCTION
             break
-        if x > div and growth:
-            verdict = Verdict.SURVIVAL
-            break
+        if x > div:
+            if x == _INF:
+                break
+            if growth:
+                verdict = Verdict.SURVIVAL
+                break
         if dx > tie and dy >= -tie and abs((y + am / (1.0 + x)) - am) < conv:
             streak += 1
             if streak >= confirm:
@@ -289,8 +300,10 @@ def iterate_orbit(
         dx = x1 - x
         dy = y1 - y
 
+        # `not <=` also takes a nan residual (inf - inf after an
+        # overflow), and a nan once taken stays
         err = abs((x1 + y1) - ((bmm * y + x) + y))
-        if err > sum_err:
+        if not err <= sum_err and sum_err == sum_err:
             sum_err = err
 
         pw *= omm

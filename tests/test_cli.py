@@ -123,6 +123,23 @@ def test_simulate_exhausted_growth_orbit_reports_the_adult_count(capsys):
     assert float(y_last) < 1e-250
 
 
+def test_simulate_rejects_an_infinite_escape_threshold(capsys):
+    rc = main(["simulate", *REF1, "--x0", "1", "--y0", "1", "--div-threshold", "inf"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: div_threshold must be finite and exceed 1\n"
+
+
+def test_simulate_stops_at_an_overflowed_state(capsys):
+    # beta*y + x overflows on the first step: the run ends there, with no
+    # rows computed from inf
+    rc = main(["simulate", "--alpha", "0.5", "--beta", "0.9", "--mu", "1.0",
+               "--x0", "1.7e308", "--y0", "1.7e308", "--steps", "5"])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert out.splitlines()[2:] == ["1,inf,5.0000000000000000e-01"]
+    assert err == "verdict=exhausted n_steps=1 y_limit_estimate=5.0000000000000000e-01\n"
+
+
 def test_simulate_unwritable_output_path(tmp_path, capsys):
     rc = main(["simulate", *EXT, "--x0", "1", "--y0", "1",
                "--out", str(tmp_path / "missing" / "orbit.csv")])
@@ -187,10 +204,30 @@ def test_classify_equal_rates(capsys):
 
 
 def test_classify_rejects_larval_mortality(capsys):
-    rc = main(["classify", *REF1, "--d0", "0.1"])
-    _, err = capsys.readouterr()
-    assert rc == 2
-    assert "error:" in err
+    # the reduced commands have no larval mortality flags; argparse
+    # rejects them with exit code 2
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", *REF1, "--d0", "0.1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --d0 0.1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", *REF1, "--x0", "1", "--y0", "1", "--d1", "0"],
+    ["simulate", *REF1, "--x0", "1", "--y0", "1", "--confirm-window", "100"],
+    ["sweep", "--alpha-range", "0.6", "0.6", "1", "--beta-range", "0.5", "0.5", "1",
+     "--mu-range", "0.48", "0.48", "1", "--d0", "0.1", "--out", "{}"],
+    ["certify", *REF1, "--d0", "0"],
+], ids=["simulate-d1", "simulate-confirm-window", "sweep-d0", "certify-d0"])
+def test_reduced_commands_take_no_mortality_or_window_flags(argv, tmp_path, capsys):
+    # the survival window is fixed, and larval mortality belongs to the
+    # full map, which only `compare` runs
+    out = tmp_path / "never.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([str(out) if tok == "{}" else tok for tok in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------ sweep
@@ -262,6 +299,19 @@ def test_sweep_origin_start_agrees_in_either_regime(tmp_path, capsys):
     growth = [r for r in rows if r[5] == "true" and float(r[1]) > float(r[2])]
     assert len(growth) == 3
     assert all(r[6] in ("saddle", "repelling") and r[7:9] == ["extinction", "0"] for r in growth)
+
+
+@pytest.mark.parametrize("start", ["1e6", "1e308"])
+def test_sweep_counts_a_large_start_cell_as_it_writes_it(start, tmp_path, capsys):
+    # beyond a total of about 6e5 the residual bound is a few ulps of the
+    # total; the cell's agreement must be counted as the CSV states it
+    out_path = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--alpha-range", "0.6", "0.6", "1", "--beta-range", "0.7", "0.7", "1",
+               "--mu-range", "0.3", "0.3", "1", "--x0", start, "--y0", start, "--out", str(out_path)])
+    assert capsys.readouterr().out == "cells=1 in_condition=1 agree=1 disagree=0\n"
+    assert rc == 0
+    row = out_path.read_text().splitlines()[1]
+    assert ",survival," in row and row.endswith(",true")
 
 
 def test_sweep_rejects_inverted_range(tmp_path, capsys):
@@ -399,6 +449,24 @@ def test_certify_trial_fails_on_a_broken_sum_bound(monkeypatch, capsys):
     assert rc == 4
     assert "FAIL orbit-dichotomy:" in out
     assert "FAIL trial-1:" in out and "FAIL trial-2:" in out
+
+
+def test_certify_does_not_hide_an_overflowed_residual(capsys):
+    rc = main(["certify", "--alpha", "0.5", "--beta", "0.9", "--mu", "1.0",
+               "--x0", "1.7e308", "--y0", "1.7e308", "--steps", "5"])
+    out, _ = capsys.readouterr()
+    assert rc == 4
+    assert "FAIL orbit-dichotomy: verdict=exhausted n=1 y_bound=0 patterns=0 sum_err=nan" in out.splitlines()
+
+
+def test_certify_dumps_a_large_start_as_json(tmp_path, capsys):
+    out_path = tmp_path / "cert.json"
+    rc = main(["certify", "--alpha", "0.6", "--beta", "0.7", "--mu", "0.3", "--x0", "1e6", "--y0", "1e6",
+               "--out", str(out_path)])
+    capsys.readouterr()
+    assert rc == 0
+    doc = json.loads(out_path.read_text())
+    assert all(c["pass"] is True for c in doc["certificates"])
 
 
 def test_certify_rejects_negative_trials(capsys):

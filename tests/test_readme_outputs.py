@@ -42,7 +42,7 @@ PINS = {
                      "05828a01f74c8ec6e039068682309d066d7fb7bcffa9e9144d042b4b3e58d464", None),
     "simulate-invalid": (2, EMPTY, "1603cf5269b7bd9aeb0c826cf63989d752a886a4cf18a623dd841d71d1972447", None),
     "simulate-json": (0, "05828a01f74c8ec6e039068682309d066d7fb7bcffa9e9144d042b4b3e58d464", EMPTY,
-                      "03b35bb6a3100a7318a26473e8a921895cf58e6690e2b21be9b4751b0badeefe"),
+                      "ca6946a23293fd7a07564dd3f126f9d2ab20092e32729d16d4062d4dceb1d064"),
     "sweep": (0, "ef952bc05e7a27f0b9a203ca5d7b270d966ce728f797e6894dc651fa165d51e5", EMPTY,
               "e5fcfe319aff8dd9c232ee1e1f2d118b20f289e03c2068b1e5c301d39f3edd75"),
     "sweep-inverted": (2, EMPTY, "1c3a0ea741731ebe70e31d317a4d6d7c4c9351a54410174bb7f8bf410d64e184", None),

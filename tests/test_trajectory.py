@@ -220,6 +220,48 @@ def test_coarse_recording_still_converges():
     assert orb.steps[-1] == orb.n_steps
 
 
+def stride_cases():
+    yield REF1, mq.State(2.0, 0.1), mq.OrbitConfig()
+    yield REF2, mq.State(0.5, 2.0), mq.OrbitConfig()
+    yield REF3, mq.State(0.01, 0.2), mq.OrbitConfig()
+    yield EXT, mq.State(1.0, 1.0), mq.OrbitConfig()
+    for contracting in (True, False):
+        for p, s0 in seeded_sets(13, 10, contracting):
+            yield p, s0, mq.OrbitConfig(max_iters=20_000)
+    yield mq.Parameters(0.6, 0.300001, 0.3), mq.State(1e-8, 0.0), mq.OrbitConfig(max_iters=5_000)
+
+
+def test_recording_stride_only_thins_the_rows():
+    # the stride picks the rows kept and nothing else: verdict, step
+    # count, estimate and monitors are those of the full recording
+    for p, s0, cfg in stride_cases():
+        for stop in (False, True):
+            full = None
+            for every in (1, 16, 32, 64):
+                orb = mq.iterate_orbit(p, s0, dataclasses.replace(cfg, record_every=every), stop_at_certificate=stop)
+                if full is None:
+                    full = orb
+                    assert np.array_equal(full.steps, np.arange(full.n_steps + 1))
+                case = (p, s0, every, stop)
+                assert (orb.verdict, orb.n_steps) == (full.verdict, full.n_steps), case
+                assert orb.y_limit_estimate.hex() == full.y_limit_estimate.hex(), case
+                assert dataclasses.asdict(orb.monitors) == dataclasses.asdict(full.monitors), case
+                kept = (full.steps % every == 0) | (full.steps == full.n_steps)
+                assert np.array_equal(orb.steps, full.steps[kept]), case
+                assert np.array_equal(orb.xs, full.xs[kept]) and np.array_equal(orb.ys, full.ys[kept]), case
+
+
+def test_overflowed_state_ends_the_run():
+    # beta*y + x overflows on the first step; the run ends exhausted at
+    # that state, and the step's residual, inf - inf, shows as nan
+    orb = mq.iterate_orbit(mq.Parameters(0.5, 0.9, 1.0), mq.State(1.7e308, 1.7e308), mq.OrbitConfig(max_iters=5))
+    assert (orb.verdict, orb.n_steps) == (mq.Verdict.EXHAUSTED, 1)
+    assert list(orb.steps) == [0, 1] and (orb.xs[1], orb.ys[1]) == (math.inf, 0.5)
+    assert orb.y_limit_estimate == 0.5
+    assert math.isnan(orb.monitors.sum_identity_max_err)
+    assert sum(dataclasses.astuple(orb.monitors.sign_census)) == 1
+
+
 def test_contracting_orbit_near_origin_never_confirms_survival():
     # both increments sit inside the tie band and the adult estimator is
     # within conv_tol of alpha/mu, so only strict larval growth in the
@@ -229,14 +271,14 @@ def test_contracting_orbit_near_origin_never_confirms_survival():
     assert orb.verdict is mq.Verdict.EXHAUSTED
 
 
-def test_growth_orbit_in_the_extinction_box_completes_its_window():
+def test_growth_orbit_in_the_extinction_box_completes_its_window(monkeypatch):
     # after one step this beta > mu orbit sits inside the extinction box
     # and also completes a one-step survival window; the box decides
     # only beta < mu, so the window's survival verdict stands
+    monkeypatch.setattr(mq.trajectory, "CONFIRM_STEPS", 1)
     y0 = 1e-8 + 2e-15
     em = 0.5 * y0 - 5e-15
-    orb = mq.iterate_orbit(mq.Parameters(1.0, 0.6, 0.5), mq.State(em / (1.0 - em), y0),
-                           mq.OrbitConfig(confirm_window=1))
+    orb = mq.iterate_orbit(mq.Parameters(1.0, 0.6, 0.5), mq.State(em / (1.0 - em), y0))
     assert (orb.verdict, orb.n_steps) == (mq.Verdict.SURVIVAL, 1)
     assert orb.xs[-1] < 1e-8 and orb.ys[-1] < 1e-8
 
@@ -280,9 +322,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         mq.OrbitConfig(div_threshold=0.5)
     with pytest.raises(ValueError):
-        mq.OrbitConfig(record_every=0)
+        mq.OrbitConfig(div_threshold=math.inf)
     with pytest.raises(ValueError):
-        mq.OrbitConfig(confirm_window=0)
+        mq.OrbitConfig(div_threshold=math.nan)
+    with pytest.raises(ValueError):
+        mq.OrbitConfig(record_every=0)
 
 
 # ---------------------------------------------------- survival certificate
@@ -337,13 +381,13 @@ def test_region_test_at_the_edges():
 
 
 def test_certificate_skips_an_overflowed_step():
-    # with no escape threshold, beta*y + x overflows on the first step
-    # while both increments are positive; inf is no state to certify
-    p = mq.Parameters(1.0, 1e306, 0.5)
-    cfg = mq.OrbitConfig(max_iters=3, div_threshold=math.inf)
-    orb = mq.iterate_orbit(p, mq.State(1.79e308, 1.0), cfg, stop_at_certificate=True)
-    assert orb.xs[1] == math.inf and orb.monitors.sign_census.both_up >= 1
-    assert orb.verdict is mq.Verdict.EXHAUSTED
+    # beta*y overflows on the first step while both increments are
+    # positive; inf is no state to certify, nor one to escape from
+    p = mq.Parameters(1.0, 1.7e308, 0.1)
+    cfg = mq.OrbitConfig(max_iters=3)
+    orb = mq.iterate_orbit(p, mq.State(1e8, 2.0), cfg, stop_at_certificate=True)
+    assert orb.xs[1] == math.inf and orb.monitors.sign_census.both_up == 1
+    assert (orb.verdict, orb.n_steps) == (mq.Verdict.EXHAUSTED, 1)
 
 
 def seeded_sets(seed, n, contracting):
