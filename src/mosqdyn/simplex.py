@@ -228,10 +228,14 @@ def scan_periodic_points(p: Parameters, p_max: int = 8, grid_n: int = 10_000) ->
 
 
 def count_two_cycles_on_grid(p: Parameters) -> int:
-    """Count the states of a 500 x 500 grid on [0, 5] x [0, 5] whose
-    second iterate under the reduced map returns to them within 1e-10,
-    excluding the origin ball of radius 1e-8.  Expected 0 for admissible
-    rates, by the planar argument: one step changes the total by
+    """Count the states s of a 500 x 500 grid on [0, 5] x [0, 5] whose
+    second iterate returns to them within 1e-10 of their one-step
+    displacement, |T(T(s)) - s| < 1e-10 |T(s) - s| in the max norm.  The
+    residual is relative, so a state that barely moves (on the x-axis
+    when alpha is tiny) is not taken for a two-cycle, and a state that
+    does not move at all, the origin included, is a fixed point, not a
+    two-cycle.  Expected 0 for admissible rates, by the planar argument:
+    one step changes the total by
     x' + y' - x - y = (beta - mu) y exactly, so a two-cycle
     (x, y) -> (x', y') -> (x, y) forces (beta - mu)(y + y') = 0, hence
     y = y' = 0 with beta != mu; then y' is the emergence term alone, so
@@ -239,7 +243,9 @@ def count_two_cycles_on_grid(p: Parameters) -> int:
     require_valid(p, Mode.REDUCED)
     xs = np.linspace(0.0, 5.0, 500)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    mx, my = _map(p, *_map(p, gx, gy))
-    res = np.maximum(np.abs(mx - gx), np.abs(my - gy))
-    off_origin = np.maximum(np.abs(gx), np.abs(gy)) > 1e-8
-    return int(np.count_nonzero((res < 1e-10) & off_origin))
+    x1, y1 = _map(p, gx, gy)
+    mx, my = _map(p, x1, y1)
+    # in place, as in `find_fixed_points`: each temporary is a full grid
+    res = np.maximum(np.abs(np.subtract(mx, gx, out=mx), out=mx), np.abs(np.subtract(my, gy, out=my), out=my), out=mx)
+    disp = np.maximum(np.abs(np.subtract(x1, gx, out=x1), out=x1), np.abs(np.subtract(y1, gy, out=y1), out=y1), out=x1)
+    return int(np.count_nonzero(res < np.multiply(disp, 1e-10, out=disp)))

@@ -142,8 +142,11 @@ def find_fixed_points(p: Parameters) -> list[State]:
     fixed-point refinement s <- s + 0.5*(map(s) - s) of every coarse
     candidate.  The damped iteration stays inside the quadrant (the
     x-update subtracts at most 0.5*emergence <= 0.5*x).  Candidates that
-    settle to residual below 1e-10 away from the origin raise
-    VerificationError; otherwise returns [State(0, 0)].
+    settle away from the origin to a residual below 1e-10 of the largest
+    term the increments cancel (emergence, beta*y, mu*y) raise
+    VerificationError; otherwise returns [State(0, 0)].  The residual is
+    relative, so a state that barely moves (on the x-axis when alpha is
+    tiny) is not taken for a fixed point.
 
     Honest caveat: a residual scan plus local refinement can in principle
     miss a fixed point that repels the damped iteration; the periodic
@@ -168,7 +171,10 @@ def find_fixed_points(p: Parameters) -> list[State]:
         cy = cy + 0.5 * dy
     dx, dy = _field(p, cx, cy)
     final_res = np.maximum(np.abs(dx), np.abs(dy))
-    keep = final_res < 1e-10
+    # the increments are differences of emergence (mu*y + dy) and the
+    # adult terms beta*y, mu*y; a fixed point cancels them to rounding
+    terms = np.maximum(np.maximum(p.beta, p.mu) * cy, p.mu * cy + dy)
+    keep = final_res < 1e-10 * terms
     off_origin = keep & ((np.abs(cx) > 1e-8) | (np.abs(cy) > 1e-8))
     if np.any(off_origin):
         pts = sorted(

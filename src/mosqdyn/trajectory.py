@@ -7,20 +7,27 @@ alpha/mu.  Growth in the escape regime is asymptotically linear,
 x^(n+1) - x^(n) -> alpha*(beta - mu)/mu, so "x exceeds some huge
 threshold" is generally not observable inside a bounded step budget.
 Survival is instead declared once the orbit is in the certified monotone
-regime and the adult-limit estimator
+regime and the second-order adult-limit estimator
 
-    yhat = y + (alpha/mu) / (1 + x)
+    yhat2 = y + (alpha/mu)*u - (alpha/mu)*(u - u_prev)/mu,  u = 1/(1 + x),
 
-has stayed within conv_tol of alpha/mu for a confirmation window of
-CONFIRM_STEPS = 100 computed steps (the estimator removes the leading
-1/(1+x) correction of the adult count, so it converges like 1/x^2
-instead of 1/x).  On every step of the window
-the larvae must strictly grow, dx > 1e-14, and the adults must not
-shrink, dy >= -1e-14, so dx + dy > 0.  The increments sum to
-(beta - mu)*y, which is <= 0 under beta < mu, so a contracting orbit can
-never fill the window.  That includes orbits creeping toward the origin,
-where both increments fall inside the 1e-14 tie band and the estimator
-already sits within conv_tol of alpha/mu.  The other rules are just as
+with u_prev that of the previous state (u - u_prev = 0 at n = 0), has
+stayed within conv_tol of alpha/mu for a confirmation window of
+CONFIRM_STEPS = 100 computed steps.  It rests on an exact identity of the
+map: the adult deficit e = y - (alpha/mu)*(1 - u) obeys
+
+    e' = (1 - mu)*e + (alpha/mu)*(u' - u),
+
+so e settles at (alpha/mu)*(u - u_prev)/mu, and yhat2 - alpha/mu is e
+less that value: the drift of u - u_prev, O(1/x^3), where the raw adult
+count is off by O(1/x) and the first-order y + (alpha/mu)*u by O(1/x^2).
+The estimator is evaluated only on steps that pass the increment test:
+on every step of the window the larvae must strictly grow, dx > 1e-14,
+and the adults must not shrink, dy >= -1e-14, so dx + dy > 0.  The
+increments sum to (beta - mu)*y, which is <= 0 under beta < mu, so a
+contracting orbit can never fill the window.  That includes orbits
+creeping toward the origin, where both increments fall inside the 1e-14
+tie band and the estimator already sits within conv_tol of alpha/mu.  The other rules are just as
 one-sided: the extinction box (both coordinates below conv_tol) decides
 only beta < mu, or the fixed point (0, 0) itself, and the escape
 threshold decides only beta > mu.  A step that overflows (only the
@@ -48,8 +55,8 @@ test is exact in integer arithmetic on the float state, so, like every
 other rule here, it certifies the computed state, which then starts an
 exact orbit that survives.  It runs only on steps whose float
 increments are both positive, and the run ends at the first state in R:
-`n_steps` is that step and `y_limit_estimate` the estimator there, not a
-limit.  `simulate`, the `certify` orbit and `compare` run on to the
+`n_steps` is that step and `y_limit_estimate` the estimator yhat2 there,
+not a limit.  `simulate`, the `certify` orbit and `compare` run on to the
 estimator window.
 
 Monitors accumulated along the way, one pass, all tolerances absolute
@@ -115,11 +122,14 @@ class OrbitConfig:
     extinction: both coordinates below conv_tol, for beta < mu; for
                 beta > mu only the fixed point (0, 0) itself.
     survival:   for beta > mu only: x above div_threshold (finite), or
-                the monotone-regime estimator window of CONFIRM_STEPS
-                computed steps described in the module docstring; or,
-                where the caller asks for it (`battery.sweep`,
-                `battery.run_trials`), a state in the both-up region, a
-                certificate that needs none of these thresholds.
+                the monotone-regime window of CONFIRM_STEPS computed
+                steps on which the second-order estimator
+                y + (alpha/mu)*u - (alpha/mu)*(u - u_prev)/mu,
+                u = 1/(1+x), stays within conv_tol of alpha/mu (see the
+                module docstring); or, where the caller asks for it
+                (`battery.sweep`, `battery.run_trials`), a state in the
+                both-up region, a certificate that needs none of these
+                thresholds.
     exhausted:  neither within max_iters; or a step overflowed; or a
                 step returned its own input or that of the step before
                 it bit for bit: rounding has frozen the state or caught
@@ -177,9 +187,10 @@ class Orbit:
     """A recorded orbit.  `steps`, `xs`, `ys` are aligned arrays of the
     recorded step indices and coordinates; index 0 and the final state
     are always present regardless of record_every.  They grow with the
-    rows kept, not with max_iters.  `y_limit_estimate` is the estimator
-    y + (alpha/mu)/(1+x) at the final state after survival; after
-    extinction or exhaustion it is the last y."""
+    rows kept, not with max_iters.  `y_limit_estimate` is the
+    second-order estimator at the final state and its predecessor after
+    survival (see the module docstring); after extinction or exhaustion
+    it is the last y."""
 
     params: Parameters
     config: OrbitConfig
@@ -190,6 +201,14 @@ class Orbit:
     n_steps: int
     y_limit_estimate: float
     monitors: MonitorLog
+
+
+def _adult_limit(am: float, mu: float, x: float, px: float, y: float) -> float:
+    """The second-order adult-limit estimator at the state (x, y) whose
+    predecessor had larval count px, am = alpha/mu:
+    y + am*u - am*(u - u_prev)/mu with u = 1/(1+x), u_prev = 1/(1+px)."""
+    u = 1.0 / (1.0 + x)
+    return y + am * u - am * (u - 1.0 / (1.0 + px)) / mu
 
 
 def _in_both_up_region(alpha: float, beta: float, mu: float, x: float, y: float) -> bool:
@@ -241,6 +260,7 @@ def iterate_orbit(
 
     x = s0.x
     y = s0.y
+    px = x  # larval count of the previous state; x itself at n = 0, so du = 0
     rec_n = array("q", [0])
     rec_x = array("d", [x])
     rec_y = array("d", [y])
@@ -283,7 +303,7 @@ def iterate_orbit(
             if growth:
                 verdict = Verdict.SURVIVAL
                 break
-        if dx > tie and dy >= -tie and abs((y + am / (1.0 + x)) - am) < conv:
+        if dx > tie and dy >= -tie and abs(_adult_limit(am, mu, x, px, y) - am) < conv:
             streak += 1
             if streak >= confirm:
                 verdict = Verdict.SURVIVAL
@@ -325,7 +345,7 @@ def iterate_orbit(
         if up_x and up_y:
             c_uu += 1
             if stop and _in_both_up_region(alpha, beta, mu, x1, y1):
-                x, y, verdict = x1, y1, Verdict.SURVIVAL
+                px, x, y, verdict = x, x1, y1, Verdict.SURVIVAL
                 break
         elif dn_x and dn_y:
             c_dd += 1
@@ -336,7 +356,7 @@ def iterate_orbit(
         else:
             c_tie += 1
             if stop and dx > 0.0 and dy > 0.0 and _in_both_up_region(alpha, beta, mu, x1, y1):
-                x, y, verdict = x1, y1, Verdict.SURVIVAL
+                px, x, y, verdict = x, x1, y1, Verdict.SURVIVAL
                 break
             # A step that returns its own input (with gradual underflow,
             # exactly zero increments) or the input of the step before it
@@ -347,6 +367,7 @@ def iterate_orbit(
                 break
             tie_n, tie_x, tie_y = n, x, y
 
+        px = x
         x = x1
         y = y1
         if n % every == 0:
@@ -358,7 +379,7 @@ def iterate_orbit(
         put_n(n)
         put_x(x)
         put_y(y)
-    y_limit = y + am / (1.0 + x) if verdict is Verdict.SURVIVAL else y
+    y_limit = _adult_limit(am, mu, x, px, y) if verdict is Verdict.SURVIVAL else y
 
     pattern_violations = c_dd + drops_after_both_up if growth else 0
 

@@ -110,8 +110,8 @@ def test_simulate_stops_on_a_float_two_cycle(capsys):
 
 
 def test_simulate_exhausted_growth_orbit_reports_the_adult_count(capsys):
-    # x grows past x0 but stays near 1e-300, where the estimator
-    # y + (alpha/mu)/(1+x) is alpha/mu to rounding
+    # x grows past x0 but stays near 1e-300, where the adult-limit
+    # estimator is alpha/mu to rounding
     rc = main(["simulate", "--alpha", "0.6", "--beta", "0.3001", "--mu", "0.3",
                "--x0", "1e-300", "--y0", "0", "--steps", "20000"])
     out, err = capsys.readouterr()
@@ -431,6 +431,19 @@ def test_certify_origin_start_is_extinction_for_growth_rates(capsys):
     out, _ = capsys.readouterr()
     assert rc == 0, out
     assert "PASS orbit-dichotomy: verdict=extinction n=0 " in out
+
+
+@pytest.mark.parametrize("alpha", ["1e-9", "1e-12"])
+def test_certify_scans_pass_at_tiny_emergence(capsys, alpha):
+    # every x-axis state moves by about alpha per step, below the old
+    # absolute residual of 1e-10; the scans hold each residual to the
+    # size of the motion it measures
+    rc = main(["certify", "--alpha", alpha, "--beta", "0.5", "--mu", "0.3", "--steps", "1000"])
+    out, _ = capsys.readouterr()
+    lines = out.splitlines()
+    assert "PASS two-cycle-grid: 0 non-origin period-two cells" in lines
+    assert "PASS fixed-point-scan: origin only" in lines
+    assert rc == 0, out
 
 
 def test_certify_trial_fails_on_a_broken_sum_bound(monkeypatch, capsys):

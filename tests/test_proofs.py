@@ -58,3 +58,17 @@ def test_both_up_increment_identities_hold_symbolically():
     g = alpha / ((1 + x) * (1 + x1))
     assert vanishes((x2 - x1) - ((1 - g) * dx + beta * dy))
     assert vanishes((y2 - y1) - ((1 - mu) * dy + g * dx))
+
+
+def test_adult_deficit_identity_holds_symbolically():
+    # with u = 1/(1+x) and e = y - (alpha/mu)(1 - u), one step gives
+    #   e' = (1 - mu) e + (alpha/mu)(u' - u)
+    # so e settles at (alpha/mu) du / mu, and the estimator
+    # y + (alpha/mu) u - (alpha/mu) du / mu = alpha/mu + e - (alpha/mu) du / mu
+    # of `iterate_orbit`'s survival window is off alpha/mu by the drift
+    # of du alone
+    x1, y1 = _map(REDUCED, x, y)
+    am = alpha / mu
+    u, u1 = 1 / (1 + x), 1 / (1 + x1)
+    e, e1 = y - am * (1 - u), y1 - am * (1 - u1)
+    assert vanishes(e1 - ((1 - mu) * e + am * (u1 - u)))

@@ -38,13 +38,13 @@ PINS = {
     "classify": (0, "5b44d68036431320288eecf2dfec12b7f3a07aebd5a3b5fc998b6db52b889d8d", EMPTY, None),
     "compare": (0, "9f5d5c9546be06521a9c7639b2a41ac6e7c79316b567156b33a5406378b9ed92",
                 "88738e64d1bee65d9c1e6f4a33844fecf1afd393326804d99288fa83770a1777", None),
-    "simulate-csv": (0, "074a0f6ab4273226adbfa54d5561becb8c10e3bcfba06013af8aa0dc00a1a126",
-                     "05828a01f74c8ec6e039068682309d066d7fb7bcffa9e9144d042b4b3e58d464", None),
+    "simulate-csv": (0, "b8c644e41c34b6e9806531bb97fc0b6731b7b6284349d7da279f3092a58f5703",
+                     "9c76ec3d0c21088490dfdee90e238caaf7fa41ccf532452d8d48328f63e67a30", None),
     "simulate-invalid": (2, EMPTY, "1603cf5269b7bd9aeb0c826cf63989d752a886a4cf18a623dd841d71d1972447", None),
-    "simulate-json": (0, "05828a01f74c8ec6e039068682309d066d7fb7bcffa9e9144d042b4b3e58d464", EMPTY,
-                      "ca6946a23293fd7a07564dd3f126f9d2ab20092e32729d16d4062d4dceb1d064"),
+    "simulate-json": (0, "9c76ec3d0c21088490dfdee90e238caaf7fa41ccf532452d8d48328f63e67a30", EMPTY,
+                      "570cdda620ed26b9e78261a2af5e6b87ee1bdb59fa0cbdf1592e45405110caaf"),
     "sweep": (0, "ef952bc05e7a27f0b9a203ca5d7b270d966ce728f797e6894dc651fa165d51e5", EMPTY,
-              "e5fcfe319aff8dd9c232ee1e1f2d118b20f289e03c2068b1e5c301d39f3edd75"),
+              "33947d23707d7a86403fe17a59a278fe4c2e841b0b2ef31be6b5e172231c31e5"),
     "sweep-inverted": (2, EMPTY, "1c3a0ea741731ebe70e31d317a4d6d7c4c9351a54410174bb7f8bf410d64e184", None),
 }
 
@@ -68,7 +68,7 @@ def test_readme_command_output_is_pinned(name, tmp_path, capsys):
 
 
 CERTIFY_TRIALS = ["certify", *REF1, "--trials", "25", "--seed", "7"]
-CERTIFY_TRIALS_SHA = "016ef4739738f99763279abe77bf54d79bbe5827895c46ff30167812b26aa9f3"
+CERTIFY_TRIALS_SHA = "b3f2bce9788ce3f2408f3c430107c8d7b68d970adf23a6c2b3203800d9977fab"
 
 
 def certify_lines(capsys):

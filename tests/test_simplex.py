@@ -187,3 +187,11 @@ def test_simplex_iteration_converges_to_scanned_root():
 @pytest.mark.parametrize("p", [REF1, REF2, REF3])
 def test_no_two_cycles_on_grid(p):
     assert mq.count_two_cycles_on_grid(p) == 0
+
+
+def test_grid_counts_a_genuine_two_cycle(monkeypatch):
+    # under the swap (x, y) -> (y, x) every off-diagonal state is a
+    # two-cycle and every diagonal state a fixed point, which is not one;
+    # like the real kernel, the stand-in returns new arrays
+    monkeypatch.setattr(mq.simplex, "_map", lambda p, x, y: (y.copy(), x.copy()))
+    assert mq.count_two_cycles_on_grid(REF1) == 500 * 500 - 500

@@ -138,6 +138,16 @@ def test_origin_is_only_fixed_point(p):
     assert (pts[0].x, pts[0].y) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("alpha", [0.6, 1e-9, 1e-12])
+def test_fixed_point_scan_finds_a_curve_of_fixed_points(monkeypatch, alpha):
+    # with beta = mu the map fixes every state with mu*y = alpha*x/(1+x);
+    # the relative residual must still report them, at tiny alpha too
+    field = mq.spectral._field
+    monkeypatch.setattr(mq.spectral, "_field", lambda p, x, y: field(mq.Parameters(p.alpha, p.mu, p.mu), x, y))
+    with pytest.raises(mq.VerificationError, match="away from the origin"):
+        mq.find_fixed_points(mq.Parameters(alpha, 0.5, 0.3))
+
+
 # ------------------------------------------------------------ error paths
 
 
