@@ -139,14 +139,9 @@ def sweep(
     mus: Iterable[float],
     s0: State,
     config: OrbitConfig,
-    tol: float = 1e-9,
 ) -> list[SweepCell]:
-    """Classify the origin (unit-circle tolerance `tol`) and simulate the
-    orbit from s0 on every cell of alphas x betas x mus, mu varying
-    fastest.  A tolerance that is not positive is rejected before any
-    cell runs."""
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol}")
+    """Classify the origin and simulate the orbit from s0 on every cell
+    of alphas x betas x mus, mu varying fastest."""
     cells = []
     for a in alphas:
         for b in betas:
@@ -154,7 +149,7 @@ def sweep(
                 p = Parameters(float(a), float(b), float(m))
                 in_cond = validate_parameters(p, Mode.REDUCED).valid
                 try:
-                    cls = classify_origin(p, tol=tol).classification.value
+                    cls = classify_origin(p).classification.value
                 except ValueError:
                     cls = ""
                 if not in_cond:
@@ -180,11 +175,12 @@ class Certificate(NamedTuple):
     detail: str
 
 
-def run_certificates(p: Parameters, s0: State, config: OrbitConfig, p_max: int, grid: int) -> list[Certificate]:
+def run_certificates(p: Parameters, s0: State, config: OrbitConfig) -> list[Certificate]:
     """The certificate battery for one reduced-map parameter set: the
     spectral and periodic-point certificates, the orbit from s0 under
     `config` with its monitors, and the growth or contraction certificate
-    matching its verdict.  `p_max` and `grid` size the interval-map scan."""
+    matching its verdict.  The interval-map scan runs at its default sizes,
+    periods 2 to 8 on 10,000 points."""
     results: list[Certificate] = []
 
     rep = classify_origin(p)
@@ -215,9 +211,9 @@ def run_certificates(p: Parameters, s0: State, config: OrbitConfig, p_max: int, 
     results.append(Certificate("two-cycle-signs", ok, detail))
 
     try:
-        roots_by_period = scan_periodic_points(p, p_max=p_max, grid_n=grid)
+        roots_by_period = scan_periodic_points(p)
         n_roots = sum(len(r) for r in roots_by_period.values())
-        ok, detail = True, f"periods 2..{p_max}: {n_roots} roots, all fixed points"
+        ok, detail = True, f"periods 2..{max(roots_by_period)}: {n_roots} roots, all fixed points"
     except VerificationError as exc:
         ok, detail = False, str(exc)
     results.append(Certificate("periodic-scan", ok, detail))

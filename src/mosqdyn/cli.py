@@ -8,16 +8,16 @@ Subcommands:
     certify    run the certificate battery for one parameter set
     compare    discrete orbit next to the continuous flow
 
-Exit codes: 0 success, 2 invalid parameters/config (argparse errors
+Exit codes: 0 success, 2 invalid parameters or options (argparse errors
 included, and budgets too large for memory), 3 I/O failure, 4 a
 verification or agreement failure.
 
-Options may come from a config file (--config PATH or --config=PATH,
-lines of "key = value", # comments allowed, keys named like the long
-options); explicit command line flags override config values.  Commands
-that draw randomness take --seed, falling back to the MOSQDYN_SEED
-environment variable, then to the built-in default; the seed in effect
-is echoed.
+Every option is a command line flag.  The detection thresholds, the
+unit-circle tolerance and the certify scan sizes are not options: they
+are constants of the modules that use them (`trajectory.CONV_TOL` and
+`DIV_THRESHOLD`, `spectral.UNIT_CIRCLE_TOL`, the default sizes of
+`simplex.scan_periodic_points`).  `certify --trials` draws its rates
+from --seed (default DEFAULT_SEED) and echoes the seed in effect.
 File outputs are written atomically (temp file in the target directory,
 then rename).  The checks themselves live in `battery`; this module
 parses, prints, writes and maps outcomes to exit codes.
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 
@@ -46,74 +45,11 @@ __all__ = ["main", "DEFAULT_SEED"]
 DEFAULT_SEED = 12345
 
 
-# ---------------------------------------------------------------- config
-
-
-def _config_tokens(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    tokens: list[str] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key = value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().replace("_", "-")
-        value = value.strip()
-        if not key:
-            raise ValueError(f"{path}:{lineno}: empty key")
-        if key == "config":
-            raise ValueError(f"{path}:{lineno}: config files cannot nest")
-        if not value:
-            raise ValueError(f"{path}:{lineno}: empty value for {key!r}")
-        tokens.append("--" + key)
-        tokens.extend(value.split())
-    return tokens
-
-
-def _expand_config(argv: list[str]) -> list[str]:
-    hits = [i for i, tok in enumerate(argv) if tok == "--config" or tok.startswith("--config=")]
-    if not hits:
-        return argv
-    if len(hits) > 1:
-        raise ValueError("--config may be given at most once")
-    idx = hits[0]
-    _, inline, path = argv[idx].partition("=")
-    tail = argv[idx + 1 :]
-    if not inline and tail:
-        path, tail = tail[0], tail[1:]
-    if not path:
-        raise ValueError("--config requires a path")
-    if idx == 0:
-        raise ValueError("--config must follow a subcommand")
-    head = argv[:idx]
-    # config tokens go right after the subcommand so that explicit flags,
-    # parsed later, win
-    return [head[0]] + _config_tokens(path) + head[1:] + tail
-
-
 def _orbit_config(args: argparse.Namespace) -> OrbitConfig:
     return OrbitConfig(
         max_iters=args.steps,
-        conv_tol=args.conv_tol,
-        div_threshold=args.div_threshold,
-        record_every=getattr(args, "record_every", 1),  # certify keeps every step
+        record_every=getattr(args, "record_every", 1),  # certify and compare keep every step
     )
-
-
-def _resolve_seed(args: argparse.Namespace) -> int:
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        return seed
-    env = os.environ.get("MOSQDYN_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"MOSQDYN_SEED must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
 
 
 # ---------------------------------------------------------------- parser
@@ -145,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rate_flags(sp)
     _add_start_flags(sp, required=True)
     sp.add_argument("--steps", type=int, default=1_000_000, help="iteration budget (default 1000000)")
-    sp.add_argument("--conv-tol", type=float, default=1e-8, help="detection tolerance (default 1e-8)")
-    sp.add_argument("--div-threshold", type=float, default=1e9, help="larval escape threshold (default 1e9)")
     sp.add_argument("--record-every", type=int, default=1, help="keep every k-th step of the orbit (default 1)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv", help="orbit dump format (default csv)")
     sp.add_argument("--out", type=str, default=None, help="output path (default: orbit to stdout)")
@@ -154,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="spectral report for the extinction state (JSON)")
     _add_rate_flags(sp)
-    sp.add_argument("--tol", type=float, default=1e-9, help="unit-circle tolerance (default 1e-9)")
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("sweep", help="grid scan comparing classification with simulated fate")
@@ -166,11 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="adult mortality grid: low, high, count")
     _add_start_flags(sp, required=False)
     sp.add_argument("--steps", type=int, default=1_000_000, help="iteration budget per cell (default 1000000)")
-    sp.add_argument("--conv-tol", type=float, default=1e-8)
-    sp.add_argument("--div-threshold", type=float, default=1e9)
     sp.add_argument("--record-every", type=int, default=16,
                     help="keep every k-th step of each cell's orbit in memory (default 16)")
-    sp.add_argument("--tol", type=float, default=1e-9, help="unit-circle tolerance for classification")
     sp.add_argument("--out", type=str, required=True, help="CSV output path")
     sp.set_defaults(func=cmd_sweep)
 
@@ -178,12 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rate_flags(sp)
     _add_start_flags(sp, required=False)
     sp.add_argument("--steps", type=int, default=1_000_000, help="iteration budget for orbit certificates")
-    sp.add_argument("--conv-tol", type=float, default=1e-8)
-    sp.add_argument("--div-threshold", type=float, default=1e9)
-    sp.add_argument("--p-max", type=int, default=8, help="highest period scanned (default 8)")
-    sp.add_argument("--grid", type=int, default=10_000, help="interval scan grid size (default 10000)")
     sp.add_argument("--trials", type=int, default=0, help="additional randomized parameter trials (default 0)")
-    sp.add_argument("--seed", type=int, default=None, help="RNG seed for --trials")
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                    help=f"RNG seed for --trials (default {DEFAULT_SEED})")
     sp.add_argument("--out", type=str, default=None, help="optional JSON certificate dump")
     sp.set_defaults(func=cmd_certify)
 
@@ -193,9 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d1", type=float, default=0.0, help="density-dependent larval mortality (default 0)")
     _add_start_flags(sp, required=True)
     sp.add_argument("--steps", type=int, default=500, help="discrete steps (default 500)")
-    sp.add_argument("--record-every", type=int, default=1)
-    sp.add_argument("--conv-tol", type=float, default=1e-8)
-    sp.add_argument("--div-threshold", type=float, default=1e9)
     sp.add_argument("--t-end", type=float, default=500.0, help="integration horizon (default 500)")
     sp.add_argument("--dt", type=float, default=0.01, help="integrator step (default 0.01)")
     sp.add_argument("--out", type=str, default=None, help="CSV output path (default stdout)")
@@ -251,7 +175,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     p = Parameters(args.alpha, args.beta, args.mu)
-    report = classify_origin(p, tol=args.tol)
+    report = classify_origin(p)
     ineq = stability_inequalities(p)
     comparison, fate = expected_fate(p)
     out = {
@@ -291,7 +215,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     alphas = _axis(args.alpha_range, "--alpha-range")
     betas = _axis(args.beta_range, "--beta-range")
     mus = _axis(args.mu_range, "--mu-range")
-    cells = sweep(alphas, betas, mus, State(args.x0, args.y0), _orbit_config(args), args.tol)
+    cells = sweep(alphas, betas, mus, State(args.x0, args.y0), _orbit_config(args))
     atomic_write_lines(args.out, [SWEEP_CSV_HEADER] + [c.csv_row() for c in cells])
     n_in = sum(c.in_condition for c in cells)
     n_agree = sum(c.agree is True for c in cells)
@@ -311,10 +235,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if args.trials < 0:
         raise ValueError(f"--trials must be nonnegative, got {args.trials}")
     cfg = _orbit_config(args)
-    results = run_certificates(p, State(args.x0, args.y0), cfg, args.p_max, args.grid)
-    seed = None
-    if args.trials > 0:
-        seed = _resolve_seed(args)
+    results = run_certificates(p, State(args.x0, args.y0), cfg)
+    seed = args.seed if args.trials > 0 else None
+    if seed is not None:
         print(f"seed={seed}")
         results.extend(run_trials(args.trials, seed, cfg))
     for name, ok, detail in results:
@@ -366,7 +289,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
         summary.append(f"threshold_coherence={'true' if thresholds_agree(p) else 'false'}")
     else:
-        ns, xs, ys = iterate_general(p, s0, args.steps, record_every=args.record_every)
+        ns, xs, ys = iterate_general(p, s0, args.steps)
         summary.append(
             f"discrete: full map, {int(ns[-1])} steps, final=({fmt(xs[-1])}, {fmt(ys[-1])})"
         )
@@ -404,7 +327,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        argv = _expand_config(argv)
         parser = build_parser()
         args = parser.parse_args(argv)
         return args.func(args)

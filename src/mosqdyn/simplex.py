@@ -79,7 +79,9 @@ def check_interval_map_range(p: Parameters, grid_n: int = 2001) -> bool:
     both must be nonnegative on the grid and agree, the endpoint values
     must equal 1 - mu and alpha to 1e-14, likewise T(0) = beta/(beta-mu+1)
     and T(1) = (2 - alpha)/2, and a >= 0, b > 0, T(x) in [0, 1]
-    throughout (1e-12 slack on the inequalities).
+    throughout (1e-12 slack on the inequalities).  a and b cancel terms
+    of size beta (a(1) = (1 - beta) + (1 - alpha) + beta), so the slacks
+    on a, on h_direct and on T(1) are scaled by max(1, beta).
     """
     require_valid(p, Mode.REDUCED)
     if grid_n < 2:
@@ -89,16 +91,17 @@ def check_interval_map_range(p: Parameters, grid_n: int = 2001) -> bool:
     h_direct = b - a
     h_closed = ((p.mu - 1.0) * xs) * xs + p.alpha * xs + (1.0 - p.mu)
     t = a / b
+    scale = max(1.0, p.beta)
     checks = [
-        bool(np.all(a >= -1e-12)),
+        bool(np.all(a >= -1e-12 * scale)),
         bool(np.all(b > 0.0)),
-        bool(np.all(h_direct >= -1e-12)),
+        bool(np.all(h_direct >= -1e-12 * scale)),
         bool(np.all(h_closed >= -1e-12)),
-        bool(np.max(np.abs(h_direct - h_closed)) <= 1e-10),
+        bool(np.max(np.abs(h_direct - h_closed)) <= 1e-10 * scale),
         abs(float(h_closed[0]) - (1.0 - p.mu)) <= 1e-14,
         abs(float(h_closed[-1]) - p.alpha) <= 1e-14,
         abs(float(t[0]) - p.beta / (p.beta - p.mu + 1.0)) <= 1e-14,
-        abs(float(t[-1]) - (2.0 - p.alpha) / 2.0) <= 1e-14,
+        abs(float(t[-1]) - (2.0 - p.alpha) / 2.0) <= 1e-14 * scale,
         bool(np.all(t >= -1e-12)),
         bool(np.all(t <= 1.0 + 1e-12)),
     ]

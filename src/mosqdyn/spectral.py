@@ -39,6 +39,8 @@ __all__ = [
     "find_fixed_points",
 ]
 
+UNIT_CIRCLE_TOL = 1e-9
+
 
 class Classification(str, Enum):
     ATTRACTING = "attracting"
@@ -89,19 +91,17 @@ def origin_eigenvalues(p: Parameters) -> tuple[float, float]:
     return (half_trace + root / 2.0, half_trace - root / 2.0)
 
 
-def classify_origin(p: Parameters, tol: float = 1e-9) -> SpectralReport:
+def classify_origin(p: Parameters) -> SpectralReport:
     """Classify the origin by eigenvalue moduli.
 
-    Any eigenvalue within `tol` of the unit circle makes the verdict
-    nonhyperbolic (beta = mu lands here exactly: lambda1 = 1).  Otherwise
-    both moduli below 1 is attracting, both above repelling, one of each
-    a saddle.
+    Any eigenvalue within UNIT_CIRCLE_TOL of the unit circle makes the
+    verdict nonhyperbolic (beta = mu lands here exactly: lambda1 = 1).
+    Otherwise both moduli below 1 is attracting, both above repelling,
+    one of each a saddle.
     """
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol}")
     l1, l2 = origin_eigenvalues(p)
     moduli = (abs(l1), abs(l2))
-    if any(abs(m - 1.0) <= tol for m in moduli):
+    if any(abs(m - 1.0) <= UNIT_CIRCLE_TOL for m in moduli):
         cls = Classification.NONHYPERBOLIC
     elif all(m < 1.0 for m in moduli):
         cls = Classification.ATTRACTING

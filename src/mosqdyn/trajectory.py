@@ -12,7 +12,7 @@ regime and the second-order adult-limit estimator
     yhat2 = y + (alpha/mu)*u - (alpha/mu)*(u - u_prev)/mu,  u = 1/(1 + x),
 
 with u_prev that of the previous state (u - u_prev = 0 at n = 0), has
-stayed within conv_tol of alpha/mu for a confirmation window of
+stayed within CONV_TOL = 1e-8 of alpha/mu for a confirmation window of
 CONFIRM_STEPS = 100 computed steps.  It rests on an exact identity of the
 map: the adult deficit e = y - (alpha/mu)*(1 - u) obeys
 
@@ -27,12 +27,13 @@ and the adults must not shrink, dy >= -1e-14, so dx + dy > 0.  The
 increments sum to (beta - mu)*y, which is <= 0 under beta < mu, so a
 contracting orbit can never fill the window.  That includes orbits
 creeping toward the origin, where both increments fall inside the 1e-14
-tie band and the estimator already sits within conv_tol of alpha/mu.  The other rules are just as
-one-sided: the extinction box (both coordinates below conv_tol) decides
-only beta < mu, or the fixed point (0, 0) itself, and the escape
-threshold decides only beta > mu.  A step that overflows (only the
-larval count can: y' = f(x) + (1 - mu)*y is at most alpha + y) ends the
-run `exhausted` at its state, inf being no state to decide from.
+tie band and the estimator already sits within CONV_TOL of alpha/mu.
+The other rules are just as one-sided: the extinction box (both
+coordinates below CONV_TOL) decides only beta < mu, or the fixed point
+(0, 0) itself, and the escape threshold (x above DIV_THRESHOLD = 1e9)
+decides only beta > mu.  A step that overflows (only the larval count
+can: y' = f(x) + (1 - mu)*y is at most alpha + y) ends the run
+`exhausted` at its state, inf being no state to decide from.
 
 Every rule is judged on every computed step.  The recording stride
 `record_every` only picks the rows kept, every k-th step plus the start
@@ -105,6 +106,8 @@ __all__ = [
 
 TIE_TOL = 1e-14
 Y_BOUND_TOL = 1e-12
+CONV_TOL = 1e-8
+DIV_THRESHOLD = 1e9
 CONFIRM_STEPS = 100
 _INF = float("inf")
 
@@ -117,15 +120,16 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class OrbitConfig:
-    """Iteration budget and detection thresholds.
+    """Iteration budget and recording stride.  The detection thresholds
+    are the module constants CONV_TOL, DIV_THRESHOLD and CONFIRM_STEPS.
 
-    extinction: both coordinates below conv_tol, for beta < mu; for
+    extinction: both coordinates below CONV_TOL, for beta < mu; for
                 beta > mu only the fixed point (0, 0) itself.
-    survival:   for beta > mu only: x above div_threshold (finite), or
+    survival:   for beta > mu only: x above DIV_THRESHOLD, or
                 the monotone-regime window of CONFIRM_STEPS computed
                 steps on which the second-order estimator
                 y + (alpha/mu)*u - (alpha/mu)*(u - u_prev)/mu,
-                u = 1/(1+x), stays within conv_tol of alpha/mu (see the
+                u = 1/(1+x), stays within CONV_TOL of alpha/mu (see the
                 module docstring); or, where the caller asks for it
                 (`battery.sweep`, `battery.run_trials`), a state in the
                 both-up region, a certificate that needs none of these
@@ -143,17 +147,11 @@ class OrbitConfig:
     """
 
     max_iters: int = 1_000_000
-    conv_tol: float = 1e-8
-    div_threshold: float = 1e9
     record_every: int = 1
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not (self.conv_tol > 0.0):
-            raise ValueError("conv_tol must be positive")
-        if not (1.0 < self.div_threshold < _INF):
-            raise ValueError("div_threshold must be finite and exceed 1")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
 
@@ -250,8 +248,8 @@ def iterate_orbit(
     am = alpha / mu
     omm = 1.0 - mu
     bmm = beta - mu
-    conv = cfg.conv_tol
-    div = cfg.div_threshold
+    conv = CONV_TOL
+    div = DIV_THRESHOLD
     every = cfg.record_every
     confirm = CONFIRM_STEPS
     tie = TIE_TOL
@@ -410,19 +408,15 @@ def iterate_orbit(
     )
 
 
-def iterate_general(
-    p: Parameters, s0: State, n_steps: int, record_every: int = 1
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def iterate_general(p: Parameters, s0: State, n_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raw iteration of the full map (larval mortality allowed): no
-    verdicts, no monitors.  Exploratory helper for side-by-side
-    comparisons.  Stops early if a coordinate leaves [0, 1e15] or turns
-    non-finite, keeping what was recorded so far.
+    verdicts, no monitors, every step recorded.  Exploratory helper for
+    side-by-side comparisons.  Stops early if a coordinate leaves
+    [0, 1e15] or turns non-finite, keeping what was recorded so far.
     """
     require_valid(p, Mode.GENERAL)
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    if record_every < 1:
-        raise ValueError("record_every must be at least 1")
     x = s0.x
     y = s0.y
     ns = array("q", [0])
@@ -430,12 +424,10 @@ def iterate_general(
     ys = array("d", [y])
     for n in range(1, n_steps + 1):
         x, y = _map(p, x, y)
-        outside = not (0.0 <= x <= 1e15 and 0.0 <= y <= 1e15)
-        if outside or n % record_every == 0 or n == n_steps:
-            ns.append(n)
-            xs.append(x)
-            ys.append(y)
-        if outside:
+        ns.append(n)
+        xs.append(x)
+        ys.append(y)
+        if not (0.0 <= x <= 1e15 and 0.0 <= y <= 1e15):
             break
     return (
         np.frombuffer(ns, dtype=np.int64),

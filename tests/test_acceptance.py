@@ -37,7 +37,7 @@ def test_c1_dichotomy_randomized():
     iff beta > mu, survival adult limits within 1e-6 of alpha/mu, zero
     monitor violations, under 60 s total."""
     rng = np.random.default_rng(ACCEPT_SEED)
-    cfg = mq.OrbitConfig(max_iters=1_000_000, conv_tol=1e-8, record_every=32)
+    cfg = mq.OrbitConfig(max_iters=1_000_000, record_every=32)
     t0 = time.perf_counter()
     bad = []
     total_steps = 0

@@ -1,4 +1,4 @@
-"""Command line behavior: output formats, exit codes, config handling.
+"""Command line behavior: output formats, exit codes, option handling.
 
 Everything drives `main(argv)` in-process; one smoke test goes through
 the installed entry point to cover module execution.
@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from mosqdyn import battery
-from mosqdyn.cli import DEFAULT_SEED, _resolve_seed, build_parser, main
+from mosqdyn.cli import DEFAULT_SEED, main
 
 REF1 = ["--alpha", "0.6", "--beta", "0.5", "--mu", "0.48"]
 EXT = ["--alpha", "0.5", "--beta", "0.3", "--mu", "0.6"]
@@ -123,12 +123,6 @@ def test_simulate_exhausted_growth_orbit_reports_the_adult_count(capsys):
     assert float(y_last) < 1e-250
 
 
-def test_simulate_rejects_an_infinite_escape_threshold(capsys):
-    rc = main(["simulate", *REF1, "--x0", "1", "--y0", "1", "--div-threshold", "inf"])
-    assert rc == 2
-    assert capsys.readouterr().err == "error: div_threshold must be finite and exceed 1\n"
-
-
 def test_simulate_stops_at_an_overflowed_state(capsys):
     # beta*y + x overflows on the first step: the run ends there, with no
     # rows computed from inf
@@ -212,21 +206,42 @@ def test_classify_rejects_larval_mortality(capsys):
     assert "unrecognized arguments: --d0 0.1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", *REF1, "--x0", "1", "--y0", "1", "--d1", "0"],
-    ["simulate", *REF1, "--x0", "1", "--y0", "1", "--confirm-window", "100"],
-    ["sweep", "--alpha-range", "0.6", "0.6", "1", "--beta-range", "0.5", "0.5", "1",
-     "--mu-range", "0.48", "0.48", "1", "--d0", "0.1", "--out", "{}"],
-    ["certify", *REF1, "--d0", "0"],
-], ids=["simulate-d1", "simulate-confirm-window", "sweep-d0", "certify-d0"])
-def test_reduced_commands_take_no_mortality_or_window_flags(argv, tmp_path, capsys):
-    # the survival window is fixed, and larval mortality belongs to the
+# each case appends a flag and a value to a complete argv of its command,
+# "{}" standing for the output file
+REJECT_BASE = {
+    "simulate": ["simulate", *REF1, "--x0", "1", "--y0", "1", "--out", "{}"],
+    "classify": ["classify", *REF1],
+    "sweep": ["sweep", "--alpha-range", "0.6", "0.6", "1", "--beta-range", "0.5", "0.5", "1",
+              "--mu-range", "0.48", "0.48", "1", "--out", "{}"],
+    "certify": ["certify", *REF1, "--out", "{}"],
+    "compare": ["compare", *REF1, "--x0", "1", "--y0", "1", "--out", "{}"],
+}
+REJECTED_FLAGS = [
+    ("simulate", "--d1", "0"), ("simulate", "--confirm-window", "100"),
+    ("sweep", "--d0", "0.1"), ("certify", "--d0", "0"),
+    ("simulate", "--conv-tol", "1e-8"), ("simulate", "--div-threshold", "1e9"),
+    ("classify", "--tol", "1e-9"),
+    ("sweep", "--conv-tol", "1e-8"), ("sweep", "--div-threshold", "1e9"), ("sweep", "--tol", "1e-9"),
+    ("certify", "--conv-tol", "1e-8"), ("certify", "--div-threshold", "1e9"),
+    ("certify", "--p-max", "8"), ("certify", "--grid", "10000"),
+    ("compare", "--conv-tol", "1e-8"), ("compare", "--div-threshold", "1e9"),
+    ("compare", "--record-every", "1"),
+    ("simulate", "--config", "run.cfg"), ("certify", "--config", "run.cfg"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", REJECTED_FLAGS,
+                         ids=[f"{c}-{f[2:]}" for c, f, _ in REJECTED_FLAGS])
+def test_commands_take_no_fixed_value_flags(command, flag, value, tmp_path, capsys):
+    # the survival window, the detection thresholds, the unit-circle
+    # tolerance and the certify scan sizes are constants, options come
+    # from the command line alone, and larval mortality belongs to the
     # full map, which only `compare` runs
-    out = tmp_path / "never.csv"
+    out = tmp_path / "never.out"
     with pytest.raises(SystemExit) as exc:
-        main([str(out) if tok == "{}" else tok for tok in argv])
+        main([str(out) if tok == "{}" else tok for tok in REJECT_BASE[command]] + [flag, value])
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -324,22 +339,6 @@ def test_sweep_rejects_inverted_range(tmp_path, capsys):
     assert "inverted range" in err
 
 
-@pytest.mark.parametrize("tol", ["0", "nan"])
-def test_sweep_rejects_invalid_tolerance_before_any_cell(tmp_path, capsys, tol):
-    assert main(["classify", *REF1, "--tol", tol]) == 2
-    _, classify_err = capsys.readouterr()
-    out_path = tmp_path / "s.csv"
-    rc = main(["sweep", "--alpha-range", "0.6", "0.6", "1",
-               "--beta-range", "0.3", "0.7", "3",
-               "--mu-range", "0.3", "0.7", "3",
-               "--tol", tol, "--out", str(out_path)])
-    out, err = capsys.readouterr()
-    assert rc == 2
-    assert out == ""
-    assert err == classify_err and err.startswith("error: tol must be positive")
-    assert not out_path.exists()
-
-
 @pytest.mark.parametrize("axis", [("0.6", "0.6", "inf"), ("0.6", "0.6", "nan"),
                                   ("0.6", "inf", "2"), ("nan", "0.6", "1")])
 def test_sweep_rejects_non_finite_axis(tmp_path, capsys, axis):
@@ -368,8 +367,7 @@ def test_sweep_requires_out_flag():
 
 def test_certify_battery_passes(tmp_path, capsys):
     out_path = tmp_path / "cert.json"
-    rc = main(["certify", *REF1, "--x0", "2", "--y0", "0.1",
-               "--grid", "2001", "--p-max", "4", "--out", str(out_path)])
+    rc = main(["certify", *REF1, "--x0", "2", "--y0", "0.1", "--out", str(out_path)])
     out, _ = capsys.readouterr()
     assert rc == 0
     assert "PASS spectral-agreement" in out
@@ -383,7 +381,7 @@ def test_certify_battery_passes(tmp_path, capsys):
 
 
 def test_certify_extinction_side_uses_totals_certificate(capsys):
-    rc = main(["certify", *EXT, "--grid", "2001", "--p-max", "4"])
+    rc = main(["certify", *EXT])
     out, _ = capsys.readouterr()
     assert rc == 0
     assert "PASS decreasing-totals" in out
@@ -391,8 +389,7 @@ def test_certify_extinction_side_uses_totals_certificate(capsys):
 
 
 def test_certify_fails_on_starved_budget(capsys):
-    rc = main(["certify", *REF1, "--x0", "2", "--y0", "0.1",
-               "--steps", "100", "--grid", "2001", "--p-max", "4"])
+    rc = main(["certify", *REF1, "--x0", "2", "--y0", "0.1", "--steps", "100"])
     out, _ = capsys.readouterr()
     assert rc == 4
     assert "FAIL orbit-dichotomy" in out
@@ -401,7 +398,7 @@ def test_certify_fails_on_starved_budget(capsys):
 
 def test_certify_sum_bound_scales_with_state_size(capsys):
     # one ulp of 1e8 is 1.5e-8, above the 1e-9 floor of the bound
-    rc = main(["certify", *REF1, "--x0", "1e8", "--y0", "1", "--grid", "2001", "--p-max", "4"])
+    rc = main(["certify", *REF1, "--x0", "1e8", "--y0", "1"])
     out, _ = capsys.readouterr()
     assert rc == 0
     assert "PASS orbit-dichotomy" in out
@@ -418,7 +415,7 @@ def test_certify_sum_bound_scales_with_state_size(capsys):
     [*REF1, "--x0", "2e9", "--y0", "0"],
 ], ids=["through-the-box", "on-the-x-axis", "escaping", "escaped-at-start"])
 def test_certify_growth_orbits_from_edge_starts(capsys, argv):
-    rc = main(["certify", *argv, "--grid", "2001", "--p-max", "4"])
+    rc = main(["certify", *argv])
     out, _ = capsys.readouterr()
     assert rc == 0, out
     assert "PASS orbit-dichotomy: verdict=survival" in out
@@ -427,7 +424,7 @@ def test_certify_growth_orbits_from_edge_starts(capsys, argv):
 
 def test_certify_origin_start_is_extinction_for_growth_rates(capsys):
     # (0, 0) is a fixed point whatever the rates
-    rc = main(["certify", *REF1, "--x0", "0", "--y0", "0", "--grid", "2001", "--p-max", "4"])
+    rc = main(["certify", *REF1, "--x0", "0", "--y0", "0"])
     out, _ = capsys.readouterr()
     assert rc == 0, out
     assert "PASS orbit-dichotomy: verdict=extinction n=0 " in out
@@ -446,6 +443,18 @@ def test_certify_scans_pass_at_tiny_emergence(capsys, alpha):
     assert rc == 0, out
 
 
+@pytest.mark.parametrize("beta", ["300", "1000"])
+def test_certify_passes_at_large_egg_production(capsys, beta):
+    # a(1) = (1 - beta) + (1 - alpha) + beta cancels beta, so the interval
+    # map's rounding grows with beta; its slacks grow with it
+    rc = main(["certify", "--alpha", "0.6", "--beta", beta, "--mu", "0.48"])
+    out, _ = capsys.readouterr()
+    lines = out.splitlines()
+    assert "PASS interval-map-range: T([0,1]) within [0,1]" in lines
+    assert sum(ln.startswith("PASS ") for ln in lines) == 9
+    assert rc == 0, out
+
+
 def test_certify_trial_fails_on_a_broken_sum_bound(monkeypatch, capsys):
     # trial orbits are held to the orbit-dichotomy acceptance rule, the
     # total-increment residual bound included
@@ -456,8 +465,7 @@ def test_certify_trial_fails_on_a_broken_sum_bound(monkeypatch, capsys):
         return dataclasses.replace(orbit, monitors=dataclasses.replace(orbit.monitors, sum_identity_max_err=1.0))
 
     monkeypatch.setattr(battery, "iterate_orbit", broken)
-    rc = main(["certify", *REF1, "--x0", "2", "--y0", "0.1", "--grid", "2001", "--p-max", "4",
-               "--trials", "2", "--seed", "7"])
+    rc = main(["certify", *REF1, "--x0", "2", "--y0", "0.1", "--trials", "2", "--seed", "7"])
     out, _ = capsys.readouterr()
     assert rc == 4
     assert "FAIL orbit-dichotomy:" in out
@@ -483,7 +491,7 @@ def test_certify_dumps_a_large_start_as_json(tmp_path, capsys):
 
 
 def test_certify_rejects_negative_trials(capsys):
-    rc = main(["certify", *REF1, "--grid", "2001", "--p-max", "4", "--trials", "-3", "--seed", "7"])
+    rc = main(["certify", *REF1, "--trials", "-3", "--seed", "7"])
     out, err = capsys.readouterr()
     assert rc == 2
     assert out == ""
@@ -491,8 +499,7 @@ def test_certify_rejects_negative_trials(capsys):
 
 
 def test_certify_trials_echo_default_seed(capsys):
-    rc = main(["certify", *REF1, "--x0", "2", "--y0", "0.1",
-               "--grid", "2001", "--p-max", "4", "--trials", "3"])
+    rc = main(["certify", *REF1, "--x0", "2", "--y0", "0.1", "--trials", "3"])
     out, _ = capsys.readouterr()
     assert rc == 0
     assert f"seed={DEFAULT_SEED}" in out
@@ -500,38 +507,13 @@ def test_certify_trials_echo_default_seed(capsys):
     assert "PASS trial-3:" in out
 
 
-def test_certify_rejects_malformed_seed_env(monkeypatch, capsys):
-    monkeypatch.setenv("MOSQDYN_SEED", "not-a-number")
-    rc = main(["certify", *REF1, "--grid", "2001", "--p-max", "4", "--trials", "1"])
-    _, err = capsys.readouterr()
-    assert rc == 2
-    assert "MOSQDYN_SEED" in err
-
-
-# ---------------------------------------------------------- seed resolution
-
-
-def _certify_args(**over):
-    args = build_parser().parse_args(
-        ["certify", "--alpha", "0.6", "--beta", "0.5", "--mu", "0.48"])
-    for key, val in over.items():
-        setattr(args, key, val)
-    return args
-
-
-def test_seed_default(monkeypatch):
-    monkeypatch.delenv("MOSQDYN_SEED", raising=False)
-    assert _resolve_seed(_certify_args()) == DEFAULT_SEED
-
-
-def test_seed_env_fallback(monkeypatch):
+def test_seed_default(monkeypatch, capsys):
+    # the seed comes from --seed or its default, never from the environment
     monkeypatch.setenv("MOSQDYN_SEED", "99")
-    assert _resolve_seed(_certify_args()) == 99
-
-
-def test_seed_flag_beats_env(monkeypatch):
-    monkeypatch.setenv("MOSQDYN_SEED", "99")
-    assert _resolve_seed(_certify_args(seed=7)) == 7
+    rc = main(["certify", *REF1, "--trials", "1"])
+    out, _ = capsys.readouterr()
+    assert rc == 0
+    assert out.splitlines()[0] == f"seed={DEFAULT_SEED}"
 
 
 # ---------------------------------------------------------------- compare
@@ -594,88 +576,6 @@ def test_compare_non_finite_horizon_exits_2(capsys, t_end):
     assert rc == 2
     assert out == ""
     assert err == f"error: t_end must be finite, got {float(t_end)}\n"
-
-
-# ------------------------------------------------------------ config files
-
-
-def test_config_file_with_override(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "# extinction-side run\n"
-        "alpha = 0.5\n"
-        "beta = 0.3\n"
-        "mu = 0.6\n"
-        "x0 = 1.0\n"
-        "y0 = 0.1\n"
-        "record_every = 4\n"
-        "\n"
-    )
-    rc = main(["simulate", "--config", str(cfg), "--y0", "0.2"])
-    out, err = capsys.readouterr()
-    assert rc == 0
-    assert err.startswith("verdict=extinction")
-    first_row = out.strip().split("\n")[1]
-    n, x, y = first_row.split(",")
-    assert float(y) == 0.2  # explicit flag beat the config value
-
-
-def test_config_flag_with_equals_sign(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("alpha = 0.5\nbeta = 0.3\nmu = 0.6\nx0 = 1.0\ny0 = 0.1\n")
-    rc = main(["simulate", f"--config={cfg}", "--y0", "0.2"])
-    out, err = capsys.readouterr()
-    assert rc == 0
-    assert err.startswith("verdict=extinction")
-    assert float(out.strip().split("\n")[1].split(",")[2]) == 0.2
-    for argv, message in (
-        (["simulate", f"--config={cfg}", "--config", str(cfg)], "at most once"),
-        (["simulate", f"--config={cfg}", f"--config={cfg}"], "at most once"),
-        ([f"--config={cfg}", "simulate"], "must follow a subcommand"),
-        (["simulate", "--config="], "requires a path"),
-    ):
-        assert main(argv) == 2
-        assert message in capsys.readouterr().err
-
-
-def test_config_file_missing(tmp_path, capsys):
-    rc = main(["simulate", "--config", str(tmp_path / "none.cfg")])
-    _, err = capsys.readouterr()
-    assert rc == 3
-
-
-def test_config_file_bad_line(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("alpha 0.5\n")
-    rc = main(["simulate", "--config", str(cfg)])
-    _, err = capsys.readouterr()
-    assert rc == 2
-    assert "expected key = value" in err
-
-
-def test_config_file_cannot_nest(tmp_path, capsys):
-    cfg = tmp_path / "nest.cfg"
-    cfg.write_text("config = other.cfg\n")
-    rc = main(["simulate", "--config", str(cfg)])
-    _, err = capsys.readouterr()
-    assert rc == 2
-    assert "nest" in err
-
-
-def test_config_flag_must_follow_subcommand(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("alpha = 0.5\n")
-    rc = main(["--config", str(cfg), "simulate"])
-    _, err = capsys.readouterr()
-    assert rc == 2
-    assert "must follow a subcommand" in err
-
-
-def test_config_flag_requires_path(capsys):
-    rc = main(["simulate", "--config"])
-    _, err = capsys.readouterr()
-    assert rc == 2
-    assert "requires a path" in err
 
 
 # ------------------------------------------------------------- bad invocations

@@ -42,7 +42,7 @@ PINS = {
                      "9c76ec3d0c21088490dfdee90e238caaf7fa41ccf532452d8d48328f63e67a30", None),
     "simulate-invalid": (2, EMPTY, "1603cf5269b7bd9aeb0c826cf63989d752a886a4cf18a623dd841d71d1972447", None),
     "simulate-json": (0, "9c76ec3d0c21088490dfdee90e238caaf7fa41ccf532452d8d48328f63e67a30", EMPTY,
-                      "570cdda620ed26b9e78261a2af5e6b87ee1bdb59fa0cbdf1592e45405110caaf"),
+                      "e75de20fc662ddaf8e426569680ca2f8ea5c26d04fd7d3abc2578dccd630fcd1"),
     "sweep": (0, "ef952bc05e7a27f0b9a203ca5d7b270d966ce728f797e6894dc651fa165d51e5", EMPTY,
               "33947d23707d7a86403fe17a59a278fe4c2e841b0b2ef31be6b5e172231c31e5"),
     "sweep-inverted": (2, EMPTY, "1c3a0ea741731ebe70e31d317a4d6d7c4c9351a54410174bb7f8bf410d64e184", None),

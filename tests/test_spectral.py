@@ -164,13 +164,6 @@ def test_spectral_ops_reject_invalid_rates():
         mq.jacobian_at_origin(mq.Parameters(1.5, 0.5, 0.5))
 
 
-def test_classify_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        mq.classify_origin(REF1, tol=0.0)
-    with pytest.raises(ValueError):
-        mq.classify_origin(REF1, tol=-1e-9)
-
-
 def test_equal_rates_allowed_for_spectral_ops():
     # spectral routines only need the linear part, which exists on the
     # beta = mu line even though the dichotomy statements exclude it

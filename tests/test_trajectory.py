@@ -295,7 +295,7 @@ def test_overflowed_state_ends_the_run():
 
 def test_contracting_orbit_near_origin_never_confirms_survival():
     # both increments sit inside the tie band and the adult estimator is
-    # within conv_tol of alpha/mu, so only strict larval growth in the
+    # within CONV_TOL of alpha/mu, so only strict larval growth in the
     # confirmation window keeps this beta < mu orbit from "surviving"
     p = mq.Parameters(0.001, 0.499999, 0.5)
     orb = mq.iterate_orbit(p, mq.State(1e-6, 2e-9), mq.OrbitConfig(max_iters=5_000))
@@ -348,14 +348,6 @@ def test_orbit_rejects_full_map_parameters():
 def test_config_validation():
     with pytest.raises(ValueError):
         mq.OrbitConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        mq.OrbitConfig(conv_tol=0.0)
-    with pytest.raises(ValueError):
-        mq.OrbitConfig(div_threshold=0.5)
-    with pytest.raises(ValueError):
-        mq.OrbitConfig(div_threshold=math.inf)
-    with pytest.raises(ValueError):
-        mq.OrbitConfig(div_threshold=math.nan)
     with pytest.raises(ValueError):
         mq.OrbitConfig(record_every=0)
 
@@ -665,8 +657,6 @@ def test_general_iteration_argument_validation():
     p = mq.Parameters(0.6, 0.5, 0.48)
     with pytest.raises(ValueError):
         mq.iterate_general(p, mq.State(1.0, 1.0), -1)
-    with pytest.raises(ValueError):
-        mq.iterate_general(p, mq.State(1.0, 1.0), 10, record_every=0)
 
 
 # ------------------------------------------------------------------- CSV
