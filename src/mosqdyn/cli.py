@@ -131,18 +131,27 @@ def build_parser() -> argparse.ArgumentParser:
 # ------------------------------------------------------------- simulate
 
 
+def _finite_or_none(v: float) -> float | None:
+    return v if np.isfinite(v) else None
+
+
 def _orbit_json(orbit: Orbit) -> dict:
+    # strict JSON has no NaN or Infinity: an overflowed value is null
+    coords = np.array([orbit.xs, orbit.ys])
+    finite = np.isfinite(coords)
+    if not finite.all():
+        coords = np.where(finite, coords, None)
+    xs, ys = coords.tolist()
+    monitors = asdict(orbit.monitors)
+    monitors["sum_identity_max_err"] = _finite_or_none(orbit.monitors.sum_identity_max_err)
     return {
         "params": asdict(orbit.params),
         "config": asdict(orbit.config),
         "verdict": orbit.verdict.value,
         "n_steps": orbit.n_steps,
-        "y_limit_estimate": orbit.y_limit_estimate,
-        "monitors": asdict(orbit.monitors),
-        "orbit": [
-            [int(n), float(x), float(y)]
-            for n, x, y in zip(orbit.steps, orbit.xs, orbit.ys)
-        ],
+        "y_limit_estimate": _finite_or_none(orbit.y_limit_estimate),
+        "monitors": monitors,
+        "orbit": list(zip(orbit.steps.tolist(), xs, ys)),
     }
 
 
@@ -160,7 +169,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.format == "csv":
         body = orbit_to_csv(orbit)
     else:
-        body = json.dumps(_orbit_json(orbit), sort_keys=True, indent=2) + "\n"
+        body = json.dumps(_orbit_json(orbit), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.out:
         atomic_write_text(args.out, body)
         print(verdict_line)

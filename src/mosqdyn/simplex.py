@@ -7,25 +7,24 @@ parametrization (x, 1 - x) into a one-dimensional rational map of [0, 1]:
     T(x) = ((1 - beta) x^2 + (1 - alpha) x + beta)
            / ((mu - beta) x^2 + x + beta - mu + 1).
 
-T fixes [0, 1]: with a(x) the numerator and b(x) the denominator,
-b - a = (mu - 1) x^2 + alpha x + 1 - mu is nonnegative on [0, 1] (it is
-concave there with endpoint values 1 - mu and alpha), a >= 0, b > 0.
-
-Period-two points correspond to roots of the quadratic
-A x^2 + B x + C in [0, 1] via the exact polynomial identity
-
-    numerator(T(T(x)) - x) = -numerator(T(x) - x) * (A x^2 + B x + C),
-
-which `two_cycle_certificate` re-verifies numerically on every call
-before reporting the sign conditions (A + B + C < 0, B < 0, C < 0) that
-exclude such roots.  Higher low periods are excluded by direct scan:
-`scan_periodic_points` returns the roots of T^q(x) = x it finds, all of
-them fixed points of T, and leaves the signs to `two_cycle_certificate`.
+`check_interval_map_range` decides that T maps [0, 1] into itself, and
+`two_cycle_certificate` that T has no period-two point, by the signs of
+the quadratic A x^2 + B x + C whose roots in [0, 1] the period-two points
+are.  Both decide exactly on the float rates: the formulas are written
+with integer literals, so they evaluate alike in floats, in exact
+decimal arithmetic and in sympy, and `tests/test_proofs.py` proves the
+identity, closed forms and signs behind both for every admissible rate.
+With no period two on a self-map of [0, 1], T has no period of 2 or
+more (Sharkovskii, 1964); `scan_periodic_points` cross-checks that in
+floats, and `count_two_cycles_on_grid` the planar argument.
 """
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
+from decimal import Decimal
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,8 +45,8 @@ __all__ = [
 @dataclass(frozen=True)
 class PeriodCertificate:
     """The period-two exclusion for one parameter set: the coefficients
-    A, B, C of the quadratic and whether their signs exclude a root in
-    [0, 1]."""
+    A, B, C of the quadratic in floats, and whether their exact signs
+    exclude a root in [0, 1]."""
 
     quad_a: float
     quad_b: float
@@ -59,8 +58,8 @@ def interval_map_parts(p: Parameters, x):
     """Numerator and denominator polynomials of T, evaluated at x
     (scalar or array): a(x) = (1-beta) x^2 + (1-alpha) x + beta,
     b(x) = (mu-beta) x^2 + x + (beta - mu + 1)."""
-    a = ((1.0 - p.beta) * x) * x + (1.0 - p.alpha) * x + p.beta
-    b = ((p.mu - p.beta) * x) * x + x + (p.beta - p.mu + 1.0)
+    a = ((1 - p.beta) * x) * x + (1 - p.alpha) * x + p.beta
+    b = ((p.mu - p.beta) * x) * x + x + (p.beta - p.mu + 1)
     return a, b
 
 
@@ -71,91 +70,73 @@ def interval_map(p: Parameters, x):
     return a / b
 
 
-def check_interval_map_range(p: Parameters, grid_n: int = 2001) -> bool:
-    """Verify numerically that T maps [0, 1] into itself.
+# Decimal(float) is exact, as every double is a finite decimal.  Each
+# value formed below is a polynomial of degree <= 2 in the rates with
+# coefficients in Z/16: at most 2,771 digits (1e619 down to 1e-2152), so
+# nothing rounds, and the Inexact trap would raise rather than round.
+_EXACT = decimal.Context(prec=3000, traps=[decimal.Inexact])
 
-    Two routes to the gap polynomial h = b - a are compared: the direct
-    difference and the closed form (mu - 1) x^2 + alpha x + (1 - mu);
-    both must be nonnegative on the grid and agree, the endpoint values
-    must equal 1 - mu and alpha to 1e-14, likewise T(0) = beta/(beta-mu+1)
-    and T(1) = (2 - alpha)/2, and a >= 0, b > 0, T(x) in [0, 1]
-    throughout (1e-12 slack on the inequalities).  a and b cancel terms
-    of size beta (a(1) = (1 - beta) + (1 - alpha) + beta), so the slacks
-    on a, on h_direct and on T(1) are scaled by max(1, beta).
+
+def _exact(p: Parameters) -> SimpleNamespace:
+    return SimpleNamespace(alpha=Decimal(p.alpha), beta=Decimal(p.beta), mu=Decimal(p.mu))
+
+
+def _least_on_unit_interval(q0, q_half, q1):
+    # the sign of the least value on [0, 1] of the quadratic c2 x^2 + c1 x
+    # + c0 with values q0, q_half, q1 at 0, 1/2, 1: an endpoint's, or if
+    # convex with its vertex inside, that of 4 c2 (q0 - c1^2 / (4 c2))
+    c2 = 2 * (q0 - 2 * q_half + q1)
+    c1 = q1 - q0 - c2
+    low = min(q0, q1)
+    if c2 > 0 and 0 < -c1 < 2 * c2:
+        low = min(low, 4 * c2 * q0 - c1 * c1)
+    return low
+
+
+def check_interval_map_range(p: Parameters) -> bool:
+    """Decide exactly that T maps [0, 1] into itself.
+
+    Takes the exact values of a and h = b - a at 0, 1/2 and 1 from
+    `interval_map_parts` and decides a > 0 and h >= 0 on all of [0, 1].
+    Then b = a + h > 0 and 0 < T = a / b <= 1.
     """
     require_valid(p, Mode.REDUCED)
-    if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
-    xs = np.linspace(0.0, 1.0, grid_n)
-    a, b = interval_map_parts(p, xs)
-    h_direct = b - a
-    h_closed = ((p.mu - 1.0) * xs) * xs + p.alpha * xs + (1.0 - p.mu)
-    t = a / b
-    scale = max(1.0, p.beta)
-    checks = [
-        bool(np.all(a >= -1e-12 * scale)),
-        bool(np.all(b > 0.0)),
-        bool(np.all(h_direct >= -1e-12 * scale)),
-        bool(np.all(h_closed >= -1e-12)),
-        bool(np.max(np.abs(h_direct - h_closed)) <= 1e-10 * scale),
-        abs(float(h_closed[0]) - (1.0 - p.mu)) <= 1e-14,
-        abs(float(h_closed[-1]) - p.alpha) <= 1e-14,
-        abs(float(t[0]) - p.beta / (p.beta - p.mu + 1.0)) <= 1e-14,
-        abs(float(t[-1]) - (2.0 - p.alpha) / 2.0) <= 1e-14 * scale,
-        bool(np.all(t >= -1e-12)),
-        bool(np.all(t <= 1.0 + 1e-12)),
-    ]
-    return all(checks)
+    with decimal.localcontext(_EXACT):
+        q = _exact(p)
+        a_vals, h_vals = [], []
+        for x in (0, Decimal("0.5"), 1):
+            a, b = interval_map_parts(q, x)
+            a_vals.append(a)
+            h_vals.append(b - a)
+        return _least_on_unit_interval(*a_vals) > 0 and _least_on_unit_interval(*h_vals) >= 0
 
 
-def _two_cycle_coefficients(p: Parameters) -> tuple[float, float, float]:
+def _two_cycle_coefficients(p: Parameters):
     b = p.beta
     m = p.mu
     a = p.alpha
-    qa = (1.0 - b) * (b - 2.0) + (b - m + 1.0) * (b - m)
-    qb = (b - 2.0) * (b - m - a + 2.0) - b * (b - m)
-    qc = (b - m + 1.0) * (a + m - b - 2.0) + b * (b - 1.0)
+    qa = (1 - b) * (b - 2) + (b - m + 1) * (b - m)
+    qb = (b - 2) * (b - m - a + 2) - b * (b - m)
+    qc = (b - m + 1) * (a + m - b - 2) + b * (b - 1)
     return qa, qb, qc
-
-
-def _verify_two_cycle_reduction_identity(
-    p: Parameters, qa: float, qb: float, qc: float, n_sample: int = 33, rel_tol: float = 1e-9
-) -> None:
-    # numerator(T(T(x)) - x) must equal -numerator(T(x) - x) * (qa x^2 + qb x + qc)
-    # exactly as polynomials; spot-check the identity pointwise before
-    # trusting the quadratic.  The leading minus sign matters.
-    xs = np.linspace(0.0, 1.0, n_sample)
-    a1, b1 = interval_map_parts(p, xs)
-    a2 = ((1.0 - p.beta) * a1) * a1 + ((1.0 - p.alpha) * a1) * b1 + p.beta * (b1 * b1)
-    b2 = ((p.mu - p.beta) * a1) * a1 + a1 * b1 + (p.beta - p.mu + 1.0) * (b1 * b1)
-    lhs = a2 - xs * b2
-    quad = (qa * xs + qb) * xs + qc
-    rhs = -(a1 - xs * b1) * quad
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    err = np.max(np.abs(lhs - rhs) / scale)
-    if err > rel_tol:
-        raise VerificationError(
-            "two-cycle reduction identity failed: max relative residual "
-            f"{err:.3e} at alpha={p.alpha}, beta={p.beta}, mu={p.mu}"
-        )
 
 
 def two_cycle_certificate(p: Parameters) -> PeriodCertificate:
     """Quadratic certificate excluding period-two points on the simplex.
 
-    Computes A, B, C, re-verifies the reduction identity they come from
-    (VerificationError on mismatch), and reports signs_ok = (A+B+C < 0
-    and B < 0 and C < 0).  Those signs keep the quadratic negative on
-    all of [0, 1]: the endpoint values are C and A + B + C, both
-    negative; for A >= 0 the parabola is convex so its maximum on the
-    interval sits at an endpoint, and for A < 0 the vertex -B/(2A) lies
-    left of 0 (B < 0), making the parabola decreasing across [0, 1].
-    No root, hence no period-two point.
+    Reports A, B, C in floats and signs_ok = (A+B+C < 0 and B < 0 and
+    C < 0), decided on their exact values.  Those signs keep the
+    quadratic negative on all of [0, 1]: the endpoint values are C and
+    A + B + C, both negative; for A >= 0 the parabola is convex so its
+    maximum on the interval sits at an endpoint, and for A < 0 the
+    vertex -B/(2A) lies left of 0 (B < 0), making the parabola
+    decreasing across [0, 1].  No root, hence no period-two point.
     """
     require_valid(p, Mode.REDUCED)
     qa, qb, qc = _two_cycle_coefficients(p)
-    _verify_two_cycle_reduction_identity(p, qa, qb, qc)
-    signs_ok = (qa + qb + qc < 0.0) and (qb < 0.0) and (qc < 0.0)
+    with decimal.localcontext(_EXACT):
+        ea, eb, ec = _two_cycle_coefficients(_exact(p))
+        signs_ok = ea + eb + ec < 0 and eb < 0 and ec < 0
     return PeriodCertificate(quad_a=qa, quad_b=qb, quad_c=qc, signs_ok=signs_ok)
 
 
@@ -181,16 +162,16 @@ def _bisect_root(p: Parameters, q: int, lo: float, hi: float, flo: float, width:
 
 
 def scan_periodic_points(p: Parameters, p_max: int = 8, grid_n: int = 10_000) -> dict[int, tuple[float, ...]]:
-    """Scan T^q(x) = x for q = 2..p_max on [0, 1] and certify that every
+    """Scan T^q(x) = x for q = 2..p_max on [0, 1] and check that every
     root is an ordinary fixed point of T.
 
-    Grid sign changes of T^q(x) - x are refined by bisection to width
-    1e-12; a refined root r with |T(r) - r| >= 1e-10 would witness a
-    genuine q-periodic point and raises VerificationError.  Returns the
-    roots found, by period q (every root found so far has been a fixed
-    point of T, as the theory demands for q = 2 and the scan observes
-    for the rest).  The period-two sign certificate is
-    `two_cycle_certificate`'s, not the scan's.
+    A float cross-check of the theorem the exact certificates carry: with
+    no period-two point (`two_cycle_certificate`) on a self-map of [0, 1]
+    (`check_interval_map_range`), T has no period of 2 or more
+    (Sharkovskii).  Grid sign changes of T^q(x) - x are refined by
+    bisection to width 1e-12; a refined root r with |T(r) - r| >= 1e-10
+    would witness a genuine q-periodic point and raises
+    VerificationError.  Returns the roots found, by period q.
     """
     require_valid(p, Mode.REDUCED)
     if p_max < 2:

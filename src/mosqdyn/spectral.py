@@ -148,9 +148,10 @@ def find_fixed_points(p: Parameters) -> list[State]:
     relative, so a state that barely moves (on the x-axis when alpha is
     tiny) is not taken for a fixed point.
 
-    Honest caveat: a residual scan plus local refinement can in principle
-    miss a fixed point that repels the damped iteration; the periodic
-    point machinery on the simplex provides the independent exclusion.
+    A scan can miss a fixed point that repels the damped iteration; it
+    cross-checks the proof: a step adds (beta - mu) y to x + y
+    (`tests/test_proofs.py`), so a fixed point has y = 0, and y' = y
+    then leaves no emergence alpha x/(1+x), so x = 0.
     """
     require_valid(p, Mode.REDUCED)
     grid_step = 0.05

@@ -80,6 +80,7 @@ relative: a few ulps of the largest total x + y, floored at 1e-9):
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
 from enum import Enum
@@ -546,9 +547,10 @@ def check_growth_lower_bound(orbit: Orbit, n_start: int) -> bool:
 def check_decreasing_totals(orbit: Orbit) -> bool:
     """Check the two weighted totals that certify contraction for
     beta < mu: both x + y and (mu/beta) x + y must be nonnegative and
-    nonincreasing along the orbit, up to the 1e-14 tie tolerance (their
-    one-step increments are (beta - mu) y <= 0 and
-    (1 - mu/beta) * emergence <= 0).
+    nonincreasing along the orbit (their one-step increments are
+    (beta - mu) y <= 0 and (1 - mu/beta) * emergence <= 0), up to a slack
+    of a few ulps of the total's first value, its largest, and never
+    below the 1e-14 tie tolerance.
     """
     p = orbit.params
     if not p.beta < p.mu:
@@ -556,9 +558,10 @@ def check_decreasing_totals(orbit: Orbit) -> bool:
     plain = orbit.xs + orbit.ys
     weighted = (p.mu / p.beta) * orbit.xs + orbit.ys
     for total in (plain, weighted):
-        if np.any(total < -TIE_TOL):
+        tol = max(TIE_TOL, 8 * sys.float_info.epsilon * float(total[0]))
+        if np.any(total < -tol):
             return False
-        if total.size >= 2 and np.any(np.diff(total) > TIE_TOL):
+        if total.size >= 2 and np.any(np.diff(total) > tol):
             return False
     return True
 

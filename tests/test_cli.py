@@ -134,6 +134,61 @@ def test_simulate_stops_at_an_overflowed_state(capsys):
     assert err == "verdict=exhausted n_steps=1 y_limit_estimate=5.0000000000000000e-01\n"
 
 
+OVERFLOW_JSON = """{
+  "config": {
+    "max_iters": 1000000,
+    "record_every": 1
+  },
+  "monitors": {
+    "monotone_onset_estimate": 1,
+    "pattern_violations": 0,
+    "sign_census": {
+      "both_down": 0,
+      "both_up": 0,
+      "ties": 0,
+      "x_down_y_up": 0,
+      "x_up_y_down": 1
+    },
+    "sum_identity_max_err": null,
+    "y_bound_violations": 0
+  },
+  "n_steps": 1,
+  "orbit": [
+    [
+      0,
+      1.7e+308,
+      1.7e+308
+    ],
+    [
+      1,
+      null,
+      0.5
+    ]
+  ],
+  "params": {
+    "alpha": 0.5,
+    "beta": 0.9,
+    "d0": 0.0,
+    "d1": 0.0,
+    "mu": 1.0
+  },
+  "verdict": "exhausted",
+  "y_limit_estimate": 0.5
+}
+"""
+
+
+def test_simulate_json_is_strict_after_an_overflow(tmp_path, capsys):
+    # RFC 8259 has no NaN or Infinity: the overflowed larval count and
+    # the nan residual are written as null
+    out_path = tmp_path / "orbit.json"
+    rc = main(["simulate", "--alpha", "0.5", "--beta", "0.9", "--mu", "1.0",
+               "--x0", "1.7e308", "--y0", "1.7e308", "--format", "json", "--out", str(out_path)])
+    capsys.readouterr()
+    assert rc == 0
+    assert out_path.read_text() == OVERFLOW_JSON
+
+
 def test_simulate_unwritable_output_path(tmp_path, capsys):
     rc = main(["simulate", *EXT, "--x0", "1", "--y0", "1",
                "--out", str(tmp_path / "missing" / "orbit.csv")])
@@ -443,15 +498,30 @@ def test_certify_scans_pass_at_tiny_emergence(capsys, alpha):
     assert rc == 0, out
 
 
-@pytest.mark.parametrize("beta", ["300", "1000"])
-def test_certify_passes_at_large_egg_production(capsys, beta):
+@pytest.mark.parametrize("alpha, beta", [
+    ("0.6", "300"), ("0.6", "1000"), ("1", "1e4"), ("0.6", "5e4"), ("1", "5e4"),
+], ids=["300", "1000", "1e4", "5e4", "5e4-vieta"])
+def test_certify_passes_at_large_egg_production(capsys, alpha, beta):
     # a(1) = (1 - beta) + (1 - alpha) + beta cancels beta, so the interval
-    # map's rounding grows with beta; its slacks grow with it
-    rc = main(["certify", "--alpha", "0.6", "--beta", beta, "--mu", "0.48"])
+    # map's float rounding grows with beta; the range and the two-cycle
+    # signs are decided exactly, and the Vieta product's bound grows with
+    # the alpha*beta it cancels
+    rc = main(["certify", "--alpha", alpha, "--beta", beta, "--mu", "0.48"])
     out, _ = capsys.readouterr()
     lines = out.splitlines()
     assert "PASS interval-map-range: T([0,1]) within [0,1]" in lines
     assert sum(ln.startswith("PASS ") for ln in lines) == 9
+    assert lines[-1] == "certificates=9 failed=0"
+    assert rc == 0, out
+
+
+def test_certify_totals_slack_scales_with_the_start(capsys):
+    # (mu/beta) x + y rises by one ulp of its start value 11297.2 at one
+    # step, 1.8e-12, rounding far above the 1e-14 tie tolerance
+    rc = main(["certify", "--alpha", "0.011153842706481409", "--beta", "0.00036514205766830367",
+               "--mu", "0.2237410905834467", "--x0", "0", "--y0", "11297.223148494579"])
+    out, _ = capsys.readouterr()
+    assert "PASS decreasing-totals: x+y and (mu/beta)x+y nonincreasing" in out.splitlines()
     assert rc == 0, out
 
 

@@ -24,15 +24,73 @@ def vanishes(expr) -> bool:
 
 
 def test_reduction_identity_holds_symbolically():
-    # the identity the 33-point spot check samples, proved once over
-    # symbolic rates with the library's own coefficient and map formulas
-    p = SimpleNamespace(alpha=alpha, beta=beta, mu=mu)
-    qa, qb, qc = _two_cycle_coefficients(p)
-    num1, den1 = interval_map_parts(p, x)
+    # numerator(T(T(x)) - x) = -numerator(T(x) - x) (A x^2 + B x + C), over
+    # symbolic rates with the library's own coefficient and map formulas:
+    # the period-two points of T are the roots of the quadratic
+    qa, qb, qc = _two_cycle_coefficients(REDUCED)
+    num1, den1 = interval_map_parts(REDUCED, x)
     # T(T(x)) = num2 / den2 after clearing den1**2 from both parts
-    num2, den2 = (sympy.cancel(part * den1**2) for part in interval_map_parts(p, num1 / den1))
+    num2, den2 = (sympy.cancel(part * den1**2) for part in interval_map_parts(REDUCED, num1 / den1))
     identity = (num2 - x * den2) + (num1 - x * den1) * (qa * x**2 + qb * x + qc)
-    assert sympy.expand(sympy.nsimplify(identity, rational=True)) == 0
+    assert sympy.expand(identity) == 0
+
+
+# The admissible box: alpha, beta > 0 and s = 1 - alpha, t = 1 - mu >= 0;
+# on [0, 1], x and u = 1 - x are >= 0.  Written in these, each sign below
+# is that of a sum of products of nonnegative factors, which sympy's
+# assumptions decide.
+s, t, u, w, v = sympy.symbols("s t u w v", nonnegative=True)
+ON_BOX = {
+    alpha: sympy.Symbol("alpha_", positive=True),
+    beta: sympy.Symbol("beta_", positive=True),
+    x: sympy.Symbol("x_", nonnegative=True),
+}
+
+
+def written_as(form, expr) -> bool:
+    # form, in s = 1 - alpha, t = 1 - mu and u = 1 - x, expands to expr
+    return sympy.expand(form.subs({s: 1 - alpha, t: 1 - mu, u: 1 - x}) - expr) == 0
+
+
+def test_certificate_closed_forms_hold_symbolically():
+    # the closed forms the exact decisions of `two_cycle_certificate` and
+    # `check_interval_map_range` rest on, for the library's own formulas
+    qa, qb, qc = _two_cycle_coefficients(REDUCED)
+    num, den = interval_map_parts(REDUCED, x)
+    assert vanishes(qb - (-alpha * beta - 2 * (1 - alpha) - 2 * (1 - mu)))
+    assert vanishes(qc - (-beta * (4 - alpha - 2 * mu) - (1 - mu) * (2 - mu - alpha)))
+    assert vanishes(qa + qb + qc + (8 - 3 * alpha - 4 * mu + alpha * mu))
+    assert vanishes((den - num) - ((mu - 1) * x**2 + alpha * x + (1 - mu)))
+
+
+def test_certificate_signs_hold_on_the_admissible_box():
+    qa, qb, qc = _two_cycle_coefficients(REDUCED)
+    # A + B + C = -(8 - 3 alpha - 4 mu + alpha mu): the bracket is
+    # bilinear, so its least value on [0, 1]^2 is at a corner, and the
+    # corners give 2 to 8
+    bracket = -sympy.expand(qa + qb + qc)
+    assert sympy.degree(bracket, alpha) == 1 and sympy.degree(bracket, mu) == 1
+    corners = {bracket.subs({alpha: a, mu: m}) for a in (0, 1) for m in (0, 1)}
+    assert corners == {2, 4, 5, 8}
+    minus_b = alpha * beta + 2 * s + 2 * t
+    minus_c = beta * (1 + s + 2 * t) + t * (s + t)
+    assert written_as(minus_b, -qb) and minus_b.subs(ON_BOX).is_positive
+    assert written_as(minus_c, -qc) and minus_c.subs(ON_BOX).is_positive
+
+
+def test_interval_map_range_holds_on_the_admissible_box():
+    # T maps [0, 1] into itself: a > 0 and h = b - a >= 0 there, so
+    # b = a + h > 0 and 0 < T = a / b <= 1
+    num, den = interval_map_parts(REDUCED, x)
+    h = t * u * (1 + x) + alpha * x
+    assert written_as(h, den - num) and h.subs(ON_BOX).is_nonnegative
+    # a convex (beta = 1 - w <= 1): a = w x^2 + s x + beta
+    convex = w * x**2 + s * x + beta
+    assert written_as(convex.subs(w, 1 - beta), num) and convex.subs(ON_BOX).is_positive
+    # a concave (beta = 1 + v >= 1): a'' = -2 v <= 0, so its least value
+    # on [0, 1] is at an endpoint, a(0) = beta > 0 or a(1) = 1 + s > 0
+    assert sympy.expand(sympy.diff(num.subs(beta, 1 + v), x, 2) + 2 * v) == 0
+    assert num.subs(x, 0) == beta and written_as(1 + s, num.subs(x, 1))
 
 
 def test_total_increment_identity_holds_symbolically():

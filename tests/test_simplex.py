@@ -6,6 +6,8 @@ cross-checked against the cubic that interior fixed points must satisfy,
 an independent route.
 """
 
+import math
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -14,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mosqdyn as mq
-from mosqdyn.simplex import _verify_two_cycle_reduction_identity
 
 REF1 = mq.Parameters(0.6, 0.5, 0.48)
 REF2 = mq.Parameters(0.4, 0.35, 0.3)
@@ -27,6 +28,10 @@ def exact_coefficients(alpha, beta, mu):
     qb = (b - 2) * (b - m - a + 2) - b * (b - m)
     qc = (b - m + 1) * (a + m - b - 2) + b * (b - 1)
     return qa, qb, qc
+
+
+def log_uniform(lo, hi):
+    return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(lambda e: min(hi, 10.0**e))
 
 
 def fixed_point_cubic(p, r):
@@ -86,12 +91,22 @@ def test_interval_map_preserves_unit_interval(p):
 def test_interval_map_range_randomized(alpha, beta, mu):
     if abs(beta - mu) < 1e-9:
         return
-    assert mq.check_interval_map_range(mq.Parameters(alpha, beta, mu), grid_n=201)
+    assert mq.check_interval_map_range(mq.Parameters(alpha, beta, mu))
 
 
-def test_interval_map_range_argument_validation():
-    with pytest.raises(ValueError):
-        mq.check_interval_map_range(REF1, grid_n=1)
+def test_exact_decisions_hold_at_the_extremes_of_the_admissible_box():
+    # subnormal and unit rates, and beta up to the largest double: the
+    # exact arithmetic neither rounds (its Inexact trap stays silent) nor
+    # gives a wrong sign
+    edges = [5e-324, sys.float_info.min, 1e-12, 0.3, 1.0]
+    betas = [5e-324, 1e-8, 0.7, 1.0, 3.0, 1e8, sys.float_info.max]
+    for alpha in edges:
+        for beta in betas:
+            for mu in edges:
+                if beta != mu:
+                    p = mq.Parameters(alpha, beta, mu)
+                    assert mq.check_interval_map_range(p), p
+                    assert mq.two_cycle_certificate(p).signs_ok, p
 
 
 # ------------------------------------------------------ two-cycle algebra
@@ -115,26 +130,24 @@ def test_certificate_matches_rational_oracle(p):
     assert qa + qb + qc < 0 and qb < 0 and qc < 0
 
 
-@given(alpha=st.floats(min_value=1e-3, max_value=1.0),
-       beta=st.floats(min_value=1e-3, max_value=5.0),
-       mu=st.floats(min_value=1e-3, max_value=1.0))
+@given(alpha=st.floats(min_value=1e-3, max_value=1.0) | log_uniform(1e-12, 1.0),
+       beta=st.floats(min_value=1e-3, max_value=5.0) | log_uniform(1e-8, 1e8),
+       mu=st.floats(min_value=1e-3, max_value=1.0) | log_uniform(1e-12, 1.0))
 def test_certificate_signs_hold_across_admissible_rates(alpha, beta, mu):
     if abs(beta - mu) < 1e-9:
         return
-    cert = mq.two_cycle_certificate(mq.Parameters(alpha, beta, mu))
+    p = mq.Parameters(alpha, beta, mu)
+    cert = mq.two_cycle_certificate(p)
     assert cert.signs_ok
-    # the coefficient sum collapses to alpha*(3 - mu) + 4*mu - 8
+    assert mq.check_interval_map_range(p)
+    # the coefficient sum collapses to alpha*(3 - mu) + 4*mu - 8: exactly,
+    # and in floats while beta is small enough not to swamp it
+    a, m = F(alpha), F(mu)
+    assert sum(exact_coefficients(alpha, beta, mu)) == a * (3 - m) + 4 * m - 8
     collapsed = alpha * (3.0 - mu) + 4.0 * mu - 8.0
-    assert cert.quad_a + cert.quad_b + cert.quad_c == pytest.approx(collapsed, abs=1e-9)
+    if beta <= 5.0:
+        assert cert.quad_a + cert.quad_b + cert.quad_c == pytest.approx(collapsed, abs=1e-9)
     assert collapsed <= -2.0 + 1e-12
-
-
-def test_reduction_identity_rejects_corrupted_coefficients():
-    cert = mq.two_cycle_certificate(REF1)
-    with pytest.raises(mq.VerificationError):
-        _verify_two_cycle_reduction_identity(REF1, cert.quad_a + 0.1, cert.quad_b, cert.quad_c)
-    with pytest.raises(mq.VerificationError):
-        _verify_two_cycle_reduction_identity(REF1, -cert.quad_a, -cert.quad_b, -cert.quad_c)
 
 
 # ---------------------------------------------------------- periodic scan
