@@ -190,8 +190,10 @@ def run_certificates(p: Parameters, s0: State, config: OrbitConfig) -> list[Cert
     eig_err = max(abs(l1 - numeric[0]), abs(l2 - numeric[1]))
     vieta_sum = abs((l1 + l2) - (2.0 - p.alpha - p.mu))
     vieta_prod = abs(l1 * l2 - ((1.0 - p.alpha) * (1.0 - p.mu) - p.alpha * p.beta))
-    # the product cancels alpha*beta, so its rounding grows with it
-    ok = eig_err <= 1e-12 and vieta_sum <= 1e-12 and vieta_prod <= 1e-12 * max(1.0, p.alpha * p.beta)
+    # the residuals cancel terms of the eigenvalues' size, the product
+    # terms of size alpha*beta, so their rounding grows with those
+    scale = max(1.0, abs(l1), abs(l2))
+    ok = eig_err <= 1e-12 * scale and vieta_sum <= 1e-12 * scale and vieta_prod <= 1e-12 * max(1.0, p.alpha * p.beta)
     results.append(
         Certificate("spectral-agreement", ok, f"eig_err={eig_err:.2e} vieta=({vieta_sum:.2e},{vieta_prod:.2e})")
     )

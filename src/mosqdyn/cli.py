@@ -192,14 +192,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "beta": p.beta,
         "mu": p.mu,
         "jacobian": [list(row) for row in report.jacobian],
-        "eigenvalues": [report.lambda1, report.lambda2],
+        "eigenvalues": [_finite_or_none(report.lambda1), _finite_or_none(report.lambda2)],
         "classification": report.classification.value,
         "stability_inequalities": list(ineq),
-        "r0": offspring_number(p),
+        "r0": _finite_or_none(offspring_number(p)),
         "rate_comparison": comparison,
         "expected_fate": fate,
     }
-    print(json.dumps(out, sort_keys=True, indent=2))
+    print(json.dumps(out, sort_keys=True, indent=2, allow_nan=False))
     return 0
 
 

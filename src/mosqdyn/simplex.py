@@ -169,9 +169,11 @@ def scan_periodic_points(p: Parameters, p_max: int = 8, grid_n: int = 10_000) ->
     no period-two point (`two_cycle_certificate`) on a self-map of [0, 1]
     (`check_interval_map_range`), T has no period of 2 or more
     (Sharkovskii).  Grid sign changes of T^q(x) - x are refined by
-    bisection to width 1e-12; a refined root r with |T(r) - r| >= 1e-10
-    would witness a genuine q-periodic point and raises
-    VerificationError.  Returns the roots found, by period q.
+    bisection to width 1e-12; a refined root r with
+    |T(r) - r| >= 1e-10 max(1, beta) would witness a genuine q-periodic
+    point and raises VerificationError.  The bound scales with beta
+    because near x = 1 the numerator and denominator of T cancel terms
+    of that size.  Returns the roots found, by period q.
     """
     require_valid(p, Mode.REDUCED)
     if p_max < 2:
@@ -200,7 +202,7 @@ def scan_periodic_points(p: Parameters, p_max: int = 8, grid_n: int = 10_000) ->
             if not dedup or r - dedup[-1] > 1e-9:
                 dedup.append(r)
         for r in dedup:
-            if abs(interval_map(p, r) - r) >= 1e-10:
+            if abs(interval_map(p, r) - r) >= 1e-10 * max(1.0, p.beta):
                 spurious.append(r)
         roots_by_period[q] = tuple(dedup)
     if spurious:
@@ -229,7 +231,7 @@ def count_two_cycles_on_grid(p: Parameters) -> int:
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     x1, y1 = _map(p, gx, gy)
     mx, my = _map(p, x1, y1)
-    # in place, as in `find_fixed_points`: each temporary is a full grid
+    # in place: each temporary is a full 500 x 500 grid
     res = np.maximum(np.abs(np.subtract(mx, gx, out=mx), out=mx), np.abs(np.subtract(my, gy, out=my), out=my), out=mx)
     disp = np.maximum(np.abs(np.subtract(x1, gx, out=x1), out=x1), np.abs(np.subtract(y1, gy, out=y1), out=y1), out=x1)
     return int(np.count_nonzero(res < np.multiply(disp, 1e-10, out=disp)))

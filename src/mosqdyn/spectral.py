@@ -13,14 +13,16 @@ always distinct since alpha*beta > 0.  The sign of beta - mu decides the
 local picture: the origin attracts for beta < mu, is a saddle for
 beta > mu inside the unit parameter box, and loses hyperbolicity exactly
 at beta = mu where lambda_1 = 1 (the discriminant collapses to
-(alpha + mu)^2).  `find_fixed_points` certifies numerically that the
-reduced map has no fixed point besides the origin in a window of the
-quadrant.
+(alpha + mu)^2).  `find_fixed_points` checks numerically that the
+reduced map has no fixed point besides the origin in the strip
+[0, 50] x [0, inf), by a scan along the adult nullcline y = e/mu, where
+the larval increment is (beta/mu - 1) e.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -135,51 +137,35 @@ def stability_inequalities(p: Parameters) -> tuple[bool, bool]:
 
 
 def find_fixed_points(p: Parameters) -> list[State]:
-    """Certify that the origin is the only fixed point of the reduced map
-    in [0, 50] x [0, 50].
+    """Check that the origin is the only fixed point of the reduced map
+    in [0, 50] x [0, inf).
 
-    Residual scan on a grid of step 0.05, then 200 steps of damped
-    fixed-point refinement s <- s + 0.5*(map(s) - s) of every coarse
-    candidate.  The damped iteration stays inside the quadrant (the
-    x-update subtracts at most 0.5*emergence <= 0.5*x).  Candidates that
-    settle away from the origin to a residual below 1e-10 of the largest
-    term the increments cancel (emergence, beta*y, mu*y) raise
-    VerificationError; otherwise returns [State(0, 0)].  The residual is
-    relative, so a state that barely moves (on the x-axis when alpha is
-    tiny) is not taken for a fixed point.
+    Both increments are affine in the adult count y, so a fixed point
+    lies on the adult nullcline y = e/mu, where dy = 0, with
+    e = alpha x/(1+x) the emergence.  There dx = g(x) = beta e/mu - e,
+    which is (beta/mu - 1) e (`tests/test_proofs.py`), of the sign of
+    beta - mu for every x > 0.  The scan evaluates g at the nodes x > 0
+    of a step-0.05 grid on [0, 50].  It raises VerificationError where
+    |g| is within 8 ulps of the larger term it cancels, max(beta e/mu, e),
+    or where g changes sign between neighbouring nodes; otherwise it
+    returns [State(0, 0)].  The bound is relative, so a state that barely
+    moves (on the x-axis when alpha is tiny) is not taken for a fixed
+    point.
 
-    A scan can miss a fixed point that repels the damped iteration; it
-    cross-checks the proof: a step adds (beta - mu) y to x + y
-    (`tests/test_proofs.py`), so a fixed point has y = 0, and y' = y
-    then leaves no emergence alpha x/(1+x), so x = 0.
+    The scan can still miss a zero of g of even multiplicity between two
+    nodes: g touches 0 there without changing sign, and stays above the
+    rounding band at both nodes.
     """
     require_valid(p, Mode.REDUCED)
-    grid_step = 0.05
-    xs = np.arange(0.0, 50.0 + 0.5 * grid_step, grid_step)
-    dx, dy = _field(p, xs[:, None], xs[None, :])
-    # in place: fresh 1001x1001 temporaries made this scan twice as slow
-    res = np.maximum(np.abs(dx, out=dx), np.abs(dy, out=dy), out=dx)
-    # Residual components are Lipschitz in each variable with constant
-    # at most max(1, beta) + 1, so a true fixed point leaves a residual
-    # of at most this slack on the nearest grid node.
-    coarse_tol = (max(1.0, p.beta) + 1.0) * grid_step
-    ci, cj = np.nonzero(res < coarse_tol)
-    cx = xs[ci].copy()
-    cy = xs[cj].copy()
-    for _ in range(200):
-        dx, dy = _field(p, cx, cy)
-        cx = cx + 0.5 * dx
-        cy = cy + 0.5 * dy
-    dx, dy = _field(p, cx, cy)
-    final_res = np.maximum(np.abs(dx), np.abs(dy))
-    # the increments are differences of emergence (mu*y + dy) and the
-    # adult terms beta*y, mu*y; a fixed point cancels them to rounding
-    terms = np.maximum(np.maximum(p.beta, p.mu) * cy, p.mu * cy + dy)
-    keep = final_res < 1e-10 * terms
-    off_origin = keep & ((np.abs(cx) > 1e-8) | (np.abs(cy) > 1e-8))
-    if np.any(off_origin):
-        pts = sorted(
-            {(round(float(a), 8), round(float(b), 8)) for a, b in zip(cx[off_origin], cy[off_origin])}
-        )
+    xs = 0.05 * np.arange(1, 1001)
+    _, emergence = _field(p, xs, 0.0)
+    ys = emergence / p.mu
+    g, _ = _field(p, xs, ys)
+    hits = np.abs(g) < 8 * sys.float_info.epsilon * np.maximum(p.beta * ys, emergence)
+    signs = np.sign(g)
+    # a sign change is reported at its left node
+    hits[:-1] |= signs[:-1] * signs[1:] < 0.0
+    if np.any(hits):
+        pts = [(round(float(a), 8), round(float(b), 8)) for a, b in zip(xs[hits], ys[hits])]
         raise VerificationError(f"unexpected fixed point candidates away from the origin: {pts[:5]}")
     return [State(0.0, 0.0)]

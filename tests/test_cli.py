@@ -242,6 +242,42 @@ def test_classify_json_fields(capsys):
     assert doc["r0"] == pytest.approx(0.5 / 0.48, abs=1e-14)
 
 
+def test_classify_writes_strict_json_when_the_eigenvalues_overflow(capsys):
+    # (alpha - mu)^2 + 4 alpha beta and beta/mu overflow; strict JSON has
+    # no Infinity, so the eigenvalues and r0 are null
+    rc = main(["classify", "--alpha", "1", "--beta", "1.7e308", "--mu", "0.5"])
+    out, _ = capsys.readouterr()
+    assert rc == 0
+    assert out == """{
+  "alpha": 1.0,
+  "beta": 1.7e+308,
+  "classification": "repelling",
+  "eigenvalues": [
+    null,
+    null
+  ],
+  "expected_fate": "survival",
+  "jacobian": [
+    [
+      0.0,
+      1.7e+308
+    ],
+    [
+      1.0,
+      0.5
+    ]
+  ],
+  "mu": 0.5,
+  "r0": null,
+  "rate_comparison": "beta>mu",
+  "stability_inequalities": [
+    false,
+    false
+  ]
+}
+"""
+
+
 def test_classify_equal_rates(capsys):
     rc = main(["classify", "--alpha", "0.9", "--beta", "0.9", "--mu", "0.9"])
     out, _ = capsys.readouterr()
@@ -499,17 +535,34 @@ def test_certify_scans_pass_at_tiny_emergence(capsys, alpha):
 
 
 @pytest.mark.parametrize("alpha, beta", [
-    ("0.6", "300"), ("0.6", "1000"), ("1", "1e4"), ("0.6", "5e4"), ("1", "5e4"),
-], ids=["300", "1000", "1e4", "5e4", "5e4-vieta"])
+    ("0.6", "300"), ("0.6", "1000"), ("1", "1e4"), ("0.6", "5e4"), ("1", "5e4"), ("1", "1e8"), ("1", "1e15"),
+], ids=["300", "1000", "1e4", "5e4", "5e4-vieta", "1e8", "1e15"])
 def test_certify_passes_at_large_egg_production(capsys, alpha, beta):
     # a(1) = (1 - beta) + (1 - alpha) + beta cancels beta, so the interval
     # map's float rounding grows with beta; the range and the two-cycle
-    # signs are decided exactly, and the Vieta product's bound grows with
-    # the alpha*beta it cancels
+    # signs are decided exactly, the periodic scan's bound grows with
+    # beta, and the spectral bounds with the eigenvalues and the
+    # alpha*beta their residuals cancel
     rc = main(["certify", "--alpha", alpha, "--beta", beta, "--mu", "0.48"])
     out, _ = capsys.readouterr()
     lines = out.splitlines()
     assert "PASS interval-map-range: T([0,1]) within [0,1]" in lines
+    assert sum(ln.startswith("PASS ") for ln in lines) == 9
+    assert lines[-1] == "certificates=9 failed=0"
+    assert rc == 0, out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--alpha", "0.6", "--beta", "0.50000000001", "--mu", "0.5"],
+    ["--alpha", "1", "--beta", "1e8", "--mu", "0.5"],
+], ids=["near-critical", "periodic-scan-1e8"])
+def test_certify_passes_every_certificate(capsys, argv):
+    # beta 2e-11 above mu once met the old fixed-point scan's residual
+    # bound; at beta = 1e8 the interval map's rounding near x = 1 once
+    # exceeded the periodic scan's absolute bound
+    rc = main(["certify", *argv])
+    out, _ = capsys.readouterr()
+    lines = out.splitlines()
     assert sum(ln.startswith("PASS ") for ln in lines) == 9
     assert lines[-1] == "certificates=9 failed=0"
     assert rc == 0, out

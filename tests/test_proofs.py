@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import sympy
 
-from mosqdyn.model import _map
+from mosqdyn.model import _field, _map
 from mosqdyn.simplex import _two_cycle_coefficients, interval_map_parts
 
 x, y, alpha, beta, mu = sympy.symbols("x y alpha beta mu")
@@ -100,6 +100,17 @@ def test_total_increment_identity_holds_symbolically():
     # reason the both-up region is empty for beta < mu
     x1, y1 = _map(REDUCED, x, y)
     assert vanishes((x1 + y1 - x - y) - (beta - mu) * y)
+
+
+def test_nullcline_increments_hold_symbolically():
+    # on the adult nullcline y = e/mu, e = alpha x/(1+x) the emergence,
+    # dy = 0 and dx = (beta/mu - 1) e, which has the sign of beta - mu
+    # for x > 0: the only fixed point is the origin, as
+    # `spectral.find_fixed_points` checks along the nullcline
+    _, e = _field(REDUCED, x, 0)
+    dx, dy = _field(REDUCED, x, e / mu)
+    assert vanishes(dy)
+    assert vanishes(dx - (beta / mu - 1) * e)
 
 
 def test_both_up_increment_identities_hold_symbolically():

@@ -131,7 +131,14 @@ def test_stability_inequalities_equivalent_to_modulus(alpha, beta, mu):
 # ---------------------------------------------------------- fixed points
 
 
-@pytest.mark.parametrize("p", [REF1, REF2, REF3])
+@pytest.mark.parametrize("p", [
+    REF1, REF2, REF3,
+    # relative gaps of 2e-11 between beta and mu, on both sides
+    mq.Parameters(0.6, 0.50000000001, 0.5),
+    mq.Parameters(0.6, 0.49999999999, 0.5),
+    # tiny rates, where the nullcline's adults y = alpha x/((1+x) mu) are O(1)
+    mq.Parameters(1e-12, 1e-8, 1e-12),
+])
 def test_origin_is_only_fixed_point(p):
     pts = mq.find_fixed_points(p)
     assert len(pts) == 1
