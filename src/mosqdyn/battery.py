@@ -12,16 +12,16 @@ for the command line interface and the scripts to print and write.
   certificate re-deriving a statement of the theory by an independent
   route; `run_trials` adds cheaper checks on random rates.
 
-All three hold their orbits to one acceptance rule (`_orbit_accepted`):
-the verdict is the fate expected from the start, and the online monitors
-saw no adult-bound or pattern violation and no identity residual beyond
-a few ulps of the largest total.  The start at the origin, a fixed point
-in either regime, is expected to end in extinction whatever the rates.
+All three hold their orbits to one acceptance rule (`_orbit_accepted`),
+which reads the orbit alone: the verdict is the fate expected from the
+start, and the online monitors saw no adult-bound or pattern violation
+and no identity residual beyond a few ulps of the largest total.  The
+start at the origin, a fixed point in either regime, is expected to end
+in extinction whatever the rates.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -47,6 +47,7 @@ from .trajectory import (
     Orbit,
     OrbitConfig,
     Verdict,
+    _slack,
     check_decreasing_totals,
     check_growth_lower_bound,
     iterate_orbit,
@@ -84,19 +85,20 @@ def thresholds_agree(p: Parameters) -> bool:
     return (offspring_number(p) > 1.0) == (expected_fate(p)[1] == Verdict.SURVIVAL.value)
 
 
-def _orbit_accepted(p: Parameters, s0: State, orbit: Orbit) -> bool:
-    """The orbit acceptance rule: the verdict is the expected fate from
-    s0, and the monitors are clean, the total-increment residual held to
-    a few ulps of the largest total (x + y is monotone along the orbit,
+def _orbit_accepted(orbit: Orbit) -> bool:
+    """The orbit acceptance rule: the verdict is the fate expected from
+    the orbit's start, and the monitors are clean, the total-increment
+    residual held to a few ulps of the largest total (x + y is monotone,
     so that total is the first or the last one), floored at 1e-9."""
-    fate = Verdict.EXTINCTION.value if s0.x == 0.0 and s0.y == 0.0 else expected_fate(p)[1]
+    x0, y0 = float(orbit.xs[0]), float(orbit.ys[0])
+    fate = Verdict.EXTINCTION.value if x0 == 0.0 and y0 == 0.0 else expected_fate(orbit.params)[1]
     mon = orbit.monitors
-    total = max(1.0, s0.x + s0.y, float(orbit.xs[-1]) + float(orbit.ys[-1]))
+    total = max(x0 + y0, float(orbit.xs[-1]) + float(orbit.ys[-1]))
     return (
         orbit.verdict.value == fate
         and mon.y_bound_violations == 0
         and mon.pattern_violations == 0
-        and mon.sum_identity_max_err <= max(1e-9, 8 * sys.float_info.epsilon * total)
+        and mon.sum_identity_max_err <= _slack(total, 1e-9)
     )
 
 
@@ -161,7 +163,7 @@ def sweep(
                     if p.beta < p.mu
                     else cls in (Classification.SADDLE.value, Classification.REPELLING.value)
                 )
-                ok = cls_ok and _orbit_accepted(p, s0, orbit)
+                ok = cls_ok and _orbit_accepted(orbit)
                 cells.append(SweepCell(p, cls, orbit.verdict.value, orbit.n_steps, orbit.y_limit_estimate, ok))
     return cells
 
@@ -232,7 +234,7 @@ def run_certificates(p: Parameters, s0: State, config: OrbitConfig) -> list[Cert
     results.append(
         Certificate(
             "orbit-dichotomy",
-            _orbit_accepted(p, s0, orbit),
+            _orbit_accepted(orbit),
             f"verdict={orbit.verdict.value} n={orbit.n_steps} "
             f"y_bound={mon.y_bound_violations} patterns={mon.pattern_violations} "
             f"sum_err={mon.sum_identity_max_err:.2e}",
@@ -240,21 +242,11 @@ def run_certificates(p: Parameters, s0: State, config: OrbitConfig) -> list[Cert
     )
 
     if p.beta > p.mu and orbit.verdict is Verdict.SURVIVAL:
-        onset = mon.monotone_onset_estimate
-        # the bound needs adults at its anchor, which an orbit started
-        # on the x-axis lacks until its first step
-        anchor = max(onset, int(orbit.steps[np.argmax(orbit.ys > 0.0)]))
-        try:
-            ok = check_growth_lower_bound(orbit, anchor)
-            detail = f"anchored at onset {onset}"
-            if anchor != onset:
-                detail = f"anchored at step {anchor}, the first with adults"
-        except ValueError as exc:
-            ok, detail = False, str(exc)
-        results.append(Certificate("growth-lower-bound", ok, detail))
+        detail = f"anchored at onset {mon.monotone_onset_estimate}"
+        results.append(Certificate("growth-lower-bound", check_growth_lower_bound(orbit), detail))
     elif p.beta < p.mu and orbit.verdict is Verdict.EXTINCTION:
-        ok = check_decreasing_totals(orbit)
-        results.append(Certificate("decreasing-totals", ok, "x+y and (mu/beta)x+y nonincreasing"))
+        detail = "x+y and (mu/beta)x+y nonincreasing"
+        results.append(Certificate("decreasing-totals", check_decreasing_totals(orbit), detail))
 
     return results
 
@@ -280,7 +272,7 @@ def run_trials(n_trials: int, seed: int, config: OrbitConfig) -> list[Certificat
             results.append(Certificate(f"trial-{i + 1}", False, str(exc)))
             continue
         orbit = iterate_orbit(p, s0, config, stop_at_certificate=True)
-        ok = two_cycle_certificate(p).signs_ok and check_interval_map_range(p) and _orbit_accepted(p, s0, orbit)
+        ok = two_cycle_certificate(p).signs_ok and check_interval_map_range(p) and _orbit_accepted(orbit)
         detail = (
             f"alpha={p.alpha:.6g} beta={p.beta:.6g} mu={p.mu:.6g} "
             f"verdict={orbit.verdict.value} n={orbit.n_steps}"

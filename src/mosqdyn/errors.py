@@ -8,10 +8,9 @@ class VerificationError(AssertionError):
 
     Raised when a self-check that should hold for every admissible
     parameter set fails: a spurious fixed or periodic point survives a
-    scan, a polynomial reduction identity does not reproduce, or a
-    residual that must vanish does not.  Deliberately an AssertionError
-    subclass: these are "stop and look" conditions, not recoverable
-    input problems.
+    scan, a scan's iterates are not finite, or a residual that must
+    vanish does not.  Deliberately an AssertionError subclass: these
+    are "stop and look" conditions, not recoverable input problems.
     """
 
 

@@ -173,7 +173,8 @@ def scan_periodic_points(p: Parameters, p_max: int = 8, grid_n: int = 10_000) ->
     |T(r) - r| >= 1e-10 max(1, beta) would witness a genuine q-periodic
     point and raises VerificationError.  The bound scales with beta
     because near x = 1 the numerator and denominator of T cancel terms
-    of that size.  Returns the roots found, by period q.
+    of that size.  An iterate that is not finite (T(1) is 0/0 in floats
+    from beta about 1e16) raises too.  Returns the roots found, by q.
     """
     require_valid(p, Mode.REDUCED)
     if p_max < 2:
@@ -186,9 +187,14 @@ def scan_periodic_points(p: Parameters, p_max: int = 8, grid_n: int = 10_000) ->
     spurious: list[float] = []
     for q in range(1, p_max + 1):
         a, b = interval_map_parts(p, cur)
-        cur = a / b
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cur = a / b
         if q < 2:
             continue
+        bad = grid_n - int(np.count_nonzero(np.isfinite(cur)))
+        if bad:
+            raise VerificationError(f"periodic-point scan: {bad} of the {grid_n} iterates T^{q}(x) are not finite "
+                                    f"(alpha={p.alpha}, beta={p.beta}, mu={p.mu})")
         diff = cur - xs
         roots: list[float] = []
         exact = np.nonzero(np.abs(diff) < 1e-13)[0]

@@ -60,12 +60,12 @@ increments are both positive, and the run ends at the first state in R:
 not a limit.  `simulate`, the `certify` orbit and `compare` run on to the
 estimator window.
 
-Monitors accumulated along the way, one pass, all tolerances absolute
-(the bound `battery.run_certificates` holds the identity residual to is
-relative: a few ulps of the largest total x + y, floored at 1e-9):
+Monitors accumulated along the way, in one pass.  A slack on a state is
+a few ulps of its size, never below an absolute floor (`_slack`):
 
 * adult envelope  y^(n) <= alpha/mu + (1-mu)^n * (y^(0) - alpha/mu),
-  violations beyond 1e-12 counted;
+  violations beyond the slack on max(y^(0), alpha/mu), floor 1e-12,
+  counted;
 * forbidden increment-sign patterns in the growth regime: (a) both
   coordinates down in one step, read off the sign census, and (b) a
   decrease after the first both-up step, the one pattern that needs
@@ -202,6 +202,13 @@ class Orbit:
     monitors: MonitorLog
 
 
+def _slack(size, floor: float):
+    """Eight ulps of `size` (a float or an array), never below `floor`:
+    the slack of every comparison that bounds a state."""
+    scaled = 8 * sys.float_info.epsilon * abs(size)
+    return np.maximum(floor, scaled) if isinstance(scaled, np.ndarray) else max(floor, scaled)
+
+
 def _adult_limit(am: float, mu: float, x: float, px: float, y: float) -> float:
     """The second-order adult-limit estimator at the state (x, y) whose
     predecessor had larval count px, am = alpha/mu:
@@ -254,7 +261,7 @@ def iterate_orbit(
     every = cfg.record_every
     confirm = CONFIRM_STEPS
     tie = TIE_TOL
-    ybtol = Y_BOUND_TOL
+    ybtol = _slack(max(s0.y, am), Y_BOUND_TOL)
     stop = stop_at_certificate
 
     x = s0.x
@@ -439,15 +446,17 @@ def iterate_general(p: Parameters, s0: State, n_steps: int) -> tuple[np.ndarray,
 
 def check_y_bound(orbit: Orbit) -> int:
     """Count recorded states violating the adult envelope
-    y^(n) <= alpha/mu + (1-mu)^n (y^(0) - alpha/mu), beyond 1e-12.
-    Offline counterpart of the online monitor; 0 on valid orbits.
+    y^(n) <= alpha/mu + (1-mu)^n (y^(0) - alpha/mu), beyond a few ulps
+    of max(y^(0), alpha/mu), floored at 1e-12.  Offline counterpart of
+    the online monitor; 0 on valid orbits.
     """
     p = orbit.params
     am = p.alpha / p.mu
     y0 = float(orbit.ys[0])
     decay = np.power(1.0 - p.mu, orbit.steps.astype(np.float64))
     bound = am + decay * (y0 - am)
-    bad = (orbit.ys > bound + Y_BOUND_TOL) | (orbit.ys < -Y_BOUND_TOL)
+    tol = _slack(max(y0, am), Y_BOUND_TOL)
+    bad = (orbit.ys > bound + tol) | (orbit.ys < -tol)
     return int(np.count_nonzero(bad[1:]))
 
 
@@ -494,8 +503,6 @@ def count_forbidden_patterns(orbit: Orbit) -> int:
         raise ValueError("pattern scan needs record_every == 1 (consecutive states)")
     dx = np.diff(orbit.xs)
     dy = np.diff(orbit.ys)
-    if dx.size == 0:
-        return 0
     up_x = dx > TIE_TOL
     dn_x = dx < -TIE_TOL
     up_y = dy > TIE_TOL
@@ -511,37 +518,34 @@ def count_forbidden_patterns(orbit: Orbit) -> int:
     return violations
 
 
-def check_growth_lower_bound(orbit: Orbit, n_start: int) -> bool:
+def check_growth_lower_bound(orbit: Orbit) -> bool:
     """Check the linear growth bound along a recorded growth orbit.
 
-    Anchoring at the first recorded step n_a >= n_start (intended: at or
-    after the monotone onset), with theta = max(y^(0), alpha/mu), every
-    later recorded step n must satisfy
+    The anchor n_a is the first recorded step from the monotone onset
+    (`monitors.monotone_onset_estimate`) on that has adults; an anchor
+    without them gives an empty bound.  With theta = max(y^(0),
+    alpha/mu), every later recorded step n must satisfy
 
         x^(n) > x^(n_a) + y^(n_a) - theta + (beta - mu)*(n - n_a)*y^(n_a)
 
-    up to a slack of 1e-12.  With a later step to bound, the anchor
-    adult count must be positive (an anchor on the x-axis gives an empty
-    bound); with none, the bound holds vacuously.
+    up to a slack of a few ulps of x^(n), floored at 1e-12.  With no
+    recorded step after the anchor the bound holds vacuously; with later
+    steps but no anchor, it fails.
     """
     p = orbit.params
     if not p.beta > p.mu:
         raise ValueError("growth bound applies to beta > mu only")
-    pos = int(np.searchsorted(orbit.steps, n_start))
-    if pos >= len(orbit.steps):
-        raise ValueError(f"no recorded step at or after n_start={n_start}")
-    after = orbit.steps > orbit.steps[pos]
-    if not np.any(after):
-        return True
-    n_a = float(orbit.steps[pos])
-    x_a = float(orbit.xs[pos])
-    y_a = float(orbit.ys[pos])
-    if not y_a > 0.0:
-        raise ValueError("anchor adult count must be positive for the growth bound")
+    pos = int(np.searchsorted(orbit.steps, orbit.monitors.monotone_onset_estimate))
+    adults = np.flatnonzero(orbit.ys[pos:] > 0.0)
+    if adults.size == 0:
+        return len(orbit.steps) - pos <= 1
+    a = pos + int(adults[0])
+    x_a, y_a = float(orbit.xs[a]), float(orbit.ys[a])
     theta = max(float(orbit.ys[0]), p.alpha / p.mu)
-    gap = orbit.steps[after].astype(np.float64) - n_a
+    gap = orbit.steps[a + 1 :].astype(np.float64) - float(orbit.steps[a])
     lower = x_a + y_a - theta + (p.beta - p.mu) * gap * y_a
-    return bool(np.all(orbit.xs[after] > lower - 1e-12))
+    xs = orbit.xs[a + 1 :]
+    return bool(np.all(xs > lower - _slack(xs, 1e-12)))
 
 
 def check_decreasing_totals(orbit: Orbit) -> bool:
@@ -558,10 +562,8 @@ def check_decreasing_totals(orbit: Orbit) -> bool:
     plain = orbit.xs + orbit.ys
     weighted = (p.mu / p.beta) * orbit.xs + orbit.ys
     for total in (plain, weighted):
-        tol = max(TIE_TOL, 8 * sys.float_info.epsilon * float(total[0]))
-        if np.any(total < -tol):
-            return False
-        if total.size >= 2 and np.any(np.diff(total) > tol):
+        tol = _slack(total[0], TIE_TOL)
+        if np.any(total < -tol) or np.any(np.diff(total) > tol):
             return False
     return True
 

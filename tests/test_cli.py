@@ -13,8 +13,9 @@ import sys
 
 import pytest
 
-from mosqdyn import battery
+from mosqdyn import battery, cli
 from mosqdyn.cli import DEFAULT_SEED, main
+from mosqdyn.errors import VerificationError
 
 REF1 = ["--alpha", "0.6", "--beta", "0.5", "--mu", "0.48"]
 EXT = ["--alpha", "0.5", "--beta", "0.3", "--mu", "0.6"]
@@ -358,6 +359,20 @@ def test_sweep_grid_with_diagonal(tmp_path, capsys):
     assert len(survivals) == 3 and len(extinctions) == 3
 
 
+def test_sweep_writes_a_cell_without_origin_linearization(tmp_path, capsys):
+    # alpha = 0 is outside the reduced condition and has no origin
+    # classification: the row is written with every field after it empty
+    out_path = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--alpha-range", "0", "1", "2", "--beta-range", "0.5", "0.5", "1",
+               "--mu-range", "0.3", "0.3", "1", "--out", str(out_path)])
+    out, _ = capsys.readouterr()
+    assert rc == 0
+    assert out.strip() == "cells=2 in_condition=1 agree=1 disagree=0"
+    rows = out_path.read_text().splitlines()
+    assert rows[1].startswith("0.0000000000000000e+00,")
+    assert rows[1].endswith(",false,,,,,")
+
+
 def test_sweep_detects_disagreement(tmp_path, capsys):
     # from (5, 0) the orbit first enters the both-up region at step 3, so
     # a 2-step budget cannot certify survival: the cell reads "exhausted"
@@ -555,11 +570,14 @@ def test_certify_passes_at_large_egg_production(capsys, alpha, beta):
 @pytest.mark.parametrize("argv", [
     ["--alpha", "0.6", "--beta", "0.50000000001", "--mu", "0.5"],
     ["--alpha", "1", "--beta", "1e8", "--mu", "0.5"],
-], ids=["near-critical", "periodic-scan-1e8"])
+    ["--alpha", "0.9", "--beta", "0.9", "--mu", "0.88", "--x0", "1e5", "--y0", "1e15"],
+], ids=["near-critical", "periodic-scan-1e8", "large-start-envelope"])
 def test_certify_passes_every_certificate(capsys, argv):
     # beta 2e-11 above mu once met the old fixed-point scan's residual
     # bound; at beta = 1e8 the interval map's rounding near x = 1 once
-    # exceeded the periodic scan's absolute bound
+    # exceeded the periodic scan's absolute bound; from y0 = 1e15, y_1 =
+    # 1.2e14 lies one ulp (0.0156) above the rounded adult envelope, over
+    # the old absolute 1e-12
     rc = main(["certify", *argv])
     out, _ = capsys.readouterr()
     lines = out.splitlines()
@@ -593,6 +611,27 @@ def test_certify_trial_fails_on_a_broken_sum_bound(monkeypatch, capsys):
     assert rc == 4
     assert "FAIL orbit-dichotomy:" in out
     assert "FAIL trial-1:" in out and "FAIL trial-2:" in out
+
+
+def test_certify_fails_the_periodic_scan_alone_on_non_finite_iterates(capsys):
+    # x is 1e18 after one step, where the growth bound needs a slack of
+    # its size; the interval map is 0/0 at x = 1 in floats
+    rc = main(["certify", "--alpha", "1", "--beta", "1e18", "--mu", "0.48"])
+    out, _ = capsys.readouterr()
+    lines = out.splitlines()
+    assert "PASS growth-lower-bound: anchored at onset 0" in lines
+    fails = [ln for ln in lines if ln.startswith("FAIL ")]
+    assert len(fails) == 1 and fails[0].startswith("FAIL periodic-scan: ")
+    assert "10000 of the 10000 iterates T^2(x) are not finite" in fails[0]
+    assert rc == 4
+
+
+def test_certify_rejects_invalid_rates(capsys):
+    rc = main(["certify", "--alpha", "1.5", "--beta", "0.5", "--mu", "0.48"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err == "invalid parameters (mode=reduced): 0 < alpha <= 1\n"
 
 
 def test_certify_does_not_hide_an_overflowed_residual(capsys):
@@ -680,6 +719,36 @@ def test_compare_shorter_side_padded(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 22  # header + 21 flow rows
     assert lines[-1].startswith(",,,")  # discrete side exhausted after 6 rows
+
+
+def test_compare_rejects_negative_mortality(capsys):
+    rc = main(["compare", *EXT, "--d1", "-1", "--x0", "1", "--y0", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err == "invalid parameters (mode=general): d1 >= 0\n"
+
+
+def test_compare_integration_failure_exits_4(capsys):
+    # strong crowding at dt = 1 throws RK4 far below x = -0.5 in one step
+    rc = main(["compare", "--alpha", "0.5", "--beta", "0.5", "--mu", "0.5", "--d1", "50",
+               "--x0", "10", "--y0", "0", "--dt", "1", "--t-end", "10", "--steps", "5"])
+    out, err = capsys.readouterr()
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("integration failure: ") and err.count("\n") == 1
+
+
+def test_verification_failure_inside_a_command_exits_4(monkeypatch, capsys):
+    def failing(p):
+        raise VerificationError("positive equilibrium residual 1.000e+00 exceeds 1.0e-09")
+
+    monkeypatch.setattr(cli, "equilibrium_report", failing)
+    rc = main(["compare", *EXT, "--x0", "1", "--y0", "1", "--steps", "5", "--t-end", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 4
+    assert out == ""
+    assert err == "verification failure: positive equilibrium residual 1.000e+00 exceeds 1.0e-09\n"
 
 
 def test_compare_horizon_beyond_memory_exits_2(capsys):

@@ -176,6 +176,13 @@ def test_scan_finds_only_the_interior_fixed_point(p):
         assert abs(fixed_point_cubic(p, roots[0])) < 1e-9
 
 
+def test_scan_fails_on_non_finite_iterates():
+    # T(x) rounds to 1 for x < 1 and T(1) is 0/0, so every iterate from
+    # T^2 on is nan: there is nothing to scan, which must not pass
+    with pytest.raises(mq.VerificationError, match=r"10000 of the 10000 iterates T\^2\(x\) are not finite"):
+        mq.scan_periodic_points(mq.Parameters(1.0, 1e18, 0.48))
+
+
 def test_scan_argument_validation():
     with pytest.raises(ValueError):
         mq.scan_periodic_points(REF1, p_max=1)

@@ -132,16 +132,29 @@ def test_offline_checkers_agree_on_real_orbits(ref1_orbit, ext_orbit):
     assert mq.check_y_bound(ref1_orbit) == 0
     assert mq.check_sum_identity(ref1_orbit) < 1e-9
     assert mq.count_forbidden_patterns(ref1_orbit) == 0
-    onset = ref1_orbit.monitors.monotone_onset_estimate
-    assert mq.check_growth_lower_bound(ref1_orbit, onset)
+    assert mq.check_growth_lower_bound(ref1_orbit)
     assert mq.check_y_bound(ext_orbit) == 0
     assert mq.check_decreasing_totals(ext_orbit)
 
 
 def test_growth_bound_holds_from_onset(ref2_orbit, ref3_orbit):
-    for p, orb in ((REF2, ref2_orbit), (REF3, ref3_orbit)):
-        onset = orb.monitors.monotone_onset_estimate
-        assert mq.check_growth_lower_bound(orb, onset)
+    for orb in (ref2_orbit, ref3_orbit):
+        assert mq.check_growth_lower_bound(orb)
+
+
+def test_growth_bound_slack_scales_with_the_larvae():
+    # x is 1e18 after one step, where the bound rounds to x itself; an
+    # absolute 1e-12 slack is below one ulp (128) there
+    orb = mq.iterate_orbit(mq.Parameters(1.0, 1e18, 0.48), mq.State(1.0, 1.0))
+    assert (orb.verdict, orb.n_steps, orb.xs[-1]) == (mq.Verdict.SURVIVAL, 1, 1e18)
+    assert mq.check_growth_lower_bound(orb)
+
+
+def test_adult_envelope_slack_scales_with_the_start():
+    # y_1 = 1.2e14 lies one ulp (0.0156) above the rounded envelope
+    orb = mq.iterate_orbit(REF3, mq.State(1e5, 1e15))
+    assert orb.monitors.y_bound_violations == 0
+    assert mq.check_y_bound(orb) == 0
 
 
 # ------------------------------------------------------------- edge starts
@@ -533,24 +546,36 @@ def test_decreasing_totals_requires_contracting_regime(ref1_orbit):
 
 def test_growth_bound_requires_growth_regime(ext_orbit):
     with pytest.raises(ValueError):
-        mq.check_growth_lower_bound(ext_orbit, 0)
+        mq.check_growth_lower_bound(ext_orbit)
 
 
-def test_growth_bound_rejects_zero_anchor_adults():
+def test_growth_bound_anchors_at_first_step_with_adults():
     orb = mq.iterate_orbit(REF1, mq.State(5.0, 0.0), mq.OrbitConfig(max_iters=100))
-    with pytest.raises(ValueError, match="anchor"):
-        mq.check_growth_lower_bound(orb, 0)
+    assert mq.check_growth_lower_bound(orb)
+    # from an onset at step 0, which has no adults, the anchor is step 1
+    early = dataclasses.replace(orb, monitors=dataclasses.replace(orb.monitors, monotone_onset_estimate=0))
+    assert mq.check_growth_lower_bound(early)
 
 
 def test_growth_bound_is_vacuous_without_a_later_step():
     orb = mq.iterate_orbit(REF1, mq.State(2e9, 0.0))
     assert (orb.verdict, orb.n_steps) == (mq.Verdict.SURVIVAL, 0)
-    assert mq.check_growth_lower_bound(orb, 0)
+    assert mq.check_growth_lower_bound(orb)
 
 
-def test_growth_bound_rejects_anchor_past_end(ref1_orbit):
-    with pytest.raises(ValueError, match="n_start"):
-        mq.check_growth_lower_bound(ref1_orbit, ref1_orbit.n_steps + 1)
+def test_growth_bound_detects_stalled_larvae(ref1_orbit):
+    # the bound rises by (beta - mu)*y_a per step; larvae frozen after
+    # the onset fall behind it
+    stall = ref1_orbit.monitors.monotone_onset_estimate + 10
+    bad_xs = ref1_orbit.xs.copy()
+    bad_xs[stall:] = bad_xs[stall]
+    assert not mq.check_growth_lower_bound(dataclasses.replace(ref1_orbit, xs=bad_xs))
+
+
+def test_growth_bound_fails_without_adults_from_the_onset(ref1_orbit):
+    bad_ys = ref1_orbit.ys.copy()
+    bad_ys[ref1_orbit.monitors.monotone_onset_estimate :] = 0.0
+    assert not mq.check_growth_lower_bound(dataclasses.replace(ref1_orbit, ys=bad_ys))
 
 
 def test_y_bound_checker_detects_doctored_data(ref1_orbit):
