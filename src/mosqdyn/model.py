@@ -11,18 +11,16 @@ where ``alpha`` is the emergence rate with crowding saturation x/(1+x),
 mortality splits into a density-independent part ``d0`` and a
 density-dependent part ``d1*x``.  Dropping larval mortality gives the
 reduced map (d0 = d1 = 0); the asymptotic analysis implemented by the
-rest of the package concerns that case with beta != mu.  One `step`
+rest of the package concerns that case with beta != mu.  One kernel
 serves both maps.
 
-The map is the identity plus the continuous-time right-hand side.  Two
-private kernels hold all of the map arithmetic, for scalars and numpy
-arrays alike: `_field` gives the increments (the right-hand side of the
-flow, used by `vector_field`, `step` and the reference integrator) and
-`_map` gives the next generation (used by the array scans and the full
-map iteration).  Everything is plain IEEE-754 double arithmetic in the
-literal term order written above; no compensated summation anywhere.
-The reduced-map orbit loop in `trajectory` inlines `_map` for speed and
-is tested against it bit for bit.
+The map is the identity plus the flow's right-hand side, as
+`tests/test_proofs.py` proves in exact arithmetic.  Two private kernels
+hold all of the map arithmetic, for scalars, arrays and sympy symbols:
+`_map` gives the next generation and `_field` the increments.  In floats
+they round apart, and `_map`'s y' = e + (1 - mu) y is the closer to the
+exact image, so every next state comes from `_map` (the `trajectory`
+orbit loop inlines it, tested bit for bit).  No compensated summation.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ __all__ = [
     "ValidationReport",
     "validate_parameters",
     "require_valid",
-    "vector_field",
     "step",
 ]
 
@@ -171,20 +168,10 @@ def _map(p: Parameters, x, y):
     return dx + x, emergence + (1.0 - p.mu) * y
 
 
-def vector_field(p: Parameters, s: State) -> tuple[float, float]:
-    """Continuous-time right-hand side at `s`.
-
-    Also the exact per-generation increment: `step(p, s)` equals
-    s + vector_field(p, s) coordinatewise, bit for bit, because the map
-    is written as the identity plus this field.
-    """
-    return _field(p, s.x, s.y)
-
-
 def step(p: Parameters, s: State) -> State:
     """Advance one generation under the full map (the reduced map when
-    d0 = d1 = 0).  Checks general-mode validity only; callers that need
-    the reduced condition beta != mu check it themselves."""
+    d0 = d1 = 0) by `_map`.  Checks general-mode validity only; callers
+    that need beta != mu check it themselves.  An image outside the
+    quadrant raises ValueError, through `State`."""
     require_valid(p, Mode.GENERAL)
-    dx, dy = vector_field(p, s)
-    return State(s.x + dx, s.y + dy)
+    return State(*_map(p, s.x, s.y))

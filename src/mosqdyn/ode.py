@@ -5,7 +5,8 @@ The discrete map is the unit-step Euler scheme of the planar flow
     x. = beta*y - alpha*x/(1+x) - (d0 + d1*x)*x
     y. = alpha*x/(1+x) - mu*y
 
-(the shared `vector_field`).  The flow carries its own threshold
+(the kernel `model._field`; `tests/test_proofs.py` proves the map equal
+to the identity plus it).  The flow carries its own threshold
 quantity, the basic offspring number
 
     r0 = alpha*beta / ((alpha + d0) * mu):
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError, VerificationError
-from .model import Mode, Parameters, State, _field, require_valid, vector_field
+from .model import Mode, Parameters, State, _field, require_valid
 
 __all__ = [
     "OdeConfig",
@@ -120,7 +121,7 @@ def positive_equilibrium(p: Parameters) -> State | None:
     x0 = (math.sqrt(disc) - p.d0 - p.d1) / (2.0 * p.d1)
     y0 = p.alpha * x0 / (p.mu * (1.0 + x0))
     eq = State(x0, y0)
-    fx, fy = vector_field(p, eq)
+    fx, fy = _field(p, eq.x, eq.y)
     res = max(abs(fx), abs(fy))
     if res > 1e-9:
         raise VerificationError(f"positive equilibrium residual {res:.3e} exceeds 1.0e-09")

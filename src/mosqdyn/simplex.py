@@ -147,9 +147,9 @@ def _iterate_interval_scalar(p: Parameters, x: float, q: int) -> float:
     return x
 
 
-def _bisect_root(p: Parameters, q: int, lo: float, hi: float, flo: float, width: float = 1e-12) -> float:
+def _bisect_root(p: Parameters, q: int, lo: float, hi: float, flo: float) -> float:
     # f(x) = T^q(x) - x, sign change certified on [lo, hi]
-    while hi - lo > width:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         fmid = _iterate_interval_scalar(p, mid, q) - mid
         if fmid == 0.0:
@@ -159,6 +159,15 @@ def _bisect_root(p: Parameters, q: int, lo: float, hi: float, flo: float, width:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _distinct(roots: list[float]) -> list[float]:
+    # sorted, one per cluster of roots within 1e-9 of each other
+    out: list[float] = []
+    for r in sorted(roots):
+        if not out or r - out[-1] > 1e-9:
+            out.append(r)
+    return out
 
 
 def scan_periodic_points(p: Parameters, p_max: int = 8, grid_n: int = 10_000) -> dict[int, tuple[float, ...]]:
@@ -171,10 +180,13 @@ def scan_periodic_points(p: Parameters, p_max: int = 8, grid_n: int = 10_000) ->
     (Sharkovskii).  Grid sign changes of T^q(x) - x are refined by
     bisection to width 1e-12; a refined root r with
     |T(r) - r| >= 1e-10 max(1, beta) would witness a genuine q-periodic
-    point and raises VerificationError.  The bound scales with beta
-    because near x = 1 the numerator and denominator of T cancel terms
-    of that size.  An iterate that is not finite (T(1) is 0/0 in floats
-    from beta about 1e16) raises too.  Returns the roots found, by q.
+    point and raises VerificationError, listing at most five distinct
+    such roots and their count.  The bound scales with beta because near
+    x = 1 the numerator and denominator of T cancel terms of that size;
+    for beta >= 1e10 it is at least 1, while |T(r) - r| <= 1 on [0, 1],
+    so there only the finiteness guard can fail: an iterate that is not
+    finite (T(1) is 0/0 in floats from beta about 1e16) raises.  Returns
+    the roots found, by q.
     """
     require_valid(p, Mode.REDUCED)
     if p_max < 2:
@@ -203,18 +215,17 @@ def scan_periodic_points(p: Parameters, p_max: int = 8, grid_n: int = 10_000) ->
         flip = np.nonzero((sign[:-1] != sign[1:]) & (np.abs(diff[:-1]) >= 1e-13) & (np.abs(diff[1:]) >= 1e-13))[0]
         for i in flip:
             roots.append(_bisect_root(p, q, float(xs[i]), float(xs[i + 1]), float(diff[i])))
-        dedup: list[float] = []
-        for r in sorted(roots):
-            if not dedup or r - dedup[-1] > 1e-9:
-                dedup.append(r)
+        dedup = _distinct(roots)
         for r in dedup:
             if abs(interval_map(p, r) - r) >= 1e-10 * max(1.0, p.beta):
                 spurious.append(r)
         roots_by_period[q] = tuple(dedup)
     if spurious:
+        spurious = _distinct(spurious)
+        shown = [round(r, 12) for r in spurious[:5]]
         raise VerificationError(
-            f"periodic-point scan found roots that are not fixed points of the interval map: "
-            f"{[round(r, 12) for r in spurious]} (alpha={p.alpha}, beta={p.beta}, mu={p.mu})"
+            f"periodic-point scan found {len(spurious)} distinct roots that are not fixed points of the interval "
+            f"map; the first {len(shown)}: {shown} (alpha={p.alpha}, beta={p.beta}, mu={p.mu})"
         )
     return roots_by_period
 

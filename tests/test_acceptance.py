@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import mosqdyn as mq
+from mosqdyn.model import _field, _map
 
 ACCEPT_SEED = 20260815
 
@@ -184,8 +185,8 @@ def test_c4_periodicity_exclusion():
 
 def test_c5_algebraic_identities():
     """Total-increment identity residual <= 1e-9 along 1000-step orbits;
-    the one-generation step equals the state plus the continuous
-    right-hand side bit for bit; interval-map endpoint identities to
+    the one-generation step is the map kernel and the first step of the
+    full-map iteration bit for bit; interval-map endpoint identities to
     1e-14."""
     rng = np.random.default_rng(ACCEPT_SEED)
 
@@ -199,24 +200,27 @@ def test_c5_algebraic_identities():
         worst_sum = max(worst_sum, mq.check_sum_identity(orb))
         worst_sum = max(worst_sum, orb.monitors.sum_identity_max_err)
 
-    euler_failures = 0
+    # the Euler link, map = identity + field, is proved in
+    # tests/test_proofs.py; here the step must be the kernel orbits run
+    step_failures = 0
     for _ in range(10_000):
         a, b, m = _draw_rates(rng)
         p = mq.Parameters(a, b, m,
                           float(rng.uniform(0.0, 0.5)), float(rng.uniform(0.0, 0.1)))
         s = mq.State(float(rng.uniform(0.0, 100.0)), float(rng.uniform(0.0, 100.0)))
-        dx, dy = mq.vector_field(p, s)
-        if s.x + dx < 0.0 or s.y + dy < 0.0:
+        image = _map(p, s.x, s.y)
+        if min(image) < 0.0:
             # heavy-mortality draws exit the quadrant; the step must say so
             try:
                 mq.step(p, s)
-                euler_failures += 1
+                step_failures += 1
             except ValueError:
                 pass
             continue
         t = mq.step(p, s)
-        if t.x != s.x + dx or t.y != s.y + dy:
-            euler_failures += 1
+        _, xs, ys = mq.iterate_general(p, s, 1)
+        if (t.x, t.y) != image or (xs[1], ys[1]) != image:
+            step_failures += 1
 
     worst_t0 = 0.0
     worst_t1 = 0.0
@@ -226,12 +230,12 @@ def test_c5_algebraic_identities():
         worst_t0 = max(worst_t0, abs(mq.interval_map(p, 0.0) - b / (b - m + 1.0)))
         worst_t1 = max(worst_t1, abs(mq.interval_map(p, 1.0) - (2.0 - a) / 2.0))
 
-    ok = worst_sum <= 1e-9 and euler_failures == 0 and worst_t0 <= 1e-14 and worst_t1 <= 1e-14
+    ok = worst_sum <= 1e-9 and step_failures == 0 and worst_t0 <= 1e-14 and worst_t1 <= 1e-14
     _emit("C5 algebraic identities", ok,
-          f"sum_err={worst_sum:.3e}, euler mismatches={euler_failures}, "
+          f"sum_err={worst_sum:.3e}, step mismatches={step_failures}, "
           f"endpoint errs=({worst_t0:.1e}, {worst_t1:.1e})")
     assert worst_sum <= 1e-9
-    assert euler_failures == 0
+    assert step_failures == 0
     assert worst_t0 <= 1e-14 and worst_t1 <= 1e-14
 
 
@@ -260,7 +264,7 @@ def test_c6_continuous_crosscheck():
     eq = mq.positive_equilibrium(p_grow)
     gx, gy = mq.integrate_flow(p_grow, mq.State(1.0, 1.0)).final
     grow_err = max(abs(gx - eq.x), abs(gy - eq.y))
-    res = max(abs(v) for v in mq.vector_field(p_grow, eq))
+    res = max(abs(v) for v in _field(p_grow, eq.x, eq.y))
     grow_ok = grow_err < 1e-5 and res < 1e-9
 
     ok = order_ok and die_ok and grow_ok

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from mosqdyn import battery, cli
+from mosqdyn import battery, cli, simplex
 from mosqdyn.cli import DEFAULT_SEED, main
 from mosqdyn.errors import VerificationError
 
@@ -624,6 +624,19 @@ def test_certify_fails_the_periodic_scan_alone_on_non_finite_iterates(capsys):
     assert len(fails) == 1 and fails[0].startswith("FAIL periodic-scan: ")
     assert "10000 of the 10000 iterates T^2(x) are not finite" in fails[0]
     assert rc == 4
+
+
+def test_certify_keeps_the_periodic_scan_failure_short(monkeypatch, capsys):
+    # with the stand-in T(x) = 1 - x every grid point is a two-cycle; the
+    # FAIL line lists five roots and counts the rest (it ran to 635,606
+    # characters when every root of every even period was listed)
+    monkeypatch.setattr(simplex, "interval_map_parts", lambda p, x: (1 - x, 1 + 0 * x))
+    rc = main(["certify", *REF1])
+    out, _ = capsys.readouterr()
+    scan = [ln for ln in out.splitlines() if ln.startswith("FAIL periodic-scan: ")]
+    assert rc == 4
+    assert len(scan) == 1 and "distinct roots" in scan[0] and "the first 5: " in scan[0]
+    assert len(scan[0]) < 300
 
 
 def test_certify_rejects_invalid_rates(capsys):

@@ -10,10 +10,11 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import mosqdyn as mq
+from mosqdyn.model import _field, _map
 
 
 def exact_image(alpha, beta, mu, d0, d1, x, y):
@@ -65,7 +66,7 @@ def test_step_reduced_frozen_small_start():
 
 
 def test_vector_field_frozen():
-    dx, dy = mq.vector_field(REF1, mq.State(2.0, 0.1))
+    dx, dy = _field(REF1, 2.0, 0.1)
     assert dx == pytest.approx(-0.35, abs=1e-15)
     assert dy == pytest.approx(0.352, abs=1e-15)
 
@@ -146,14 +147,28 @@ mortality = st.floats(min_value=0.0, max_value=0.04, allow_nan=False)
 
 @given(alpha=rates, beta=birth, mu=rates, d0=mortality, d1=mortality,
        x=st.floats(min_value=0.0, max_value=10.0), y=st.floats(min_value=0.0, max_value=10.0))
-def test_step_is_identity_plus_vector_field(alpha, beta, mu, d0, d1, x, y):
+# reduced rates, where the orbit loop is checked too; an image off the quadrant
+@example(alpha=0.6, beta=0.5, mu=0.99, d0=0.0, d1=0.0, x=3.0, y=7.5)
+@example(alpha=1.0, beta=0.5, mu=0.5, d0=0.04, d1=0.0, x=0.001, y=0.0)
+def test_step_is_the_map_kernel(alpha, beta, mu, d0, d1, x, y):
+    # bit for bit: `step` is the kernel both orbit loops run; that the map
+    # is the identity plus `_field` is proved in tests/test_proofs.py
     p = mq.Parameters(alpha, beta, mu, d0, d1)
     s = mq.State(x, y)
-    dx, dy = mq.vector_field(p, s)
+    image = _map(p, x, y)
+    if min(image) < 0.0:
+        # heavy larval mortality leaves the quadrant; the step must say so
+        with pytest.raises(ValueError):
+            mq.step(p, s)
+        return
     t = mq.step(p, s)
-    # bit-for-bit: the map is written as identity plus the field
-    assert t.x == x + dx
-    assert t.y == y + dy
+    assert (t.x, t.y) == image
+    _, xs, ys = mq.iterate_general(p, s, 1)
+    assert (xs[1], ys[1]) == image
+    if d0 == d1 == 0.0 and beta != mu:
+        orb = mq.iterate_orbit(p, s, mq.OrbitConfig(max_iters=1))
+        if orb.n_steps == 1:
+            assert (orb.xs[1], orb.ys[1]) == image
 
 
 @given(alpha=rates, beta=birth, mu=rates, x=coords, y=coords)
@@ -166,6 +181,9 @@ def test_reduced_map_preserves_quadrant(alpha, beta, mu, x, y):
 
 
 @given(alpha=rates, beta=birth, mu=rates, x=coords, y=coords)
+# y' = e + (1 - mu) y lands within an ulp of the exact image here, while
+# the form y + (e - mu y) misses it by 37 ulps
+@example(alpha=0.6, beta=0.5, mu=0.99, x=3.0, y=123456.7)
 def test_reduced_step_matches_rational_oracle(alpha, beta, mu, x, y):
     assume(abs(beta - mu) > 1e-9)
     assume(x < 1e6 and y < 1e6)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import mosqdyn as mq
+from mosqdyn.model import _field
 
 RED = mq.Parameters(0.6, 0.5, 0.48)
 FULL_GROW = mq.Parameters(0.6, 0.8, 0.5, 0.1, 0.05)
@@ -56,7 +57,7 @@ def test_positive_equilibrium_satisfies_larval_quadratic():
     res = (p.d1 * eq.x * eq.x + (p.d0 + p.d1) * eq.x + p.d0
            - p.alpha * (p.beta - p.mu) / p.mu)
     assert abs(res) < 1e-12
-    fx, fy = mq.vector_field(p, eq)
+    fx, fy = _field(p, eq.x, eq.y)
     assert abs(fx) < 1e-12 and abs(fy) < 1e-12
 
 

@@ -11,16 +11,48 @@ from types import SimpleNamespace
 
 import sympy
 
+import mosqdyn as mq
 from mosqdyn.model import _field, _map
 from mosqdyn.simplex import _two_cycle_coefficients, interval_map_parts
 
-x, y, alpha, beta, mu = sympy.symbols("x y alpha beta mu")
+x, y, alpha, beta, mu, d0, d1 = sympy.symbols("x y alpha beta mu d0 d1")
 REDUCED = SimpleNamespace(alpha=alpha, beta=beta, mu=mu, d0=0, d1=0)
+FULL = SimpleNamespace(alpha=alpha, beta=beta, mu=mu, d0=d0, d1=d1)
 
 
 def vanishes(expr) -> bool:
     # the kernels write 1.0 for one; nsimplify makes every float exact
     return sympy.simplify(sympy.nsimplify(expr, rational=True)) == 0
+
+
+def test_map_is_identity_plus_field_symbolically():
+    # the Euler link: the map, with larval mortality, is the unit-step
+    # Euler scheme of the flow; in floats the two kernels round apart,
+    # and every next state is computed by `_map`
+    x1, y1 = _map(FULL, x, y)
+    dx, dy = _field(FULL, x, y)
+    assert vanishes(x1 - x - dx)
+    assert vanishes(y1 - y - dy)
+
+
+def test_interval_map_is_the_simplex_projection_symbolically():
+    # T = a / b is the reduced map read on the simplex: from (x, 1 - x)
+    # the image projects to x' / (x' + y')
+    x1, y1 = _map(REDUCED, x, 1 - x)
+    num, den = interval_map_parts(REDUCED, x)
+    assert vanishes(x1 / (x1 + y1) - num / den)
+
+
+def test_origin_jacobian_is_the_derivative_of_the_map():
+    # the spectral classification linearizes the map itself: the
+    # Jacobian of `_map` at (0, 0), symbolically, and in floats the
+    # matrix `jacobian_at_origin` returns, entry for entry
+    jac = sympy.Matrix(_map(REDUCED, x, y)).jacobian([x, y]).subs({x: 0, y: 0})
+    jac = sympy.nsimplify(jac, rational=True)
+    assert sympy.simplify(jac - sympy.Matrix([[1 - alpha, beta], [alpha, 1 - mu]])) == sympy.zeros(2, 2)
+    entries = sympy.lambdify((alpha, beta, mu), jac)
+    for rates in ((0.6, 0.5, 0.48), (0.4, 0.35, 0.3), (1e-9, 1e8, 0.1)):
+        assert entries(*rates).tolist() == [list(row) for row in mq.jacobian_at_origin(mq.Parameters(*rates))]
 
 
 def test_reduction_identity_holds_symbolically():

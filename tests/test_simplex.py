@@ -6,7 +6,9 @@ cross-checked against the cubic that interior fixed points must satisfy,
 an independent route.
 """
 
+import ast
 import math
+import re
 import sys
 from fractions import Fraction as F
 
@@ -181,6 +183,19 @@ def test_scan_fails_on_non_finite_iterates():
     # T^2 on is nan: there is nothing to scan, which must not pass
     with pytest.raises(mq.VerificationError, match=r"10000 of the 10000 iterates T\^2\(x\) are not finite"):
         mq.scan_periodic_points(mq.Parameters(1.0, 1e18, 0.48))
+
+
+def test_scan_fails_on_a_genuine_two_cycle(monkeypatch):
+    # a stand-in T, the logistic map at r = 3.3, has the two-cycle
+    # (r + 1 -+ sqrt((r + 1)(r - 3))) / (2 r); found at every even
+    # period, it must be reported once, as two distinct roots
+    r = 3.3
+    monkeypatch.setattr(mq.simplex, "interval_map_parts", lambda p, x: (r * x * (1 - x), 1.0))
+    with pytest.raises(mq.VerificationError, match="found 2 distinct roots") as exc:
+        mq.scan_periodic_points(REF1)
+    listed = ast.literal_eval(re.search(r"the first 2: (\[.*?\])", str(exc.value)).group(1))
+    cycle = [(r + 1 + sgn * math.sqrt((r + 1) * (r - 3))) / (2 * r) for sgn in (-1, 1)]
+    assert listed == pytest.approx(cycle, abs=1e-9)
 
 
 def test_scan_argument_validation():
