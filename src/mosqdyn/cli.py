@@ -26,7 +26,6 @@ parses, prints, writes and maps outcomes to exit codes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from .battery import SWEEP_CSV_HEADER, expected_fate, run_certificates, run_trials, sweep, thresholds_agree
 from .errors import IntegrationError, VerificationError
-from .ioutil import atomic_write_json, atomic_write_lines, atomic_write_text, fmt
+from .ioutil import atomic_write_json, atomic_write_lines, atomic_write_text, fmt, json_text
 from .model import Mode, Parameters, State, validate_parameters
 from .ode import OdeConfig, equilibrium_report, integrate_flow, offspring_number
 from .spectral import classify_origin, stability_inequalities
@@ -61,13 +60,13 @@ def _add_rate_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--mu", type=float, required=True, help="adult mortality, in (0, 1]")
 
 
-def _add_start_flags(sp: argparse.ArgumentParser, required: bool, default: float = 1.0) -> None:
+def _add_start_flags(sp: argparse.ArgumentParser, required: bool) -> None:
     if required:
         sp.add_argument("--x0", type=float, required=True, help="initial larval count")
         sp.add_argument("--y0", type=float, required=True, help="initial adult count")
     else:
-        sp.add_argument("--x0", type=float, default=default, help=f"initial larval count (default {default})")
-        sp.add_argument("--y0", type=float, default=default, help=f"initial adult count (default {default})")
+        sp.add_argument("--x0", type=float, default=1.0, help="initial larval count (default 1.0)")
+        sp.add_argument("--y0", type=float, default=1.0, help="initial adult count (default 1.0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,7 +168,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.format == "csv":
         body = orbit_to_csv(orbit)
     else:
-        body = json.dumps(_orbit_json(orbit), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        body = json_text(_orbit_json(orbit))
     if args.out:
         atomic_write_text(args.out, body)
         print(verdict_line)
@@ -199,7 +198,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "rate_comparison": comparison,
         "expected_fate": fate,
     }
-    print(json.dumps(out, sort_keys=True, indent=2, allow_nan=False))
+    sys.stdout.write(json_text(out))
     return 0
 
 

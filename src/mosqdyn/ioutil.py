@@ -8,12 +8,17 @@ import tempfile
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
-__all__ = ["fmt", "atomic_write_text", "atomic_write_lines", "atomic_write_json"]
+__all__ = ["fmt", "json_text", "atomic_write_text", "atomic_write_lines", "atomic_write_json"]
 
 
 def fmt(v: float) -> str:
     """17-significant-digit scientific notation (round-trips a double)."""
     return format(float(v), ".16e")
+
+
+def json_text(obj) -> str:
+    """Every JSON output: strict (NaN, inf raise), sorted keys, indented."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _atomic_write(path, write: Callable[[TextIO], object]) -> None:
@@ -53,5 +58,5 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def atomic_write_json(path, obj) -> None:
-    """Atomic JSON dump with sorted keys (stable across runs)."""
-    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Atomically write `json_text(obj)`."""
+    atomic_write_text(path, json_text(obj))

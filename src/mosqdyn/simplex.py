@@ -10,13 +10,13 @@ parametrization (x, 1 - x) into a one-dimensional rational map of [0, 1]:
 `check_interval_map_range` decides that T maps [0, 1] into itself, and
 `two_cycle_certificate` that T has no period-two point, by the signs of
 the quadratic A x^2 + B x + C whose roots in [0, 1] the period-two points
-are.  Both decide exactly on the float rates: the formulas are written
-with integer literals, so they evaluate alike in floats, in exact
-decimal arithmetic and in sympy, and `tests/test_proofs.py` proves the
+are.  Both evaluate each quantity once, in exact decimals on the float
+rates: the formulas have integer literals, so they evaluate alike in
+floats, decimals and sympy, and `tests/test_proofs.py` proves the
 identity, closed forms and signs behind both for every admissible rate.
 With no period two on a self-map of [0, 1], T has no period of 2 or
 more (Sharkovskii, 1964); `scan_periodic_points` cross-checks that in
-floats, and `count_two_cycles_on_grid` the planar argument.
+floats by `interval_map`, and `count_two_cycles_on_grid` the planar argument.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PeriodCertificate:
-    """The period-two exclusion for one parameter set: the coefficients
-    A, B, C of the quadratic in floats, and whether their exact signs
-    exclude a root in [0, 1]."""
+    """The period-two exclusion for one parameter set: the exact A, B, C
+    of the quadratic, each rounded once to a float (+-inf past the double
+    range), and whether their signs exclude a root in [0, 1]."""
 
     quad_a: float
     quad_b: float
@@ -124,8 +124,8 @@ def _two_cycle_coefficients(p: Parameters):
 def two_cycle_certificate(p: Parameters) -> PeriodCertificate:
     """Quadratic certificate excluding period-two points on the simplex.
 
-    Reports A, B, C in floats and signs_ok = (A+B+C < 0 and B < 0 and
-    C < 0), decided on their exact values.  Those signs keep the
+    Reports signs_ok = (A+B+C < 0 and B < 0 and C < 0), decided on the
+    exact A, B, C, and those values rounded once.  Those signs keep the
     quadratic negative on all of [0, 1]: the endpoint values are C and
     A + B + C, both negative; for A >= 0 the parabola is convex so its
     maximum on the interval sits at an endpoint, and for A < 0 the
@@ -133,25 +133,20 @@ def two_cycle_certificate(p: Parameters) -> PeriodCertificate:
     decreasing across [0, 1].  No root, hence no period-two point.
     """
     require_valid(p, Mode.REDUCED)
-    qa, qb, qc = _two_cycle_coefficients(p)
     with decimal.localcontext(_EXACT):
-        ea, eb, ec = _two_cycle_coefficients(_exact(p))
-        signs_ok = ea + eb + ec < 0 and eb < 0 and ec < 0
-    return PeriodCertificate(quad_a=qa, quad_b=qb, quad_c=qc, signs_ok=signs_ok)
-
-
-def _iterate_interval_scalar(p: Parameters, x: float, q: int) -> float:
-    for _ in range(q):
-        a, b = interval_map_parts(p, x)
-        x = a / b
-    return x
+        qa, qb, qc = _two_cycle_coefficients(_exact(p))
+        signs_ok = qa + qb + qc < 0 and qb < 0 and qc < 0
+    return PeriodCertificate(quad_a=float(qa), quad_b=float(qb), quad_c=float(qc), signs_ok=signs_ok)
 
 
 def _bisect_root(p: Parameters, q: int, lo: float, hi: float, flo: float) -> float:
     # f(x) = T^q(x) - x, sign change certified on [lo, hi]
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        fmid = _iterate_interval_scalar(p, mid, q) - mid
+        t = mid
+        for _ in range(q):
+            t = interval_map(p, t)
+        fmid = t - mid
         if fmid == 0.0:
             return mid
         if (flo < 0.0) == (fmid < 0.0):
@@ -198,9 +193,8 @@ def scan_periodic_points(p: Parameters, p_max: int = 8, grid_n: int = 10_000) ->
     roots_by_period: dict[int, tuple[float, ...]] = {}
     spurious: list[float] = []
     for q in range(1, p_max + 1):
-        a, b = interval_map_parts(p, cur)
         with np.errstate(invalid="ignore", divide="ignore"):
-            cur = a / b
+            cur = interval_map(p, cur)
         if q < 2:
             continue
         bad = grid_n - int(np.count_nonzero(np.isfinite(cur)))
@@ -242,10 +236,11 @@ def count_two_cycles_on_grid(p: Parameters) -> int:
     x' + y' - x - y = (beta - mu) y exactly, so a two-cycle
     (x, y) -> (x', y') -> (x, y) forces (beta - mu)(y + y') = 0, hence
     y = y' = 0 with beta != mu; then y' is the emergence term alone, so
-    x = 0.  The origin is the only period-two state."""
+    x = 0.  The origin is the only period-two state.  The grid goes to
+    `_map` as its two axes, which broadcast: the emergence once per x."""
     require_valid(p, Mode.REDUCED)
     xs = np.linspace(0.0, 5.0, 500)
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    gx, gy = xs[:, None], xs[None, :]
     x1, y1 = _map(p, gx, gy)
     mx, my = _map(p, x1, y1)
     # in place: each temporary is a full 500 x 500 grid

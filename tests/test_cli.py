@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from mosqdyn import battery, cli, simplex
+from mosqdyn import battery, cli, ioutil, simplex
 from mosqdyn.cli import DEFAULT_SEED, main
 from mosqdyn.errors import VerificationError
 
@@ -663,6 +663,18 @@ def test_certify_dumps_a_large_start_as_json(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(out_path.read_text())
     assert all(c["pass"] is True for c in doc["certificates"])
+
+
+def test_every_json_output_is_one_strict_encoding(tmp_path, capsys):
+    assert ioutil.json_text({"b": 1, "a": [0.5]}) == '{\n  "a": [\n    0.5\n  ],\n  "b": 1\n}\n'
+    with pytest.raises(ValueError):
+        ioutil.json_text({"a": float("nan")})
+    out_path = tmp_path / "cert.json"
+    assert main(["certify", *REF1, "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    assert main(["classify", *REF1]) == 0
+    for text in (out_path.read_text(), capsys.readouterr().out):
+        assert text == ioutil.json_text(json.loads(text))
 
 
 def test_certify_rejects_negative_trials(capsys):

@@ -109,6 +109,11 @@ def test_exact_decisions_hold_at_the_extremes_of_the_admissible_box():
                     p = mq.Parameters(alpha, beta, mu)
                     assert mq.check_interval_map_range(p), p
                     assert mq.two_cycle_certificate(p).signs_ok, p
+    # at beta = DBL_MAX the reported coefficients are the exact values
+    # rounded once, without raising: A = 3.04 beta + ... and C =
+    # -2.04 beta + ... overflow, B = -beta - 1.04 rounds to -beta
+    cert = mq.two_cycle_certificate(mq.Parameters(1.0, sys.float_info.max, 0.48))
+    assert (cert.quad_a, cert.quad_b, cert.quad_c) == (math.inf, -sys.float_info.max, -math.inf)
 
 
 # ------------------------------------------------------ two-cycle algebra
@@ -122,13 +127,13 @@ def test_certificate_coefficients_frozen():
     assert cert.signs_ok
 
 
-@pytest.mark.parametrize("p", [REF1, REF2, REF3])
+@pytest.mark.parametrize("p", [REF1, REF2, REF3, mq.Parameters(1.0, 1e12, 0.48), mq.Parameters(1.0, 1e16, 0.48)])
 def test_certificate_matches_rational_oracle(p):
+    # the reported coefficients are the exact ones, each rounded once: a
+    # float evaluation would cancel beta-sized terms
     cert = mq.two_cycle_certificate(p)
     qa, qb, qc = exact_coefficients(p.alpha, p.beta, p.mu)
-    assert cert.quad_a == pytest.approx(float(qa), abs=1e-13)
-    assert cert.quad_b == pytest.approx(float(qb), abs=1e-13)
-    assert cert.quad_c == pytest.approx(float(qc), abs=1e-13)
+    assert (cert.quad_a, cert.quad_b, cert.quad_c) == (float(qa), float(qb), float(qc))
     assert qa + qb + qc < 0 and qb < 0 and qc < 0
 
 
@@ -227,6 +232,7 @@ def test_no_two_cycles_on_grid(p):
 def test_grid_counts_a_genuine_two_cycle(monkeypatch):
     # under the swap (x, y) -> (y, x) every off-diagonal state is a
     # two-cycle and every diagonal state a fixed point, which is not one;
-    # like the real kernel, the stand-in returns new arrays
-    monkeypatch.setattr(mq.simplex, "_map", lambda p, x, y: (y.copy(), x.copy()))
+    # like the real kernel, the stand-in broadcasts the grid's axes and
+    # returns new arrays
+    monkeypatch.setattr(mq.simplex, "_map", lambda p, x, y: tuple(a.copy() for a in np.broadcast_arrays(y, x)))
     assert mq.count_two_cycles_on_grid(REF1) == 500 * 500 - 500
