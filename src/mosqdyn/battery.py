@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import VerificationError
 from .ioutil import fmt
-from .model import Mode, Parameters, State, validate_parameters
+from .model import Mode, Parameters, State, _slack, validate_parameters
 from .ode import offspring_number
 from .simplex import (
     check_interval_map_range,
@@ -47,7 +47,6 @@ from .trajectory import (
     Orbit,
     OrbitConfig,
     Verdict,
-    _slack,
     check_decreasing_totals,
     check_growth_lower_bound,
     iterate_orbit,
@@ -219,8 +218,12 @@ def run_certificates(p: Parameters, s0: State, config: OrbitConfig) -> list[Cert
         ok, detail = False, str(exc)
     results.append(Certificate("periodic-scan", ok, detail))
 
-    n_cycles = count_two_cycles_on_grid(p)
-    results.append(Certificate("two-cycle-grid", n_cycles == 0, f"{n_cycles} non-origin period-two cells"))
+    try:
+        n_cycles = count_two_cycles_on_grid(p)
+        ok, detail = n_cycles == 0, f"{n_cycles} non-origin period-two cells"
+    except VerificationError as exc:
+        ok, detail = False, str(exc)
+    results.append(Certificate("two-cycle-grid", ok, detail))
 
     try:
         find_fixed_points(p)

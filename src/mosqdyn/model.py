@@ -21,13 +21,17 @@ hold all of the map arithmetic, for scalars, arrays and sympy symbols:
 they round apart, and `_map`'s y' = e + (1 - mu) y is the closer to the
 exact image, so every next state comes from `_map` (the `trajectory`
 orbit loop inlines it, tested bit for bit).  No compensated summation.
+`_slack`, the one rounding bound of every float residual, lives here too.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 __all__ = [
     "Mode",
@@ -166,6 +170,12 @@ def _map(p: Parameters, x, y):
     if p.d0 or p.d1:
         dx = dx - (p.d0 + p.d1 * x) * x
     return dx + x, emergence + (1.0 - p.mu) * y
+
+
+def _slack(size, floor: float):
+    """Eight ulps of `size` (a float or an array), never below `floor`."""
+    scaled = 8 * sys.float_info.epsilon * abs(size)
+    return np.maximum(floor, scaled) if isinstance(scaled, np.ndarray) else max(floor, scaled)
 
 
 def step(p: Parameters, s: State) -> State:

@@ -13,9 +13,10 @@ quantity, the basic offspring number
 
 the extinction equilibrium is asymptotically stable when r0 <= 1, and
 for r0 > 1 with density-dependent larval mortality (d1 > 0) a unique
-positive equilibrium appears at
+positive equilibrium appears at the root of d1 x^2 + (d0 + d1) x = c,
+c = (alpha + d0)(r0 - 1), in the form that cancels no terms:
 
-    x0 = (sqrt((d0 + d1)^2 - 4 d1 (alpha + d0)(1 - r0)) - d0 - d1) / (2 d1)
+    x0 = 2 c / (sqrt((d0 + d1)^2 + 4 d1 c) + d0 + d1)
     y0 = alpha*x0 / (mu*(1 + x0)).
 
 With d1 = 0 the larval balance is linear and no positive equilibrium
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError, VerificationError
-from .model import Mode, Parameters, State, _field, require_valid
+from .model import Mode, Parameters, State, _field, _slack, require_valid
 
 __all__ = [
     "OdeConfig",
@@ -108,8 +109,9 @@ def positive_equilibrium(p: Parameters) -> State | None:
     Requires d1 > 0 (with d1 = 0 the equilibrium escapes to infinity as
     the larval balance degenerates; callers in the reduced world should
     not ask).  The closed form is verified against the vector field
-    before being returned; a residual above 1e-9 raises
-    VerificationError.
+    before being returned; a residual beyond `_slack` (floor 1e-9) of
+    the largest term the increments cancel, max(beta y, e, (d0 + d1 x) x,
+    mu y) with e the emergence, raises VerificationError.
     """
     require_valid(p, Mode.GENERAL)
     if not p.d1 > 0.0:
@@ -117,23 +119,20 @@ def positive_equilibrium(p: Parameters) -> State | None:
     r0 = offspring_number(p)
     if r0 <= 1.0:
         return None
-    disc = (p.d0 + p.d1) ** 2 - 4.0 * p.d1 * (p.alpha + p.d0) * (1.0 - r0)
-    x0 = (math.sqrt(disc) - p.d0 - p.d1) / (2.0 * p.d1)
-    y0 = p.alpha * x0 / (p.mu * (1.0 + x0))
-    eq = State(x0, y0)
-    fx, fy = _field(p, eq.x, eq.y)
-    res = max(abs(fx), abs(fy))
-    if res > 1e-9:
-        raise VerificationError(f"positive equilibrium residual {res:.3e} exceeds 1.0e-09")
-    return eq
+    c = (p.alpha + p.d0) * (r0 - 1.0)
+    x = 2.0 * c / (math.sqrt((p.d0 + p.d1) ** 2 + 4.0 * p.d1 * c) + p.d0 + p.d1)
+    y = p.alpha * x / (p.mu * (1.0 + x))
+    res = max(map(abs, _field(p, x, y)))
+    tol = _slack(max(p.beta * y, _field(p, x, 0.0)[1], (p.d0 + p.d1 * x) * x, p.mu * y), 1e-9)
+    if res > tol:
+        raise VerificationError(f"positive equilibrium residual {res:.3e} exceeds {tol:.1e}")
+    return State(x, y)
 
 
 def equilibrium_report(p: Parameters) -> EquilibriumReport:
     """r0, trivial-state stability, and the positive equilibrium if any."""
     r0 = offspring_number(p)
-    positive = None
-    if p.d1 > 0.0 and r0 > 1.0:
-        positive = positive_equilibrium(p)
+    positive = positive_equilibrium(p) if p.d1 > 0.0 else None
     return EquilibriumReport(r0=r0, trivial_stable=r0 <= 1.0, positive=positive)
 
 

@@ -237,13 +237,22 @@ def count_two_cycles_on_grid(p: Parameters) -> int:
     (x, y) -> (x', y') -> (x, y) forces (beta - mu)(y + y') = 0, hence
     y = y' = 0 with beta != mu; then y' is the emergence term alone, so
     x = 0.  The origin is the only period-two state.  The grid goes to
-    `_map` as its two axes, which broadcast: the emergence once per x."""
+    `_map` as its two axes, which broadcast: the emergence once per x.
+    A residual that is not finite (beta y overflows from beta about
+    3.6e307) raises VerificationError."""
     require_valid(p, Mode.REDUCED)
     xs = np.linspace(0.0, 5.0, 500)
     gx, gy = xs[:, None], xs[None, :]
-    x1, y1 = _map(p, gx, gy)
-    mx, my = _map(p, x1, y1)
-    # in place: each temporary is a full 500 x 500 grid
-    res = np.maximum(np.abs(np.subtract(mx, gx, out=mx), out=mx), np.abs(np.subtract(my, gy, out=my), out=my), out=mx)
-    disp = np.maximum(np.abs(np.subtract(x1, gx, out=x1), out=x1), np.abs(np.subtract(y1, gy, out=y1), out=y1), out=x1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x1, y1 = _map(p, gx, gy)
+        mx, my = _map(p, x1, y1)
+        # in place: each temporary is a full 500 x 500 grid
+        res = np.maximum(np.abs(np.subtract(mx, gx, out=mx), out=mx), np.abs(np.subtract(my, gy, out=my), out=my), out=mx)
+        disp = np.maximum(np.abs(np.subtract(x1, gx, out=x1), out=x1), np.abs(np.subtract(y1, gy, out=y1), out=y1), out=x1)
+    # a first image that is not finite makes the second one nan, so the
+    # residual alone shows every such cell; max is the cheapest reduction
+    if not np.isfinite(res.max()):
+        bad = res.size - int(np.count_nonzero(np.isfinite(res)))
+        raise VerificationError(f"two-cycle grid: {bad} of the {res.size} cells are not finite "
+                                f"(alpha={p.alpha}, beta={p.beta}, mu={p.mu})")
     return int(np.count_nonzero(res < np.multiply(disp, 1e-10, out=disp)))

@@ -22,14 +22,13 @@ the larval increment is (beta/mu - 1) e.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import VerificationError
-from .model import Mode, Parameters, State, _field, require_valid
+from .model import Mode, Parameters, State, _field, _slack, require_valid
 
 __all__ = [
     "Classification",
@@ -146,11 +145,12 @@ def find_fixed_points(p: Parameters) -> list[State]:
     which is (beta/mu - 1) e (`tests/test_proofs.py`), of the sign of
     beta - mu for every x > 0.  The scan evaluates g at the nodes x > 0
     of a step-0.05 grid on [0, 50].  It raises VerificationError where
-    |g| is within 8 ulps of the larger term it cancels, max(beta e/mu, e),
-    or where g changes sign between neighbouring nodes; otherwise it
-    returns [State(0, 0)].  The bound is relative, so a state that barely
-    moves (on the x-axis when alpha is tiny) is not taken for a fixed
-    point.
+    g is not finite (beta e/mu can overflow), where |g| is within
+    `_slack` of the larger term it cancels, max(beta e/mu, e), with no
+    floor, or where g changes sign between neighbouring nodes; otherwise
+    it returns [State(0, 0)].  The bound is relative, so a state that
+    barely moves (on the x-axis when alpha is tiny) is not taken for a
+    fixed point.
 
     The scan can still miss a zero of g of even multiplicity between two
     nodes: g touches 0 there without changing sign, and stays above the
@@ -160,8 +160,13 @@ def find_fixed_points(p: Parameters) -> list[State]:
     xs = 0.05 * np.arange(1, 1001)
     _, emergence = _field(p, xs, 0.0)
     ys = emergence / p.mu
-    g, _ = _field(p, xs, ys)
-    hits = np.abs(g) < 8 * sys.float_info.epsilon * np.maximum(p.beta * ys, emergence)
+    with np.errstate(over="ignore"):
+        g, _ = _field(p, xs, ys)
+        hits = np.abs(g) < _slack(np.maximum(p.beta * ys, emergence), 0.0)
+    bad = g.size - int(np.count_nonzero(np.isfinite(g)))
+    if bad:
+        raise VerificationError(f"fixed-point scan: {bad} of the {g.size} nullcline increments are not finite "
+                                f"(alpha={p.alpha}, beta={p.beta}, mu={p.mu})")
     signs = np.sign(g)
     # a sign change is reported at its left node
     hits[:-1] |= signs[:-1] * signs[1:] < 0.0

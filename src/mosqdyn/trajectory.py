@@ -61,7 +61,7 @@ not a limit.  `simulate`, the `certify` orbit and `compare` run on to the
 estimator window.
 
 Monitors accumulated along the way, in one pass.  A slack on a state is
-a few ulps of its size, never below an absolute floor (`_slack`):
+a few ulps of its size, never below an absolute floor (`model._slack`):
 
 * adult envelope  y^(n) <= alpha/mu + (1-mu)^n * (y^(0) - alpha/mu),
   violations beyond the slack on max(y^(0), alpha/mu), floor 1e-12,
@@ -80,14 +80,13 @@ a few ulps of its size, never below an absolute floor (`_slack`):
 
 from __future__ import annotations
 
-import sys
 from array import array
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .model import Mode, Parameters, State, _map, require_valid
+from .model import Mode, Parameters, State, _map, _slack, require_valid
 
 __all__ = [
     "Verdict",
@@ -200,13 +199,6 @@ class Orbit:
     n_steps: int
     y_limit_estimate: float
     monitors: MonitorLog
-
-
-def _slack(size, floor: float):
-    """Eight ulps of `size` (a float or an array), never below `floor`:
-    the slack of every comparison that bounds a state."""
-    scaled = 8 * sys.float_info.epsilon * abs(size)
-    return np.maximum(floor, scaled) if isinstance(scaled, np.ndarray) else max(floor, scaled)
 
 
 def _adult_limit(am: float, mu: float, x: float, px: float, y: float) -> float:

@@ -626,6 +626,24 @@ def test_certify_fails_the_periodic_scan_alone_on_non_finite_iterates(capsys):
     assert rc == 4
 
 
+@pytest.mark.parametrize("beta, names", [
+    # beta * y overflows on the planar grid's top rows
+    ("4e307", ["two-cycle-grid"]),
+    # and beta * e / mu on the nullcline from x about 1
+    ("1.7e308", ["two-cycle-grid", "fixed-point-scan"]),
+])
+def test_certify_fails_each_scan_on_non_finite_values(capsys, beta, names):
+    # a nan compares false, so each scan must fail on it by name, and
+    # numpy's overflow warnings must not reach stderr
+    rc = main(["certify", "--alpha", "1", "--beta", beta, "--mu", "0.48"])
+    out, err = capsys.readouterr()
+    assert rc == 4
+    assert err == ""
+    for name in names:
+        line = next(ln for ln in out.splitlines() if ln.split(" ")[1] == name + ":")
+        assert line.startswith(f"FAIL {name}: ") and "not finite" in line
+
+
 def test_certify_keeps_the_periodic_scan_failure_short(monkeypatch, capsys):
     # with the stand-in T(x) = 1 - x every grid point is a two-cycle; the
     # FAIL line lists five roots and counts the rest (it ran to 635,606
@@ -762,6 +780,19 @@ def test_compare_integration_failure_exits_4(capsys):
     assert rc == 4
     assert out == ""
     assert err.startswith("integration failure: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rates", [
+    # d1 = 1e-12: the textbook root subtracts two terms of about 0.05
+    ["--alpha", "0.5", "--beta", "0.9", "--mu", "0.3", "--d0", "0.05", "--d1", "1e-12"],
+    # beta = 1e6: the field's terms are of size 1e7 at the equilibrium
+    ["--alpha", "1", "--beta", "1e6", "--mu", "0.1", "--d1", "0.01"],
+])
+def test_compare_holds_the_positive_equilibrium_to_its_own_scale(capsys, rates):
+    rc = main(["compare", *rates, "--x0", "1", "--y0", "1", "--steps", "5", "--t-end", "1"])
+    _, err = capsys.readouterr()
+    assert rc == 0
+    assert "positive_equilibrium=(" in err
 
 
 def test_verification_failure_inside_a_command_exits_4(monkeypatch, capsys):

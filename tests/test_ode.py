@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import mosqdyn as mq
-from mosqdyn.model import _field
+from mosqdyn.model import _field, _slack
 
 RED = mq.Parameters(0.6, 0.5, 0.48)
 FULL_GROW = mq.Parameters(0.6, 0.8, 0.5, 0.1, 0.05)
@@ -59,6 +59,36 @@ def test_positive_equilibrium_satisfies_larval_quadratic():
     assert abs(res) < 1e-12
     fx, fy = _field(p, eq.x, eq.y)
     assert abs(fx) < 1e-12 and abs(fy) < 1e-12
+
+
+def test_positive_equilibrium_residual_is_a_rounding_of_its_largest_term():
+    # seeded log-uniform rates with r0 > 1: alpha, mu in [1e-6, 1], beta
+    # in [1e-4, 1e12], d0 = 0 with probability 0.3, else in [1e-8, 10],
+    # d1 in [1e-12, 100].  The field at the returned equilibrium must be
+    # within eight ulps of the largest term its increments cancel.  Of
+    # these 2,058 sets the textbook root (sqrt(disc) - d0 - d1) / (2 d1)
+    # misses that on 191, and an absolute 1e-9 on 631
+    rng = np.random.default_rng(5)
+    n = 2400
+
+    def log_uniform(lo, hi):
+        return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), n)
+
+    alphas, betas, mus = log_uniform(1e-6, 1.0), log_uniform(1e-4, 1e12), log_uniform(1e-6, 1.0)
+    d0s = np.where(rng.random(n) < 0.3, 0.0, log_uniform(1e-8, 10.0))
+    d1s = log_uniform(1e-12, 100.0)
+    checked = 0
+    for rates in zip(alphas, betas, mus, d0s, d1s):
+        p = mq.Parameters(*rates)
+        if mq.offspring_number(p) <= 1.0:
+            continue
+        eq = mq.positive_equilibrium(p)
+        _, e = _field(p, eq.x, 0.0)
+        size = max(p.beta * eq.y, e, (p.d0 + p.d1 * eq.x) * eq.x, p.mu * eq.y)
+        fx, fy = _field(p, eq.x, eq.y)
+        assert max(abs(fx), abs(fy)) <= _slack(size, 0.0), rates
+        checked += 1
+    assert checked > 2000
 
 
 def test_no_positive_equilibrium_below_threshold():

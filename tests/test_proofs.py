@@ -7,6 +7,7 @@ survival certificate of `trajectory.iterate_orbit` rests on the
 increment identities below, so they must never be skipped.
 """
 
+import math
 from types import SimpleNamespace
 
 import sympy
@@ -41,6 +42,24 @@ def test_interval_map_is_the_simplex_projection_symbolically():
     x1, y1 = _map(REDUCED, x, 1 - x)
     num, den = interval_map_parts(REDUCED, x)
     assert vanishes(x1 / (x1 + y1) - num / den)
+
+
+def test_positive_equilibrium_is_the_conjugate_root_symbolically():
+    # with c = (alpha + d0)(r0 - 1) the larval balance at equilibrium is
+    # d1 x^2 + (d0 + d1) x - c = 0; its positive root, rationalized as
+    # 2 c / (sqrt((d0 + d1)^2 + 4 d1 c) + d0 + d1), adds two positive
+    # terms where the textbook (sqrt(...) - d0 - d1) / (2 d1) cancels
+    # them.  The flow's field vanishes there, and in floats
+    # `positive_equilibrium` returns that root
+    r0 = alpha * beta / ((alpha + d0) * mu)
+    c = (alpha + d0) * (r0 - 1)
+    x0 = 2 * c / (sympy.sqrt((d0 + d1) ** 2 + 4 * d1 * c) + d0 + d1)
+    assert vanishes(d1 * x0**2 + (d0 + d1) * x0 - c)
+    dx, dy = _field(FULL, x0, alpha * x0 / (mu * (1 + x0)))
+    assert vanishes(dx) and vanishes(dy)
+    root = sympy.lambdify((alpha, beta, mu, d0, d1), x0, "math")
+    for rates in ((0.6, 0.8, 0.5, 0.1, 0.05), (0.5, 0.9, 0.3, 0.05, 1e-12), (1.0, 1e6, 0.1, 0.0, 0.01)):
+        assert math.isclose(mq.positive_equilibrium(mq.Parameters(*rates)).x, root(*rates), rel_tol=1e-13)
 
 
 def test_origin_jacobian_is_the_derivative_of_the_map():

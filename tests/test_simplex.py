@@ -229,6 +229,13 @@ def test_no_two_cycles_on_grid(p):
     assert mq.count_two_cycles_on_grid(p) == 0
 
 
+def test_grid_fails_on_non_finite_images():
+    # beta * y overflows for y > 4.5 on the grid's top rows; a nan or inf
+    # residual must not count as "no two-cycle"
+    with pytest.raises(mq.VerificationError, match=r"two-cycle grid: \d+ of the 250000 cells are not finite"):
+        mq.count_two_cycles_on_grid(mq.Parameters(1.0, 4e307, 0.48))
+
+
 def test_grid_counts_a_genuine_two_cycle(monkeypatch):
     # under the swap (x, y) -> (y, x) every off-diagonal state is a
     # two-cycle and every diagonal state a fixed point, which is not one;

@@ -155,6 +155,13 @@ def test_fixed_point_scan_finds_a_curve_of_fixed_points(monkeypatch, alpha):
         mq.find_fixed_points(mq.Parameters(alpha, 0.5, 0.3))
 
 
+def test_fixed_point_scan_fails_on_non_finite_increments():
+    # beta * e / mu overflows on the nullcline from x about 1; an inf
+    # increment must not count as "no fixed point"
+    with pytest.raises(mq.VerificationError, match=r"fixed-point scan: \d+ of the 1000 nullcline increments are not finite"):
+        mq.find_fixed_points(mq.Parameters(1.0, 1.7e308, 0.48))
+
+
 # ------------------------------------------------------------ error paths
 
 
