@@ -150,8 +150,8 @@ def require_valid(p: Parameters, mode: Mode | str = Mode.GENERAL) -> None:
 
 # Both kernels skip the larval mortality term when d0 = d1 = 0: for x >= 0
 # it is then exactly +0.0, so the result is the same bit for bit, and on
-# the 500 x 500 grid of `simplex.count_two_cycles_on_grid` the term cost
-# about 10% of the scan.
+# the row blocks of `simplex.count_two_cycles_on_grid` the term would add
+# about a fifth to the scan.
 
 
 def _field(p: Parameters, x, y):

@@ -111,7 +111,10 @@ def positive_equilibrium(p: Parameters) -> State | None:
     not ask).  The closed form is verified against the vector field
     before being returned; a residual beyond `_slack` (floor 1e-9) of
     the largest term the increments cancel, max(beta y, e, (d0 + d1 x) x,
-    mu y) with e the emergence, raises VerificationError.
+    mu y) with e the emergence, raises VerificationError.  So does a
+    root that is not finite: when r0 overflows (beta about 1e308 over a
+    small mu), x0 is inf/inf, and beta y would overflow the field anyway,
+    so no float equilibrium can be verified.
     """
     require_valid(p, Mode.GENERAL)
     if not p.d1 > 0.0:
@@ -122,6 +125,8 @@ def positive_equilibrium(p: Parameters) -> State | None:
     c = (p.alpha + p.d0) * (r0 - 1.0)
     x = 2.0 * c / (math.sqrt((p.d0 + p.d1) ** 2 + 4.0 * p.d1 * c) + p.d0 + p.d1)
     y = p.alpha * x / (p.mu * (1.0 + x))
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise VerificationError(f"positive equilibrium is not finite: ({x!r}, {y!r}) at r0={r0!r}")
     res = max(map(abs, _field(p, x, y)))
     tol = _slack(max(p.beta * y, _field(p, x, 0.0)[1], (p.d0 + p.d1 * x) * x, p.mu * y), 1e-9)
     if res > tol:

@@ -795,6 +795,17 @@ def test_compare_holds_the_positive_equilibrium_to_its_own_scale(capsys, rates):
     assert "positive_equilibrium=(" in err
 
 
+def test_compare_with_an_overflowing_offspring_number_exits_4(capsys):
+    # r0 overflows to inf; the equilibrium cannot be verified, which is
+    # not a fault of the (admissible) rates
+    rc = main(["compare", "--alpha", "1", "--beta", "1e308", "--mu", "1e-3", "--d1", "1",
+               "--x0", "1", "--y0", "1", "--steps", "2", "--t-end", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("verification failure: positive equilibrium is not finite") and err.count("\n") == 1
+
+
 def test_verification_failure_inside_a_command_exits_4(monkeypatch, capsys):
     def failing(p):
         raise VerificationError("positive equilibrium residual 1.000e+00 exceeds 1.0e-09")

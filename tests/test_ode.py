@@ -96,6 +96,15 @@ def test_no_positive_equilibrium_below_threshold():
     assert mq.positive_equilibrium(FULL_DIE) is None
 
 
+def test_positive_equilibrium_with_an_overflowing_offspring_number_fails_verification():
+    # r0 = 1e311 overflows, so x0 = inf/inf; beta y would overflow too, so
+    # no float equilibrium could be verified against the field
+    p = mq.Parameters(1.0, 1e308, 1e-3, 0.0, 1.0)
+    assert mq.offspring_number(p) == math.inf
+    with pytest.raises(mq.VerificationError, match=r"positive equilibrium is not finite"):
+        mq.positive_equilibrium(p)
+
+
 def test_positive_equilibrium_requires_density_dependence():
     with pytest.raises(ValueError):
         mq.positive_equilibrium(mq.Parameters(0.6, 0.8, 0.5, 0.1, 0.0))

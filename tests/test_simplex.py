@@ -236,6 +236,54 @@ def test_grid_fails_on_non_finite_images():
         mq.count_two_cycles_on_grid(mq.Parameters(1.0, 4e307, 0.48))
 
 
+@pytest.mark.parametrize("beta, bad", [(4e307, 123261), (1.7e308, 236084), (sys.float_info.max, 237964)])
+def test_grid_counts_every_non_finite_cell(beta, bad):
+    # the count sums over all row blocks: these are the whole-grid counts
+    with pytest.raises(mq.VerificationError, match=rf"two-cycle grid: {bad} of the 250000 cells are not finite "):
+        mq.count_two_cycles_on_grid(mq.Parameters(1.0, beta, 0.48))
+
+
+@pytest.mark.parametrize("p", [REF1, REF2, REF3, mq.Parameters(1.0, 1e12, 0.48), mq.Parameters(1.0, 4e307, 0.48)])
+def test_grid_blocks_map_each_cell_as_the_whole_grid_does(monkeypatch, p):
+    # record every image `_map` returns, before the scan overwrites it
+    images = []
+
+    def recorder(q, x, y):
+        out = mq.model._map(q, x, y)
+        images.append(tuple(a.copy() for a in out))
+        return out
+
+    monkeypatch.setattr(mq.simplex, "_map", recorder)
+    try:
+        mq.count_two_cycles_on_grid(p)
+    except mq.VerificationError:
+        pass
+    assert len(images) == 2 * (500 // mq.simplex._GRID_BLOCK)
+    xs = np.linspace(0.0, 5.0, 500)
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = mq.model._map(p, xs[:, None], xs[None, :])
+        second = mq.model._map(p, *first)
+    for k, whole in enumerate((first, second)):
+        for blocks, grid in zip(zip(*images[k::2]), whole):
+            assert np.array_equal(np.concatenate(blocks), grid, equal_nan=True)
+
+
+def test_grid_counts_two_cycles_at_block_edges(monkeypatch):
+    # the stand-in flips y -> -y on three rows of x only: both rows at the
+    # first block boundary and the grid's last row.  Each is a two-cycle
+    # off y = 0, where the state is fixed
+    xs = np.linspace(0.0, 5.0, 500)
+    block = mq.simplex._GRID_BLOCK
+    rows = xs[[block - 1, block, 499]]
+
+    def flip_rows(p, x, y):
+        x, y = np.broadcast_arrays(x, y)
+        return x.copy(), np.where(np.isin(x, rows), -y, y)
+
+    monkeypatch.setattr(mq.simplex, "_map", flip_rows)
+    assert mq.count_two_cycles_on_grid(REF1) == 3 * 499
+
+
 def test_grid_counts_a_genuine_two_cycle(monkeypatch):
     # under the swap (x, y) -> (y, x) every off-diagonal state is a
     # two-cycle and every diagonal state a fixed point, which is not one;
