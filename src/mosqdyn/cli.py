@@ -26,6 +26,7 @@ parses, prints, writes and maps outcomes to exit codes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from dataclasses import asdict
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from .battery import SWEEP_CSV_HEADER, expected_fate, run_certificates, run_trials, sweep, thresholds_agree
 from .errors import IntegrationError, VerificationError
-from .ioutil import atomic_write_json, atomic_write_lines, atomic_write_text, fmt, json_text
+from .ioutil import FLOAT_FIELD, atomic_write_json, atomic_write_lines, atomic_write_text, fmt, json_text
 from .model import Mode, Parameters, State, validate_parameters
 from .ode import OdeConfig, equilibrium_report, integrate_flow, offspring_number
 from .spectral import classify_origin, stability_inequalities
@@ -267,6 +268,15 @@ def cmd_certify(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------- compare
 
 
+# `compare` CSV rows: map n, x, y beside flow t, x, y; a side that has
+# run out leaves its three fields empty
+_COMPARE_MAP = f"%d,{FLOAT_FIELD},{FLOAT_FIELD}"
+_COMPARE_FLOW = f"%.6f,{FLOAT_FIELD},{FLOAT_FIELD}"
+_COMPARE_BOTH = f"{_COMPARE_MAP},{_COMPARE_FLOW}"
+_COMPARE_MAP_ONLY = f"{_COMPARE_MAP},,,"
+_COMPARE_FLOW_ONLY = f",,,{_COMPARE_FLOW}"
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
     p = Parameters(args.alpha, args.beta, args.mu, args.d0, args.d1)
     general = validate_parameters(p, Mode.GENERAL)
@@ -304,26 +314,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
     fx, fy = flow.final
     summary.append(f"continuous: t={flow.ts[-1]:.6g} final=({fmt(fx)}, {fmt(fy)})")
 
-    rows = ["n,x_map,y_map,t,x_flow,y_flow"]
-    n_rows = max(len(ns), len(flow.ts))
-    for i in range(n_rows):
-        if i < len(ns):
-            left = f"{int(ns[i])},{fmt(xs[i])},{fmt(ys[i])}"
-        else:
-            left = ",,"
-        if i < len(flow.ts):
-            right = f"{float(flow.ts[i]):.6f},{fmt(flow.xs[i])},{fmt(flow.ys[i])}"
-        else:
-            right = ",,"
-        rows.append(left + "," + right)
+    # zip stops at the shorter side; the longer side's tail follows alone
+    n_both = min(len(ns), len(flow.ts))
+    rows = itertools.chain(
+        ("n,x_map,y_map,t,x_flow,y_flow",),
+        map(_COMPARE_BOTH.__mod__, zip(ns, xs, ys, flow.ts, flow.xs, flow.ys)),
+        map(_COMPARE_MAP_ONLY.__mod__, zip(ns[n_both:], xs[n_both:], ys[n_both:])),
+        map(_COMPARE_FLOW_ONLY.__mod__, zip(flow.ts[n_both:], flow.xs[n_both:], flow.ys[n_both:])),
+    )
 
     if args.out:
         atomic_write_lines(args.out, rows)
         for line in summary:
             print(line)
     else:
-        for row in rows:
-            sys.stdout.write(row + "\n")
+        sys.stdout.writelines(row + "\n" for row in rows)
         for line in summary:
             print(line, file=sys.stderr)
     return 0

@@ -8,12 +8,19 @@ import tempfile
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
-__all__ = ["fmt", "json_text", "atomic_write_text", "atomic_write_lines", "atomic_write_json"]
+__all__ = ["FLOAT_FIELD", "fmt", "json_text", "atomic_write_text", "atomic_write_lines", "atomic_write_json"]
+
+# The one spec of every float written as text: 17 significant digits in
+# scientific notation, which round-trips a double.  `fmt` applies it with
+# format(); CSV row templates splice in FLOAT_FIELD, the same spec as a
+# %-field, which gives the same text for every double, inf and nan too.
+FLOAT_SPEC = ".16e"
+FLOAT_FIELD = "%" + FLOAT_SPEC
 
 
 def fmt(v: float) -> str:
-    """17-significant-digit scientific notation (round-trips a double)."""
-    return format(float(v), ".16e")
+    """`v` in FLOAT_SPEC, as the CSV row templates write it (FLOAT_FIELD)."""
+    return format(float(v), FLOAT_SPEC)
 
 
 def json_text(obj) -> str:

@@ -86,6 +86,7 @@ from enum import Enum
 
 import numpy as np
 
+from .ioutil import FLOAT_FIELD
 from .model import Mode, Parameters, State, _map, _slack, require_valid
 
 __all__ = [
@@ -560,9 +561,11 @@ def check_decreasing_totals(orbit: Orbit) -> bool:
     return True
 
 
+_CSV_ROW = f"%d,{FLOAT_FIELD},{FLOAT_FIELD}\n"
+
+
 def orbit_to_csv(orbit: Orbit) -> str:
     """The orbit as CSV text: header n,x,y then one row per recorded
     step, coordinates in 17-significant-digit scientific notation, LF
     line endings."""
-    rows = [f"{int(n)},{float(x):.16e},{float(y):.16e}" for n, x, y in zip(orbit.steps, orbit.xs, orbit.ys)]
-    return "n,x,y\n" + "\n".join(rows) + "\n"
+    return "n,x,y\n" + "".join(map(_CSV_ROW.__mod__, zip(orbit.steps, orbit.xs, orbit.ys)))

@@ -6,16 +6,21 @@ the installed entry point to cover module execution.
 
 import dataclasses
 import json
+import math
 import os
 import stat
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mosqdyn import battery, cli, ioutil, simplex
 from mosqdyn.cli import DEFAULT_SEED, main
 from mosqdyn.errors import VerificationError
+from mosqdyn.model import Mode, Parameters, State, validate_parameters
+from mosqdyn.ode import OdeConfig, integrate_flow
+from mosqdyn.trajectory import OrbitConfig, iterate_general, iterate_orbit
 
 REF1 = ["--alpha", "0.6", "--beta", "0.5", "--mu", "0.48"]
 EXT = ["--alpha", "0.5", "--beta", "0.3", "--mu", "0.6"]
@@ -695,6 +700,20 @@ def test_every_json_output_is_one_strict_encoding(tmp_path, capsys):
         assert text == ioutil.json_text(json.loads(text))
 
 
+def test_fmt_and_the_csv_row_templates_share_one_float_spec():
+    specials = [math.inf, -math.inf, math.nan, -0.0, 5e-324, sys.float_info.max, 0.1]
+    # doubles from random bit patterns cover every exponent and both signs
+    bits = np.random.default_rng(1729).integers(0, 2**64, size=10_100, dtype=np.uint64)
+    drawn = bits.view(np.float64)
+    finite = drawn[np.isfinite(drawn)][:10_000]
+    assert len(finite) == 10_000
+    for v in [*specials, *finite.tolist()]:
+        text = ioutil.fmt(v)
+        assert text == ioutil.FLOAT_FIELD % v == ioutil.FLOAT_FIELD % np.float64(v)
+    assert ioutil.fmt(0.1) == "1.0000000000000001e-01"
+    assert [ioutil.fmt(v) for v in specials[:3]] == ["inf", "-inf", "nan"]
+
+
 def test_certify_rejects_negative_trials(capsys):
     rc = main(["certify", *REF1, "--trials", "-3", "--seed", "7"])
     out, err = capsys.readouterr()
@@ -762,6 +781,57 @@ def test_compare_shorter_side_padded(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 22  # header + 21 flow rows
     assert lines[-1].startswith(",,,")  # discrete side exhausted after 6 rows
+
+
+def _compare_csv_oracle(alpha, beta, mu, d0, d1, steps, t_end, dt) -> str:
+    """The `compare` CSV built field by field from the library layers,
+    one `fmt` per coordinate and `,,` for the side that has run out."""
+    p = Parameters(alpha, beta, mu, d0, d1)
+    s0 = State(1.0, 1.0)
+    flow = integrate_flow(p, s0, OdeConfig(step=dt, t_end=t_end))
+    if validate_parameters(p, Mode.REDUCED).valid:
+        orbit = iterate_orbit(p, s0, OrbitConfig(max_iters=steps, record_every=1))
+        ns, xs, ys = orbit.steps, orbit.xs, orbit.ys
+    else:
+        ns, xs, ys = iterate_general(p, s0, steps)
+    rows = ["n,x_map,y_map,t,x_flow,y_flow"]
+    for i in range(max(len(ns), len(flow.ts))):
+        left = f"{int(ns[i])},{ioutil.fmt(xs[i])},{ioutil.fmt(ys[i])}" if i < len(ns) else ",,"
+        right = (
+            f"{float(flow.ts[i]):.6f},{ioutil.fmt(flow.xs[i])},{ioutil.fmt(flow.ys[i])}"
+            if i < len(flow.ts) else ",,"
+        )
+        rows.append(left + "," + right)
+    return "".join(row + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("shape, alpha, beta, mu, d0, d1, steps, t_end, dt, n_map, n_flow", [
+    ("map-longer", 0.6, 0.8, 0.5, 0.1, 0.05, 400, 2.0, 0.05, 401, 41),
+    ("equal", 0.6, 0.8, 0.5, 0.1, 0.05, 40, 2.0, 0.05, 41, 41),
+    ("flow-longer", 0.5, 0.3, 0.6, 0.0, 0.0, 5, 2.0, 0.1, 6, 21),
+])
+def test_compare_csv_bytes_match_the_field_by_field_oracle(
+    shape, alpha, beta, mu, d0, d1, steps, t_end, dt, n_map, n_flow, tmp_path, capsys
+):
+    argv = ["compare", "--alpha", str(alpha), "--beta", str(beta), "--mu", str(mu),
+            "--d0", str(d0), "--d1", str(d1), "--x0", "1", "--y0", "1",
+            "--steps", str(steps), "--t-end", str(t_end), "--dt", str(dt)]
+    expected = _compare_csv_oracle(alpha, beta, mu, d0, d1, steps, t_end, dt)
+    lines = expected.split("\n")
+    assert len(lines) == 1 + max(n_map, n_flow) + 1  # header, rows, empty after the last LF
+    assert lines[min(n_map, n_flow)].count(",,") == 0  # last row with both sides
+    if n_map != n_flow:
+        assert lines[-2].startswith(",,,") == (n_flow > n_map)
+        assert lines[-2].endswith(",,,") == (n_map > n_flow)
+
+    out_path = tmp_path / f"{shape}.csv"
+    assert main([*argv, "--out", str(out_path)]) == 0
+    file_out, _ = capsys.readouterr()
+    assert out_path.read_bytes() == expected.encode()
+    assert main(argv) == 0
+    stdout, err = capsys.readouterr()
+    assert stdout == expected
+    assert err == file_out  # the summary moves to stderr, unchanged
 
 
 def test_compare_rejects_negative_mortality(capsys):
