@@ -34,7 +34,7 @@ import numpy as np
 
 from .battery import SWEEP_CSV_HEADER, expected_fate, run_certificates, run_trials, sweep, thresholds_agree
 from .errors import IntegrationError, VerificationError
-from .ioutil import FLOAT_FIELD, atomic_write_json, atomic_write_lines, atomic_write_text, fmt, json_text
+from .ioutil import FLOAT_FIELD, atomic_write_lines, atomic_write_text, fmt, json_text
 from .model import Mode, Parameters, State, validate_parameters
 from .ode import OdeConfig, equilibrium_report, integrate_flow, offspring_number
 from .spectral import classify_origin, stability_inequalities
@@ -261,7 +261,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
                 {"name": name, "pass": ok, "detail": detail} for name, ok, detail in results
             ],
         }
-        atomic_write_json(args.out, payload)
+        atomic_write_text(args.out, json_text(payload))
     return 4 if n_fail else 0
 
 
@@ -338,7 +338,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         parser = build_parser()
         args = parser.parse_args(argv)

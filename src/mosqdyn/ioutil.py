@@ -8,19 +8,18 @@ import tempfile
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
-__all__ = ["FLOAT_FIELD", "fmt", "json_text", "atomic_write_text", "atomic_write_lines", "atomic_write_json"]
+__all__ = ["FLOAT_FIELD", "fmt", "json_text", "atomic_write_text", "atomic_write_lines"]
 
-# The one spec of every float written as text: 17 significant digits in
-# scientific notation, which round-trips a double.  `fmt` applies it with
-# format(); CSV row templates splice in FLOAT_FIELD, the same spec as a
-# %-field, which gives the same text for every double, inf and nan too.
-FLOAT_SPEC = ".16e"
-FLOAT_FIELD = "%" + FLOAT_SPEC
+# The one spelling of every float written as text: 17 significant digits
+# in scientific notation, which round-trips a double.  CSV row templates
+# splice it in; `fmt` applies it to one value.
+FLOAT_FIELD = "%.16e"
 
 
 def fmt(v: float) -> str:
-    """`v` in FLOAT_SPEC, as the CSV row templates write it (FLOAT_FIELD)."""
-    return format(float(v), FLOAT_SPEC)
+    """`v` as FLOAT_FIELD spells it, as the CSV row templates write it
+    (inf and nan too)."""
+    return FLOAT_FIELD % v
 
 
 def json_text(obj) -> str:
@@ -36,8 +35,7 @@ def _atomic_write(path, write: Callable[[TextIO], object]) -> None:
     0600 of mkstemp.
     """
     target = Path(path)
-    parent = target.parent if str(target.parent) else Path(".")
-    fd, tmp = tempfile.mkstemp(dir=str(parent), prefix=target.name + ".", suffix=".part")
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             # the umask can only be read by setting it (single-threaded program)
@@ -62,8 +60,3 @@ def atomic_write_lines(path, lines: Iterable[str]) -> None:
 def atomic_write_text(path, text: str) -> None:
     """Atomically write `text` as it is (see `_atomic_write`)."""
     _atomic_write(path, lambda fh: fh.write(text))
-
-
-def atomic_write_json(path, obj) -> None:
-    """Atomically write `json_text(obj)`."""
-    atomic_write_text(path, json_text(obj))

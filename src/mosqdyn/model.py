@@ -93,22 +93,18 @@ class State:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of parameter validation: every constraint with its verdict.
+    """Outcome of parameter validation: the constraints that failed.
 
     A report, not an exception; callers that need hard failure use
     `require_valid`.
     """
 
     mode: Mode
-    checks: tuple[tuple[str, bool], ...]
+    failures: tuple[str, ...]
 
     @property
     def valid(self) -> bool:
-        return all(ok for _, ok in self.checks)
-
-    @property
-    def failures(self) -> tuple[str, ...]:
-        return tuple(name for name, ok in self.checks if not ok)
+        return not self.failures
 
     def message(self) -> str:
         if self.valid:
@@ -138,7 +134,7 @@ def validate_parameters(p: Parameters, mode: Mode | str = Mode.GENERAL) -> Valid
     if mode is Mode.REDUCED:
         checks.append(("d0 = 0 and d1 = 0", p.d0 == 0.0 and p.d1 == 0.0))
         checks.append(("beta != mu", finite and p.beta != p.mu))
-    return ValidationReport(mode=mode, checks=tuple(checks))
+    return ValidationReport(mode=mode, failures=tuple(name for name, ok in checks if not ok))
 
 
 def require_valid(p: Parameters, mode: Mode | str = Mode.GENERAL) -> None:

@@ -53,7 +53,8 @@ __all__ = [
 @dataclass(frozen=True)
 class OdeConfig:
     """Fixed-step integrator settings.  The number of steps is
-    floor(t_end/step + 1e-9); the final time is that many whole steps."""
+    floor(t_end/step + 1e-9), which must be finite; the final time is
+    that many whole steps."""
 
     step: float = 0.01
     t_end: float = 500.0
@@ -65,6 +66,8 @@ class OdeConfig:
             raise ValueError(f"t_end must be finite, got {self.t_end}")
         if self.t_end < self.step:
             raise ValueError("t_end must be at least one step")
+        if not math.isfinite(self.t_end / self.step):
+            raise ValueError(f"t_end / step must be finite, got {self.t_end} / {self.step}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,6 @@ class FlowTrajectory:
     Coordinates are raw floats (a numerical trajectory may graze zero),
     not State instances."""
 
-    params: Parameters
     ts: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
@@ -95,12 +97,15 @@ class FlowTrajectory:
 
 
 def offspring_number(p: Parameters) -> float:
-    """Basic offspring number r0 = alpha*beta / ((alpha + d0) * mu)."""
+    """Basic offspring number r0 = alpha*beta / ((alpha + d0) * mu).
+
+    Evaluated as beta * (alpha / (alpha + d0)) / mu: no divisor can
+    round to zero, and the first product is at most beta, so nothing
+    overflows before r0 itself does.  With d0 = 0 the fraction is
+    exactly 1, so r0 is beta/mu rounded once and lies on the same side
+    of 1 as beta of mu."""
     require_valid(p, Mode.GENERAL)
-    denom = (p.alpha + p.d0) * p.mu
-    if denom == 0.0:
-        raise ValueError("offspring number undefined: (alpha + d0) * mu is zero")
-    return (p.alpha * p.beta) / denom
+    return p.beta * (p.alpha / (p.alpha + p.d0)) / p.mu
 
 
 def positive_equilibrium(p: Parameters) -> State | None:
@@ -180,4 +185,4 @@ def integrate_flow(p: Parameters, s0: State, config: OdeConfig | None = None) ->
             ys[i] = y
     except ZeroDivisionError as exc:
         raise IntegrationError("vector field pole reached (x = -1)") from exc
-    return FlowTrajectory(params=p, ts=ts, xs=xs, ys=ys)
+    return FlowTrajectory(ts=ts, xs=xs, ys=ys)

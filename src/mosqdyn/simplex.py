@@ -57,9 +57,24 @@ class PeriodCertificate:
 def interval_map_parts(p: Parameters, x):
     """Numerator and denominator polynomials of T, evaluated at x
     (scalar or array): a(x) = (1-beta) x^2 + (1-alpha) x + beta,
-    b(x) = (mu-beta) x^2 + x + (beta - mu + 1)."""
-    a = ((1 - p.beta) * x) * x + (1 - p.alpha) * x + p.beta
-    b = ((p.mu - p.beta) * x) * x + x + (p.beta - p.mu + 1)
+    b(x) = (mu-beta) x^2 + x + (beta - mu + 1).
+
+    Written with w = (1 - x)(1 + x) as
+
+        a = beta w + x (x + (1 - alpha)),
+        b = (beta + (1 - mu)) w + x (1 + x),
+
+    every term is nonnegative on [0, 1], so nothing cancels: the
+    expanded form cancels terms of size beta near x = 1, where it made
+    T(1) 0/0 in floats from beta about 1e16.  On [0, 1], w <= 1 and the
+    x terms are at most 2, so nothing overflows, even at beta = DBL_MAX,
+    and b >= a after rounding too, as each of its terms is at least the
+    matching term of a.  Sharing w and 1 + x keeps the array cost near
+    that of the expanded form."""
+    v = 1 + x
+    w = (1 - x) * v
+    a = p.beta * w + x * (x + (1 - p.alpha))
+    b = (p.beta + (1 - p.mu)) * w + x * v
     return a, b
 
 
@@ -176,12 +191,14 @@ def scan_periodic_points(p: Parameters, p_max: int = 8, grid_n: int = 10_000) ->
     bisection to width 1e-12; a refined root r with
     |T(r) - r| >= 1e-10 max(1, beta) would witness a genuine q-periodic
     point and raises VerificationError, listing at most five distinct
-    such roots and their count.  The bound scales with beta because near
-    x = 1 the numerator and denominator of T cancel terms of that size;
-    for beta >= 1e10 it is at least 1, while |T(r) - r| <= 1 on [0, 1],
-    so there only the finiteness guard can fail: an iterate that is not
-    finite (T(1) is 0/0 in floats from beta about 1e16) raises.  Returns
-    the roots found, by q.
+    such roots and their count.  The bound scales with beta because T's
+    slope near x = 1 is about beta, so a 1e-12 bracket cannot read
+    T(r) - r more finely; for beta >= 1e10 it is at least 1, while
+    |T(r) - r| <= 1 on [0, 1], so there only the finiteness guard can
+    fail.  `interval_map_parts` adds only nonnegative terms, so T is
+    finite on [0, 1] for every admissible rate and the guard catches a
+    broken T, not a large beta: an iterate that is not finite raises.
+    Returns the roots found, by q.
     """
     require_valid(p, Mode.REDUCED)
     if p_max < 2:
@@ -203,10 +220,10 @@ def scan_periodic_points(p: Parameters, p_max: int = 8, grid_n: int = 10_000) ->
                                     f"(alpha={p.alpha}, beta={p.beta}, mu={p.mu})")
         diff = cur - xs
         roots: list[float] = []
-        exact = np.nonzero(np.abs(diff) < 1e-13)[0]
-        roots.extend(float(xs[i]) for i in exact)
+        small = np.abs(diff) < 1e-13
+        roots.extend(float(xs[i]) for i in np.nonzero(small)[0])
         sign = diff > 0.0
-        flip = np.nonzero((sign[:-1] != sign[1:]) & (np.abs(diff[:-1]) >= 1e-13) & (np.abs(diff[1:]) >= 1e-13))[0]
+        flip = np.nonzero((sign[:-1] != sign[1:]) & ~(small[:-1] | small[1:]))[0]
         for i in flip:
             roots.append(_bisect_root(p, q, float(xs[i]), float(xs[i + 1]), float(diff[i])))
         dedup = _distinct(roots)

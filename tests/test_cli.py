@@ -618,14 +618,23 @@ def test_certify_trial_fails_on_a_broken_sum_bound(monkeypatch, capsys):
     assert "FAIL trial-1:" in out and "FAIL trial-2:" in out
 
 
-def test_certify_fails_the_periodic_scan_alone_on_non_finite_iterates(capsys):
+def test_certify_fails_the_periodic_scan_alone_on_non_finite_iterates(monkeypatch, capsys):
     # x is 1e18 after one step, where the growth bound needs a slack of
-    # its size; the interval map is 0/0 at x = 1 in floats
+    # its size; the interval map adds nonnegative terms only, so it is
+    # finite there and every certificate passes
     rc = main(["certify", "--alpha", "1", "--beta", "1e18", "--mu", "0.48"])
     out, _ = capsys.readouterr()
     lines = out.splitlines()
     assert "PASS growth-lower-bound: anchored at onset 0" in lines
-    fails = [ln for ln in lines if ln.startswith("FAIL ")]
+    assert any(ln.startswith("PASS periodic-scan: periods 2..8: ") for ln in lines)
+    assert lines[-1] == "certificates=9 failed=0"
+    assert rc == 0
+    # a stand-in T that returns nan leaves the scan nothing to check,
+    # which must fail it, and it alone
+    monkeypatch.setattr(simplex, "interval_map", lambda p, x: x * math.nan)
+    rc = main(["certify", *REF1])
+    out, _ = capsys.readouterr()
+    fails = [ln for ln in out.splitlines() if ln.startswith("FAIL ")]
     assert len(fails) == 1 and fails[0].startswith("FAIL periodic-scan: ")
     assert "10000 of the 10000 iterates T^2(x) are not finite" in fails[0]
     assert rc == 4
@@ -896,6 +905,35 @@ def test_compare_horizon_beyond_memory_exits_2(capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_compare_subnormal_step_exits_2(capsys):
+    # t_end / dt overflows to inf, so there is no step count to run
+    rc = main(["compare", *EXT, "--x0", "1", "--y0", "1", "--t-end", "1", "--dt", "5e-324"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err == "error: t_end / step must be finite, got 1.0 / 5e-324\n"
+
+
+def test_classify_offspring_number_of_tiny_rates(capsys):
+    # (alpha + d0) * mu underflows to zero at these admissible rates,
+    # but r0 = beta/mu does not
+    rc = main(["classify", "--alpha", "1e-200", "--beta", "0.5", "--mu", "1e-200"])
+    out, _ = capsys.readouterr()
+    assert rc == 0
+    assert json.loads(out)["r0"] == 5e199
+
+
+def test_compare_threshold_coherence_next_to_the_critical_rate(capsys):
+    # beta is one ulp above mu; alpha beta and alpha mu round to the same
+    # double, so r0 must be taken as beta/mu, rounded once
+    rc = main(["compare", "--alpha", "0.445", "--beta", "0.9360000000000002", "--mu", "0.936",
+               "--x0", "1", "--y0", "1", "--steps", "5", "--t-end", "1"])
+    _, err = capsys.readouterr()
+    assert rc == 0
+    assert "r0=1.0000000000000002e+00 trivial_stable=false " in err
+    assert "threshold_coherence=true" in err.splitlines()
 
 
 @pytest.mark.parametrize("t_end", ["inf", "nan"])

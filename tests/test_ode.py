@@ -7,12 +7,14 @@ near 16 when the step halves).
 """
 
 import math
+import sys
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 import mosqdyn as mq
+from mosqdyn.battery import thresholds_agree
 from mosqdyn.model import _field, _slack
 
 RED = mq.Parameters(0.6, 0.5, 0.48)
@@ -37,6 +39,37 @@ def test_offspring_number_rational_oracle():
 def test_offspring_number_reduced_case_is_rate_ratio():
     # without extra larval mortality the threshold collapses to beta/mu
     assert mq.offspring_number(RED) == pytest.approx(RED.beta / RED.mu, abs=1e-15)
+
+
+def test_offspring_number_is_the_rate_ratio_rounded_once():
+    # with d0 = 0, r0 is beta/mu rounded once, so it sides with beta
+    # against mu as the map's dichotomy does, beta one ulp either side of
+    # mu included (alpha beta and alpha mu can round to one double)
+    rng = np.random.default_rng(44)
+    alphas = 1.0 - rng.random(3000)
+    mus = 1.0 - rng.random(3000)
+    betas = np.concatenate([np.nextafter(mus[:1000], np.inf), np.nextafter(mus[1000:2000], 0.0),
+                            2.0 * (1.0 - rng.random(1000))])
+    for alpha, beta, mu in zip(alphas.tolist(), betas.tolist(), mus.tolist()):
+        if beta == mu:
+            continue
+        p = mq.Parameters(alpha, beta, mu)
+        assert mq.offspring_number(p) == beta / mu
+        assert thresholds_agree(p)
+
+
+@pytest.mark.parametrize("rates", [
+    # (alpha + d0) * mu underflows to zero
+    (1e-200, 0.5, 1e-200, 0.0, 0.0),
+    (1e-300, 0.9, 1e-300, 0.0, 0.0),
+    (1e-200, 1e100, 1e-50, 1e-100, 0.0),
+    # beta/mu overflows, r0 does not
+    (1e-20, 1e300, 1e-10, 1.0, 1.0),
+])
+def test_offspring_number_of_extreme_rates_is_its_exact_value_rounded(rates):
+    p = mq.Parameters(*rates)
+    exact = F(p.alpha) * F(p.beta) / ((F(p.alpha) + F(p.d0)) * F(p.mu))
+    assert abs(F(mq.offspring_number(p)) - exact) <= exact * 8 * F(sys.float_info.epsilon)
 
 
 # ------------------------------------------------------------- equilibria

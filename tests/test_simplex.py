@@ -183,11 +183,32 @@ def test_scan_finds_only_the_interior_fixed_point(p):
         assert abs(fixed_point_cubic(p, roots[0])) < 1e-9
 
 
-def test_scan_fails_on_non_finite_iterates():
-    # T(x) rounds to 1 for x < 1 and T(1) is 0/0, so every iterate from
-    # T^2 on is nan: there is nothing to scan, which must not pass
+def test_scan_fails_on_non_finite_iterates(monkeypatch):
+    # a stand-in T that returns nan makes every iterate from T^2 on nan:
+    # there is nothing to scan, which must not pass
+    monkeypatch.setattr(mq.simplex, "interval_map", lambda p, x: x * math.nan)
     with pytest.raises(mq.VerificationError, match=r"10000 of the 10000 iterates T\^2\(x\) are not finite"):
-        mq.scan_periodic_points(mq.Parameters(1.0, 1e18, 0.48))
+        mq.scan_periodic_points(REF1)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1e8, 1e16, 1e18, 1e300, sys.float_info.max])
+@pytest.mark.parametrize("alpha, mu", [(1.0, 0.48), (0.6, 0.48), (1e-6, 1.0)])
+def test_interval_map_is_accurate_at_every_beta(alpha, beta, mu):
+    # T adds nonnegative terms only, so it stays within a few ulps of the
+    # exact a / b on [0, 1], x = 1 included, up to beta = DBL_MAX (the
+    # expanded form was 1e-13 off at beta = 1e8 and 0/0 at 1 from 1e16)
+    p = mq.Parameters(alpha, beta, mu)
+    rng = np.random.default_rng(20)
+    xs = np.concatenate([[0.0, 0.5, 1.0 - 2.0**-53, 1.0], rng.random(300), 1.0 - rng.random(100) * 1e-9])
+    with np.errstate(all="raise"):
+        ts = mq.interval_map(p, xs)
+    a, b, m = F(alpha), F(beta), F(mu)
+    for x, t in zip(xs.tolist(), ts.tolist()):
+        x = F(x)
+        exact = ((1 - b) * x * x + (1 - a) * x + b) / ((m - b) * x * x + x + (b - m + 1))
+        assert 0.0 < t <= 1.0
+        assert abs(F(t) - exact) <= exact * 8 * F(sys.float_info.epsilon)
+    mq.scan_periodic_points(p)
 
 
 def test_scan_fails_on_a_genuine_two_cycle(monkeypatch):
