@@ -19,8 +19,19 @@ The map is the identity plus the flow's right-hand side, as
 hold all of the map arithmetic, for scalars, arrays and sympy symbols:
 `_map` gives the next generation and `_field` the increments.  In floats
 they round apart, and `_map`'s y' = e + (1 - mu) y is the closer to the
-exact image, so every next state comes from `_map` (the `trajectory`
-orbit loop inlines it, tested bit for bit).  No compensated summation.
+exact image, so every next state comes from `_map`.  No compensated
+summation.  Three hot loops inline a kernel's arithmetic, operation for
+operation, and a test pins each to the kernel bit for bit:
+
+* `trajectory.iterate_orbit` inlines `_map`
+  (`test_orbit_loop_matches_map_kernel_bit_for_bit`);
+* `trajectory.iterate_general` inlines `_map`
+  (`test_general_iteration_matches_map_kernel_bit_for_bit`), both in
+  `tests/test_trajectory.py`;
+* `ode.integrate_flow` inlines `_field` at each RK4 stage
+  (`test_rk4_loop_matches_field_kernel_bit_for_bit` in
+  `tests/test_ode.py`).
+
 `_slack`, the one rounding bound of every float residual, lives here too.
 """
 

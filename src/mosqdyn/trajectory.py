@@ -87,7 +87,7 @@ from enum import Enum
 import numpy as np
 
 from .ioutil import FLOAT_FIELD
-from .model import Mode, Parameters, State, _map, _slack, require_valid
+from .model import Mode, Parameters, State, _slack, require_valid
 
 __all__ = [
     "Verdict",
@@ -418,20 +418,32 @@ def iterate_general(p: Parameters, s0: State, n_steps: int) -> tuple[np.ndarray,
     require_valid(p, Mode.GENERAL)
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
+    alpha = p.alpha
+    beta = p.beta
+    omm = 1.0 - p.mu
+    d0 = p.d0
+    d1 = p.d1
+    larval = bool(d0 or d1)
     x = s0.x
     y = s0.y
-    ns = array("q", [0])
     xs = array("d", [x])
     ys = array("d", [y])
-    for n in range(1, n_steps + 1):
-        x, y = _map(p, x, y)
-        ns.append(n)
-        xs.append(x)
-        ys.append(y)
+    put_x = xs.append
+    put_y = ys.append
+    # `_map` inlined, the larval term behind its own test;
+    # tests/test_trajectory.py pins the loop to `_map` bit for bit
+    for _ in range(n_steps):
+        em = alpha * (x / (1.0 + x))
+        dx = beta * y - em
+        if larval:
+            dx = dx - (d0 + d1 * x) * x
+        x, y = dx + x, em + omm * y
+        put_x(x)
+        put_y(y)
         if not (0.0 <= x <= 1e15 and 0.0 <= y <= 1e15):
             break
     return (
-        np.frombuffer(ns, dtype=np.int64),
+        np.arange(len(xs), dtype=np.int64),
         np.frombuffer(xs, dtype=np.float64),
         np.frombuffer(ys, dtype=np.float64),
     )
@@ -568,4 +580,7 @@ def orbit_to_csv(orbit: Orbit) -> str:
     """The orbit as CSV text: header n,x,y then one row per recorded
     step, coordinates in 17-significant-digit scientific notation, LF
     line endings."""
-    return "n,x,y\n" + "".join(map(_CSV_ROW.__mod__, zip(orbit.steps, orbit.xs, orbit.ys)))
+    # memoryviews yield Python ints and floats, which format faster than
+    # numpy scalars, into the same bytes
+    rows = zip(memoryview(orbit.steps), memoryview(orbit.xs), memoryview(orbit.ys))
+    return "n,x,y\n" + "".join(map(_CSV_ROW.__mod__, rows))

@@ -861,6 +861,17 @@ def test_compare_integration_failure_exits_4(capsys):
     assert err.startswith("integration failure: ") and err.count("\n") == 1
 
 
+def test_compare_pole_exits_4(capsys):
+    # an RK4 stage lands exactly on the field's pole x = -1 (see
+    # tests/test_ode.py), which divides by zero
+    rc = main(["compare", "--alpha", "0.5", "--beta", "0.5", "--mu", "0.5", "--d0", "4.25",
+               "--x0", "1", "--y0", "1", "--steps", "1", "--t-end", "1", "--dt", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 4
+    assert out == ""
+    assert err == "integration failure: vector field pole reached (x = -1)\n"
+
+
 @pytest.mark.parametrize("rates", [
     # d1 = 1e-12: the textbook root subtracts two terms of about 0.05
     ["--alpha", "0.5", "--beta", "0.9", "--mu", "0.3", "--d0", "0.05", "--d1", "1e-12"],

@@ -218,3 +218,73 @@ def test_flow_rejects_invalid_parameters():
     with pytest.raises(ValueError):
         mq.integrate_flow(mq.Parameters(1.5, 0.5, 0.5), mq.State(1.0, 1.0))
 
+
+def _rk4_on_field(p, s0, h, n_steps):
+    """Reference RK4 written on the shared kernel `_field`, one stage at a
+    time, with the integrator's own coefficients and order of operations.
+    Returns the states and the lowest larval count any stage was
+    evaluated at."""
+    x, y = s0.x, s0.y
+    xs, ys = [x], [y]
+    half = 0.5 * h
+    sixth = h / 6.0
+    lowest = math.inf
+    for _ in range(n_steps):
+        k1x, k1y = _field(p, x, y)
+        sx = x + half * k1x
+        k2x, k2y = _field(p, sx, y + half * k1y)
+        sx2 = x + half * k2x
+        k3x, k3y = _field(p, sx2, y + half * k2y)
+        sx3 = x + h * k3x
+        k4x, k4y = _field(p, sx3, y + h * k3y)
+        lowest = min(lowest, sx, sx2, sx3)
+        x = x + sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
+        y = y + sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
+        xs.append(x)
+        ys.append(y)
+    return np.array(xs), np.array(ys), lowest
+
+
+@pytest.mark.parametrize("p, s0, h, t_end, dips", [
+    (RED, mq.State(1.3, 0.7), 0.01, 20.0, False),
+    (FULL_GROW, mq.State(1.3, 0.7), 0.01, 20.0, False),
+    (mq.Parameters(0.5, 0.9, 0.3, 0.05, 0.01), mq.State(2.0, 0.1), 0.05, 100.0, False),
+    # h d0 = 1.5 from a small x: the stage states fall below 0, the steps do not
+    (mq.Parameters(0.5, 0.5, 0.5, 30.0, 0.0), mq.State(0.01, 0.001), 0.05, 100.0, True),
+])
+def test_rk4_loop_matches_field_kernel_bit_for_bit(p, s0, h, t_end, dips):
+    # integrate_flow inlines the field for speed; it must stay the shared
+    # kernel's arithmetic exactly, the -0.0s and the time grid included
+    traj = mq.integrate_flow(p, s0, mq.OdeConfig(step=h, t_end=t_end))
+    n = len(traj.ts) - 1
+    assert n == 2000
+    xs, ys, lowest = _rk4_on_field(p, s0, h, n)
+    assert (lowest < 0.0) == dips
+    assert traj.xs.tobytes() == xs.tobytes()
+    assert traj.ys.tobytes() == ys.tobytes()
+    assert all(t == i * h for i, t in enumerate(traj.ts.tolist()))
+
+
+def test_flow_pole_raises_an_integration_error_from_the_division():
+    # at x = 1, h = 1, d0 = 4.25: k1x = 0.5 - 0.25 - 4.25 = -4, and the
+    # second stage lands exactly on the pole x = 1 + 0.5 k1x = -1
+    p = mq.Parameters(0.5, 0.5, 0.5, 4.25, 0.0)
+    with pytest.raises(mq.IntegrationError, match=r"^vector field pole reached \(x = -1\)$") as info:
+        mq.integrate_flow(p, mq.State(1.0, 1.0), mq.OdeConfig(step=1.0, t_end=1.0))
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+
+@pytest.mark.parametrize("rates, s0, t_end, where", [
+    # finite, but below x = -0.5
+    ((0.5, 0.5, 0.5, 0.0, 1.8), (1.0, 0.0), 1.0, "t=1: x=-0.9506997135066222, y=0.5661784001449187"),
+    # x overflows, y stays finite
+    ((1.0, 1e308, 1.0, 0.0, 0.0), (1.0, 1.0), 1.0, "t=1: x=inf, y=0.9791666666666666"),
+    # y overflows downward
+    ((1.0, 0.5, 1.0, 0.0, 0.0), (1.0, 1e308), 1.0, "t=1: x=inf, y=-inf"),
+    # nan after 40 steps
+    ((0.5, 0.5, 0.5, 200.0, 0.0), (1.0, 1.0), 50.0, "t=40: x=nan, y=nan"),
+])
+def test_flow_leaving_the_admissible_region_names_the_step(rates, s0, t_end, where):
+    with pytest.raises(mq.IntegrationError) as info:
+        mq.integrate_flow(mq.Parameters(*rates), mq.State(*s0), mq.OdeConfig(step=1.0, t_end=t_end))
+    assert str(info.value) == f"integration left the admissible region at {where}"

@@ -1,4 +1,5 @@
-"""The README commands, pinned byte for byte.
+"""The README commands, and short runs shaped like the benchmark's `dump`
+commands, pinned byte for byte.
 
 Each case runs one command through `main` and compares its exit code and
 the sha256 of its stdout, its stderr and every file it writes with the
@@ -30,17 +31,34 @@ CASES = {
                           "--x0", "1", "--y0", "1"], None),
     "sweep-inverted": (["sweep", "--alpha-range", "0.6", "0.6", "1", "--beta-range", "0.7", "0.3", "3",
                         "--mu-range", "0.3", "0.7", "3", "--out", "{}"], "never.csv"),
+    # the benchmark's two `compare` rate sets and a reference `simulate`
+    # CSV written to a file: they pin the RK4 loop, the full-map loop and
+    # the row templates on a horizon short enough for tier 1
+    "compare-reduced-file": (["compare", "--alpha", "0.5", "--beta", "0.3", "--mu", "0.6", "--d0", "0", "--d1", "0",
+                              "--x0", "1.3", "--y0", "0.7", "--steps", "2000", "--t-end", "20", "--dt", "0.01",
+                              "--out", "{}"], "compare-reduced.csv"),
+    "compare-general-file": (["compare", "--alpha", "0.5", "--beta", "0.9", "--mu", "0.3", "--d0", "0.05",
+                              "--d1", "0.01", "--x0", "1.3", "--y0", "0.7", "--steps", "2000", "--t-end", "20",
+                              "--dt", "0.01", "--out", "{}"], "compare-general.csv"),
+    "simulate-ref2-file": (["simulate", "--alpha", "0.4", "--beta", "0.35", "--mu", "0.3", "--x0", "0.5", "--y0", "2",
+                            "--out", "{}"], "ref2.csv"),
 }
 
 # name -> (exit code, sha256 of stdout, of stderr, of the written file or None)
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # sha256 of b""
 PINS = {
     "classify": (0, "5b44d68036431320288eecf2dfec12b7f3a07aebd5a3b5fc998b6db52b889d8d", EMPTY, None),
+    "compare-general-file": (0, "3c3959f2b48fafe3db07fe538708319aa7810d7ef6125027d4dd38a8154324aa", EMPTY,
+                             "d55f8f5bfae3a8641ea84d1c96f9914cc67e27b4e469d98d9618edae08d27733"),
+    "compare-reduced-file": (0, "a100c2a1f958d73f77fcf8e46ab246a17da961b389c47348c0d993b3faea2e4b", EMPTY,
+                             "e371863d3c6bc3b37da9e95e97ecbcdd97bf771231f4e21a5be08256d5e87fc2"),
     "compare": (0, "9f5d5c9546be06521a9c7639b2a41ac6e7c79316b567156b33a5406378b9ed92",
                 "88738e64d1bee65d9c1e6f4a33844fecf1afd393326804d99288fa83770a1777", None),
     "simulate-csv": (0, "b8c644e41c34b6e9806531bb97fc0b6731b7b6284349d7da279f3092a58f5703",
                      "9c76ec3d0c21088490dfdee90e238caaf7fa41ccf532452d8d48328f63e67a30", None),
     "simulate-invalid": (2, EMPTY, "1603cf5269b7bd9aeb0c826cf63989d752a886a4cf18a623dd841d71d1972447", None),
+    "simulate-ref2-file": (0, "93bf21e9678080337531dbf5761fee00ebd7aa6b6aae08faf4940d45f8063307", EMPTY,
+                           "6e0ea8afe72cdf0197b8b0837bdb50e9e522d5a170c9a3698220aa81bafb6863"),
     "simulate-json": (0, "9c76ec3d0c21088490dfdee90e238caaf7fa41ccf532452d8d48328f63e67a30", EMPTY,
                       "e75de20fc662ddaf8e426569680ca2f8ea5c26d04fd7d3abc2578dccd630fcd1"),
     "sweep": (0, "ef952bc05e7a27f0b9a203ca5d7b270d966ce728f797e6894dc651fa165d51e5", EMPTY,

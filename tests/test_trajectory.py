@@ -671,6 +671,37 @@ def test_general_iteration_matches_single_steps():
     assert len(ns) == 21
 
 
+@pytest.mark.parametrize("rates, s0, n_steps, n_rows, stop", [
+    ((0.6, 0.8, 0.5, 0.1, 0.05), (1.3, 0.7), 3000, 3001, None),
+    ((0.5, 0.9, 0.3, 0.05, 0.01), (1.3, 0.7), 2000, 2001, None),
+    ((0.6, 0.5, 0.48, 0.0, 0.0), (2.0, 0.1), 2000, 2001, None),
+    # the adults feed the larvae past 1e15 at step 106
+    ((1.0, 1.0, 0.001, 0.0, 0.0), (1.0, 1e13), 2000, 107, "above"),
+    # crowding throws the larvae below 0 at step 1188
+    ((0.9, 2.25, 0.9, 0.5, 0.4), (0.3, 0.2), 2000, 1189, "below"),
+])
+def test_general_iteration_matches_map_kernel_bit_for_bit(rates, s0, n_steps, n_rows, stop):
+    # iterate_general inlines the map step for speed; it must stay the
+    # shared kernel's arithmetic exactly, up to and including the step
+    # that leaves [0, 1e15]
+    from mosqdyn.model import _map
+
+    p = mq.Parameters(*rates)
+    ns, xs, ys = mq.iterate_general(p, mq.State(*s0), n_steps)
+    x, y = s0
+    ref_x, ref_y = [x], [y]
+    for _ in range(n_steps):
+        x, y = _map(p, x, y)
+        ref_x.append(x)
+        ref_y.append(y)
+        if not (0.0 <= x <= 1e15 and 0.0 <= y <= 1e15):
+            break
+    assert len(ref_x) == n_rows
+    assert ns.tolist() == list(range(n_rows))
+    assert xs.tobytes() == np.array(ref_x).tobytes() and ys.tobytes() == np.array(ref_y).tobytes()
+    assert {"above": xs[-1] > 1e15, "below": xs[-1] < 0.0, None: True}[stop]
+
+
 def test_general_iteration_stops_outside_quadrant():
     p = mq.Parameters(0.5, 0.5, 0.5, 2.0, 0.0)
     ns, xs, ys = mq.iterate_general(p, mq.State(1.0, 0.1), 100)
