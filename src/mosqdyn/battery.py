@@ -6,8 +6,10 @@ for the command line interface and the scripts to print and write.
 * `sweep`: classify and simulate every cell of a rate grid, each orbit
   stopped at its survival certificate (`iterate_orbit`'s
   `stop_at_certificate`).  A cell agrees when its orbit is accepted and
-  the origin is attracting for beta < mu, a saddle or repeller for
-  beta > mu; a nonhyperbolic origin counts as disagreement.
+  the origin is attracting exactly when beta < mu: lambda1's side of 1,
+  as the sign of p(1) = alpha (mu - beta) decides it, since on the box
+  beta < mu forces p(-1) > 0 (`spectral.classify_origin`).  A
+  nonhyperbolic origin with beta > mu, lambda2 = -1, agrees.
 * `run_certificates`: the certificate battery for one parameter set, each
   certificate re-deriving a statement of the theory by an independent
   route; `run_trials` adds cheaper checks on random rates.
@@ -157,12 +159,7 @@ def sweep(
                     cells.append(SweepCell(p, cls))
                     continue
                 orbit = iterate_orbit(p, s0, config, stop_at_certificate=True)
-                cls_ok = (
-                    cls == Classification.ATTRACTING.value
-                    if p.beta < p.mu
-                    else cls in (Classification.SADDLE.value, Classification.REPELLING.value)
-                )
-                ok = cls_ok and _orbit_accepted(orbit)
+                ok = (cls == Classification.ATTRACTING.value) == (p.beta < p.mu) and _orbit_accepted(orbit)
                 cells.append(SweepCell(p, cls, orbit.verdict.value, orbit.n_steps, orbit.y_limit_estimate, ok))
     return cells
 

@@ -12,12 +12,11 @@ Exit codes: 0 success, 2 invalid parameters or options (argparse errors
 included, and budgets too large for memory), 3 I/O failure, 4 a
 verification or agreement failure.
 
-Every option is a command line flag.  The detection thresholds, the
-unit-circle tolerance and the certify scan sizes are not options: they
-are constants of the modules that use them (`trajectory.CONV_TOL` and
-`DIV_THRESHOLD`, `spectral.UNIT_CIRCLE_TOL`, the default sizes of
-`simplex.scan_periodic_points`).  `certify --trials` draws its rates
-from --seed (default DEFAULT_SEED) and echoes the seed in effect.
+Every option is a command line flag.  The detection thresholds and the
+certify scan sizes are not options: they are constants of the modules
+that use them (`trajectory.CONV_TOL` and `DIV_THRESHOLD`, the default
+sizes of `simplex.scan_periodic_points`).  `certify --trials` draws its
+rates from --seed (default DEFAULT_SEED) and echoes the seed in effect.
 File outputs are written atomically (temp file in the target directory,
 then rename).  The checks themselves live in `battery`; this module
 parses, prints, writes and maps outcomes to exit codes.

@@ -32,15 +32,19 @@ operation, and a test pins each to the kernel bit for bit:
   (`test_rk4_loop_matches_field_kernel_bit_for_bit` in
   `tests/test_ode.py`).
 
-`_slack`, the one rounding bound of every float residual, lives here too.
+`_slack`, the one rounding bound of every float residual, lives here too,
+and so does `_EXACT`, the decimal context of every exact sign.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -183,6 +187,19 @@ def _slack(size, floor: float):
     """Eight ulps of `size` (a float or an array), never below `floor`."""
     scaled = 8 * sys.float_info.epsilon * abs(size)
     return np.maximum(floor, scaled) if isinstance(scaled, np.ndarray) else max(floor, scaled)
+
+
+# Decimal(float) is exact, as every double is a finite decimal.  Each
+# value formed in this context is a polynomial of degree <= 2 in the
+# rates with coefficients in Z/16: at most 2,771 digits (1e619 down to
+# 1e-2152), so nothing rounds, and the Inexact trap would raise rather
+# than round.  `simplex` and `spectral` decide their exact signs here.
+_EXACT = decimal.Context(prec=3000, traps=[decimal.Inexact])
+
+
+def _exact(p: Parameters) -> SimpleNamespace:
+    """The rates of `p` as exact decimals, for use inside `_EXACT`."""
+    return SimpleNamespace(alpha=Decimal(p.alpha), beta=Decimal(p.beta), mu=Decimal(p.mu))
 
 
 def step(p: Parameters, s: State) -> State:

@@ -24,12 +24,11 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from decimal import Decimal
-from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import VerificationError
-from .model import Mode, Parameters, _map, require_valid
+from .model import Mode, Parameters, _EXACT, _exact, _map, require_valid
 
 __all__ = [
     "PeriodCertificate",
@@ -83,17 +82,6 @@ def interval_map(p: Parameters, x):
     Accepts scalars or numpy arrays."""
     a, b = interval_map_parts(p, x)
     return a / b
-
-
-# Decimal(float) is exact, as every double is a finite decimal.  Each
-# value formed below is a polynomial of degree <= 2 in the rates with
-# coefficients in Z/16: at most 2,771 digits (1e619 down to 1e-2152), so
-# nothing rounds, and the Inexact trap would raise rather than round.
-_EXACT = decimal.Context(prec=3000, traps=[decimal.Inexact])
-
-
-def _exact(p: Parameters) -> SimpleNamespace:
-    return SimpleNamespace(alpha=Decimal(p.alpha), beta=Decimal(p.beta), mu=Decimal(p.mu))
 
 
 def _least_on_unit_interval(q0, q_half, q1):

@@ -9,18 +9,34 @@ with real eigenvalues
 
     lambda_{1,2} = (2 - alpha - mu +- sqrt((alpha - mu)^2 + 4 alpha beta)) / 2,
 
-always distinct since alpha*beta > 0.  The sign of beta - mu decides the
-local picture: the origin attracts for beta < mu, is a saddle for
-beta > mu inside the unit parameter box, and loses hyperbolicity exactly
-at beta = mu where lambda_1 = 1 (the discriminant collapses to
-(alpha + mu)^2).  `find_fixed_points` checks numerically that the
-reduced map has no fixed point besides the origin in the strip
-[0, 50] x [0, inf), by a scan along the adult nullcline y = e/mu, where
-the larval increment is (beta/mu - 1) e.
+always distinct since alpha*beta > 0.  The root is computed as twice
+sqrt(((alpha - mu)/2)^2 + alpha beta), the same double wherever the
+textbook form is finite, and finite up to beta = DBL_MAX.
+
+`classify_origin` decides the origin's stability by the Jury
+(Schur-Cohn) test for a 2x2 map (E. I. Jury, 1964), on the
+characteristic polynomial p(z) = det(zI - J):
+
+    p(1)  = alpha (mu - beta),
+    p(-1) = (2 - alpha)(2 - mu) - alpha beta.
+
+On the admissible box lambda1 > 0 and lambda2 < 1, so the sign of p(1)
+says on which side of 1 lambda1 lies, and the sign of p(-1) on which
+side of -1 lambda2 lies (`tests/test_proofs.py`).  Both signs are exact:
+the first is the float comparison of mu with beta, the second a float
+evaluation, redone in `model._EXACT` inside its rounding band.  The sign of beta - mu thus decides the
+local picture: the origin attracts for beta < mu, and loses
+hyperbolicity exactly at beta = mu, where lambda1 = 1.
+
+`find_fixed_points` checks numerically that the reduced map has no
+fixed point besides the origin in the strip [0, 50] x [0, inf), by a
+scan along the adult nullcline y = e/mu, where the larval increment is
+(beta/mu - 1) e.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -28,7 +44,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import VerificationError
-from .model import Mode, Parameters, State, _field, _slack, require_valid
+from .model import Mode, Parameters, State, _EXACT, _exact, _field, _slack, require_valid
 
 __all__ = [
     "Classification",
@@ -39,8 +55,6 @@ __all__ = [
     "stability_inequalities",
     "find_fixed_points",
 ]
-
-UNIT_CIRCLE_TOL = 1e-9
 
 
 class Classification(str, Enum):
@@ -79,6 +93,40 @@ def jacobian_at_origin(p: Parameters) -> tuple[tuple[float, float], tuple[float,
     return ((1.0 - p.alpha, p.beta), (p.alpha, 1.0 - p.mu))
 
 
+def _half_root(p: Parameters) -> float:
+    # sqrt((alpha - mu)^2 + 4 alpha beta) / 2 with every term scaled by a
+    # power of two, so the same double wherever that form is finite;
+    # alpha beta <= DBL_MAX for alpha <= 1, so this one never overflows
+    return math.sqrt(((p.alpha - p.mu) / 2.0) ** 2 + p.alpha * p.beta)
+
+
+def _eigenvalues(p: Parameters) -> tuple[float, float]:
+    half_trace = (2.0 - p.alpha - p.mu) / 2.0
+    half_root = _half_root(p)
+    return (half_trace + half_root, half_trace - half_root)
+
+
+def _at_minus_one(p):
+    # p(-1) = det(-I - J), with integer literals so that it evaluates
+    # alike in floats, decimals and sympy
+    return (2 - p.alpha) * (2 - p.mu) - p.alpha * p.beta
+
+
+def _sign_at_minus_one(p: Parameters) -> int:
+    """The exact sign of p(-1) on the float rates: -1, 0 or 1.
+
+    Rounding moves the float value by less than three ulps of
+    max(4, alpha beta), which bounds both terms it cancels, so outside
+    `_slack` of that its sign is exact; inside, p(-1) is evaluated in
+    `_EXACT`.
+    """
+    v = _at_minus_one(p)
+    if abs(v) <= _slack(max(4.0, p.alpha * p.beta), 0.0):
+        with decimal.localcontext(_EXACT):
+            v = _at_minus_one(_exact(p))
+    return (v > 0) - (v < 0)
+
+
 def origin_eigenvalues(p: Parameters) -> tuple[float, float]:
     """Both eigenvalues of the origin Jacobian, closed form, descending.
 
@@ -86,36 +134,25 @@ def origin_eigenvalues(p: Parameters) -> tuple[float, float]:
     for admissible rates, so the pair is real and distinct.
     """
     _require_linearizable(p)
-    disc = (p.alpha - p.mu) ** 2 + 4.0 * p.alpha * p.beta
-    root = math.sqrt(disc)
-    half_trace = (2.0 - p.alpha - p.mu) / 2.0
-    return (half_trace + root / 2.0, half_trace - root / 2.0)
+    return _eigenvalues(p)
 
 
 def classify_origin(p: Parameters) -> SpectralReport:
-    """Classify the origin by eigenvalue moduli.
+    """Classify the origin by the exact signs of p(1) and p(-1).
 
-    Any eigenvalue within UNIT_CIRCLE_TOL of the unit circle makes the
-    verdict nonhyperbolic (beta = mu lands here exactly: lambda1 = 1).
-    Otherwise both moduli below 1 is attracting, both above repelling,
-    one of each a saddle.
+    Both positive is attracting, both negative repelling, either zero
+    nonhyperbolic (beta = mu gives p(1) = 0: lambda1 = 1), one of each a
+    saddle.
     """
-    l1, l2 = origin_eigenvalues(p)
-    moduli = (abs(l1), abs(l2))
-    if any(abs(m - 1.0) <= UNIT_CIRCLE_TOL for m in moduli):
+    jacobian = jacobian_at_origin(p)
+    signs = ((p.mu > p.beta) - (p.mu < p.beta), _sign_at_minus_one(p))
+    if 0 in signs:
         cls = Classification.NONHYPERBOLIC
-    elif all(m < 1.0 for m in moduli):
-        cls = Classification.ATTRACTING
-    elif all(m > 1.0 for m in moduli):
-        cls = Classification.REPELLING
-    else:
+    elif signs[0] != signs[1]:
         cls = Classification.SADDLE
-    return SpectralReport(
-        jacobian=jacobian_at_origin(p),
-        lambda1=l1,
-        lambda2=l2,
-        classification=cls,
-    )
+    else:
+        cls = Classification.ATTRACTING if signs[0] > 0 else Classification.REPELLING
+    return SpectralReport(jacobian, *_eigenvalues(p), cls)
 
 
 def stability_inequalities(p: Parameters) -> tuple[bool, bool]:
@@ -127,12 +164,19 @@ def stability_inequalities(p: Parameters) -> tuple[bool, bool]:
         second:  0 < alpha + mu - D  (and < 4)
 
     Their conjunction holds exactly when both eigenvalues lie strictly
-    inside the unit circle; the second fails precisely when beta >= mu.
+    inside the unit circle: the first is p(-1) > 0, the second p(1) > 0,
+    that is beta < mu (`tests/test_proofs.py`).  Each is decided in
+    floats except inside its rounding band (`_slack`: alpha + mu + D
+    within eight ulps of 4, alpha + mu - D within eight ulps of
+    alpha + mu of 0), where it takes the matching exact sign instead, as
+    a float filter does (J. R. Shewchuk, 1997).
     """
     _require_linearizable(p)
-    d = math.sqrt((p.alpha - p.mu) ** 2 + 4.0 * p.alpha * p.beta)
+    d = 2.0 * _half_root(p)
     s = p.alpha + p.mu
-    return (s + d < 4.0, 0.0 < s - d < 4.0)
+    first = s + d < 4.0 if abs(s + d - 4.0) > _slack(4.0, 0.0) else _sign_at_minus_one(p) > 0
+    second = 0.0 < s - d < 4.0 if abs(s - d) > _slack(s, 0.0) else p.beta < p.mu
+    return (first, second)
 
 
 def find_fixed_points(p: Parameters) -> list[State]:
@@ -150,7 +194,11 @@ def find_fixed_points(p: Parameters) -> list[State]:
     floor, or where g changes sign between neighbouring nodes; otherwise
     it returns [State(0, 0)].  The bound is relative, so a state that
     barely moves (on the x-axis when alpha is tiny) is not taken for a
-    fixed point.
+    fixed point.  Rounding moves g by about one ulp of that larger term,
+    so where |beta - mu| is within twice `_slack` of max(beta, mu), the
+    exact g may lie inside the band too; there a node inside it takes
+    the sign of g on the exact nullcline, that of beta - mu, instead of
+    reading as a fixed point (at one ulp, beta/mu - 1 = 2.2e-16).
 
     The scan can still miss a zero of g of even multiplicity between two
     nodes: g touches 0 there without changing sign, and stays above the
@@ -168,6 +216,9 @@ def find_fixed_points(p: Parameters) -> list[State]:
         raise VerificationError(f"fixed-point scan: {bad} of the {g.size} nullcline increments are not finite "
                                 f"(alpha={p.alpha}, beta={p.beta}, mu={p.mu})")
     signs = np.sign(g)
+    if abs(p.beta - p.mu) <= 2.0 * _slack(max(p.beta, p.mu), 0.0):
+        signs[hits] = np.sign(p.beta - p.mu)
+        hits[:] = False
     # a sign change is reported at its left node
     hits[:-1] |= signs[:-1] * signs[1:] < 0.0
     if np.any(hits):

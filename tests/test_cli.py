@@ -248,9 +248,11 @@ def test_classify_json_fields(capsys):
     assert doc["r0"] == pytest.approx(0.5 / 0.48, abs=1e-14)
 
 
-def test_classify_writes_strict_json_when_the_eigenvalues_overflow(capsys):
-    # (alpha - mu)^2 + 4 alpha beta and beta/mu overflow; strict JSON has
-    # no Infinity, so the eigenvalues and r0 are null
+def test_classify_writes_finite_eigenvalues_and_a_null_r0_at_the_top_of_the_box(capsys):
+    # the root sqrt(((alpha - mu)/2)^2 + alpha beta) stays finite where
+    # (alpha - mu)^2 + 4 alpha beta overflows, so the eigenvalues are
+    # numbers; beta/mu overflows, and strict JSON has no Infinity, so r0
+    # is null
     rc = main(["classify", "--alpha", "1", "--beta", "1.7e308", "--mu", "0.5"])
     out, _ = capsys.readouterr()
     assert rc == 0
@@ -259,8 +261,8 @@ def test_classify_writes_strict_json_when_the_eigenvalues_overflow(capsys):
   "beta": 1.7e+308,
   "classification": "repelling",
   "eigenvalues": [
-    null,
-    null
+    1.3038404810405297e+154,
+    -1.3038404810405297e+154
   ],
   "expected_fate": "survival",
   "jacobian": [
@@ -438,6 +440,37 @@ def test_sweep_counts_a_large_start_cell_as_it_writes_it(start, tmp_path, capsys
     assert rc == 0
     row = out_path.read_text().splitlines()[1]
     assert ",survival," in row and row.endswith(",true")
+
+
+def test_sweep_agrees_where_lambda2_crosses_minus_one(tmp_path, capsys):
+    # at alpha = mu = 0.5, p(-1) = 2.25 - beta/2 is 0 at beta = 4.5: the
+    # origin goes from saddle through nonhyperbolic to repelling, while
+    # the fate stays survival.  Agreement reads lambda1's side of 1 only,
+    # so no cell disagrees
+    out_path = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--alpha-range", "0.5", "0.5", "1", "--beta-range", "4.4999999999", "4.5000000001", "3",
+               "--mu-range", "0.5", "0.5", "1", "--out", str(out_path)])
+    assert capsys.readouterr().out == "cells=3 in_condition=3 agree=3 disagree=0\n"
+    assert rc == 0
+    rows = [ln.split(",") for ln in out_path.read_text().splitlines()[1:]]
+    assert [r[6] for r in rows] == ["saddle", "nonhyperbolic", "repelling"]
+    assert all(r[7] == "survival" and r[10] == "true" for r in rows)
+
+
+def test_sweep_labels_near_critical_cells_by_exact_signs(tmp_path, capsys):
+    # 1e-10 either side of mu: the exact signs label the cells attracting
+    # and saddle, and the survival cell agrees; the beta < mu orbit still
+    # exhausts its budget long before extinction, so that cell alone
+    # disagrees
+    out_path = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--alpha-range", "0.6", "0.6", "1", "--beta-range", "0.4999999999", "0.5000000001", "3",
+               "--mu-range", "0.5", "0.5", "1", "--steps", "1000", "--out", str(out_path)])
+    assert capsys.readouterr().out == "cells=3 in_condition=2 agree=1 disagree=1\n"
+    assert rc == 4
+    rows = [ln.split(",") for ln in out_path.read_text().splitlines()[1:]]
+    assert [r[6:8] + r[10:] for r in rows] == [
+        ["attracting", "exhausted", "false"], ["nonhyperbolic", "", ""], ["saddle", "survival", "true"],
+    ]
 
 
 def test_sweep_rejects_inverted_range(tmp_path, capsys):
@@ -656,6 +689,47 @@ def test_certify_fails_each_scan_on_non_finite_values(capsys, beta, names):
     for name in names:
         line = next(ln for ln in out.splitlines() if ln.split(" ")[1] == name + ":")
         assert line.startswith(f"FAIL {name}: ") and "not finite" in line
+
+
+def _certificate_lines(capsys) -> dict[str, str]:
+    # certificate name -> its PASS or FAIL line
+    out = capsys.readouterr().out
+    return {ln.split(" ")[1].rstrip(":"): ln for ln in out.splitlines() if ln.startswith(("PASS ", "FAIL "))}
+
+
+@pytest.mark.parametrize("alpha, beta", [("0.6", "0.49999999999"), ("1e-6", "0.49995")])
+def test_certify_classifies_a_near_critical_origin_as_attracting(capsys, alpha, beta):
+    # lambda1 is within 1e-9 of 1 here, yet the exact signs say
+    # attracting; the orbit runs out of budget long before extinction,
+    # so the exit code stays 4
+    rc = main(["certify", "--alpha", alpha, "--beta", beta, "--mu", "0.5", "--steps", "1000"])
+    lines = _certificate_lines(capsys)
+    assert lines["stability-equivalence"] == "PASS stability-equivalence: classification=attracting"
+    assert [name for name, ln in lines.items() if ln.startswith("FAIL ")] == ["orbit-dichotomy"]
+    assert rc == 4
+
+
+def test_certify_fixed_point_scan_passes_one_ulp_above_mu(capsys):
+    # g = (beta/mu - 1) e is inside its own rounding band at every node;
+    # there it takes the sign of beta - mu instead of reading as a fixed
+    # point.  The orbit freezes in rounding at step 40, so the exit is 4
+    rc = main(["certify", "--alpha", "0.6", "--beta", "0.5000000000000001", "--mu", "0.5"])
+    lines = _certificate_lines(capsys)
+    assert lines["fixed-point-scan"] == "PASS fixed-point-scan: origin only"
+    assert lines["stability-equivalence"] == "PASS stability-equivalence: classification=saddle"
+    assert [name for name, ln in lines.items() if ln.startswith("FAIL ")] == ["orbit-dichotomy"]
+    assert rc == 4
+
+
+def test_certify_spectral_agreement_passes_at_the_top_of_the_box(capsys):
+    # 4 alpha beta overflows from beta about 4.5e307; the root of the
+    # closed-form eigenvalues does not, so they agree with the numeric
+    # solver.  `two-cycle-grid` still fails on overflowing grid values
+    rc = main(["certify", "--alpha", "1", "--beta", "4.6e307", "--mu", "0.48"])
+    lines = _certificate_lines(capsys)
+    assert lines["spectral-agreement"].startswith("PASS spectral-agreement: ")
+    assert [name for name, ln in lines.items() if ln.startswith("FAIL ")] == ["two-cycle-grid"]
+    assert rc == 4
 
 
 def test_certify_keeps_the_periodic_scan_failure_short(monkeypatch, capsys):

@@ -15,6 +15,7 @@ import sympy
 import mosqdyn as mq
 from mosqdyn.model import _field, _map
 from mosqdyn.simplex import _two_cycle_coefficients, interval_map_parts
+from mosqdyn.spectral import _at_minus_one
 
 x, y, alpha, beta, mu, d0, d1 = sympy.symbols("x y alpha beta mu d0 d1")
 REDUCED = SimpleNamespace(alpha=alpha, beta=beta, mu=mu, d0=0, d1=0)
@@ -72,6 +73,28 @@ def test_origin_jacobian_is_the_derivative_of_the_map():
     entries = sympy.lambdify((alpha, beta, mu), jac)
     for rates in ((0.6, 0.5, 0.48), (0.4, 0.35, 0.3), (1e-9, 1e8, 0.1)):
         assert entries(*rates).tolist() == [list(row) for row in mq.jacobian_at_origin(mq.Parameters(*rates))]
+
+
+z = sympy.Symbol("z")
+
+
+def origin_charpoly():
+    # p(z) = det(zI - J) for J the Jacobian of `_map` at the origin
+    jac = sympy.Matrix(_map(REDUCED, x, y)).jacobian([x, y]).subs({x: 0, y: 0})
+    return sympy.expand((z * sympy.eye(2) - sympy.nsimplify(jac, rational=True)).det())
+
+
+def test_origin_characteristic_polynomial_holds_symbolically():
+    # p(z) = z^2 - (2 - alpha - mu) z + (1 - alpha)(1 - mu) - alpha beta,
+    # with p(1) = alpha (mu - beta), whose sign `classify_origin` takes
+    # from the float comparison of mu with beta, and p(-1) the library's
+    # own `_at_minus_one`, (2 - alpha)(2 - mu) - alpha beta, whose sign
+    # it decides in exact decimals
+    charpoly = origin_charpoly()
+    assert vanishes(charpoly - (z**2 - (2 - alpha - mu) * z + (1 - alpha) * (1 - mu) - alpha * beta))
+    assert vanishes(charpoly.subs(z, 1) - alpha * (mu - beta))
+    assert vanishes(charpoly.subs(z, -1) - _at_minus_one(REDUCED))
+    assert vanishes(_at_minus_one(REDUCED) - ((2 - alpha) * (2 - mu) - alpha * beta))
 
 
 def test_reduction_identity_holds_symbolically():
@@ -142,6 +165,50 @@ def test_interval_map_range_holds_on_the_admissible_box():
     # on [0, 1] is at an endpoint, a(0) = beta > 0 or a(1) = 1 + s > 0
     assert sympy.expand(sympy.diff(num.subs(beta, 1 + v), x, 2) + 2 * v) == 0
     assert num.subs(x, 0) == beta and written_as(1 + s, num.subs(x, 1))
+
+
+def test_jury_signs_place_the_eigenvalues_on_the_admissible_box():
+    # with D = sqrt((alpha - mu)^2 + 4 alpha beta) the eigenvalues are
+    # lambda1,2 = (2 - alpha - mu +- D) / 2, so p(z) = (z - lambda1)(z - lambda2),
+    # p(1) = (1 - lambda1)(1 - lambda2) and p(-1) = (1 + lambda1)(1 + lambda2)
+    charpoly = origin_charpoly()
+    root = sympy.sqrt((alpha - mu) ** 2 + 4 * alpha * beta)
+    l1, l2 = (2 - alpha - mu + root) / 2, (2 - alpha - mu - root) / 2
+    assert vanishes(charpoly - (z - l1) * (z - l2))
+    assert vanishes(charpoly.subs(z, 1) - (1 - l1) * (1 - l2))
+    assert vanishes(charpoly.subs(z, -1) - (1 + l1) * (1 + l2))
+    # lambda1 > 0, so 1 + lambda1 > 0 and p(-1) has the sign of 1 + lambda2:
+    # the side of -1 that lambda2 is on
+    positive_l1 = (s + t + sympy.sqrt((t - s) ** 2 + 4 * alpha * beta)) / 2
+    assert written_as(positive_l1, l1) and positive_l1.subs(ON_BOX).is_positive
+    # lambda2 < 1, so p(1) has the sign of 1 - lambda1: the side of 1
+    # that lambda1 is on
+    positive = {alpha: ON_BOX[alpha], beta: ON_BOX[beta], mu: sympy.Symbol("mu_", positive=True)}
+    assert (1 - l2).subs(positive).is_positive
+    # `stability_inequalities`: with s = alpha + mu <= 2, so 4 - s > 0,
+    # s + D < 4 exactly when (4 - s)^2 - D^2 = 4 p(-1) > 0, and 0 < s - D
+    # exactly when s^2 - D^2 = 4 p(1) > 0
+    trace_sum = alpha + mu
+    assert vanishes((4 - trace_sum) ** 2 - root**2 - 4 * charpoly.subs(z, -1))
+    assert vanishes(trace_sum**2 - root**2 - 4 * charpoly.subs(z, 1))
+    # both positive: both eigenvalues inside the unit circle; both
+    # negative: both outside; one zero: one on it; else a saddle.  The
+    # float eigenvalues are these roots, rounded
+    roots = sympy.lambdify((alpha, beta, mu), (l1, l2), "math")
+    for rates in ((0.6, 0.5, 0.48), (0.5, 4.5, 0.5), (1e-6, 0.49995, 0.5), (1.0, 1e300, 0.48)):
+        want = roots(*rates)
+        got = mq.origin_eigenvalues(mq.Parameters(*rates))
+        assert all(math.isclose(g, w, rel_tol=1e-15, abs_tol=1e-15 * abs(want[0])) for g, w in zip(got, want))
+
+
+def test_extinction_rates_put_lambda2_above_minus_one():
+    # beta = mu - c with c > 0 gives p(-1) = 2 (1 - alpha) + 2 (1 - mu)
+    # + alpha c > 0 on the box: for beta < mu the exact label is
+    # attracting, so `sweep` holds the label to lambda1's side of 1 alone
+    c = sympy.Symbol("c", positive=True)
+    form = 2 * s + 2 * t + alpha * c
+    assert written_as(form, _at_minus_one(REDUCED).subs(beta, mu - c))
+    assert form.subs(ON_BOX).is_positive
 
 
 def test_total_increment_identity_holds_symbolically():

@@ -1,8 +1,14 @@
 """Origin linearization: Jacobian, eigenvalues, classification, fixed points.
 
 The closed-form eigenvalues are cross-checked against numpy's companion
-matrix solver on the characteristic polynomial, an independent route.
+matrix solver on the characteristic polynomial, an independent route,
+and the classification against the signs of p(1) and p(-1) taken in
+exact rationals.
 """
+
+import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -128,6 +134,74 @@ def test_stability_inequalities_equivalent_to_modulus(alpha, beta, mu):
     assert (a and b) == inside
 
 
+def jury_signs(p: mq.Parameters) -> tuple[int, int]:
+    """The signs of p(1) = alpha (mu - beta) and
+    p(-1) = (2 - alpha)(2 - mu) - alpha beta, in exact rationals."""
+    a, b, m = Fraction(p.alpha), Fraction(p.beta), Fraction(p.mu)
+    at_one, at_minus_one = a * (m - b), (2 - a) * (2 - m) - a * b
+    return ((at_one > 0) - (at_one < 0), (at_minus_one > 0) - (at_minus_one < 0))
+
+
+def sign_rule(signs: tuple[int, int]) -> mq.Classification:
+    if 0 in signs:
+        return mq.Classification.NONHYPERBOLIC
+    if signs[0] != signs[1]:
+        return mq.Classification.SADDLE
+    return mq.Classification.ATTRACTING if signs[0] > 0 else mq.Classification.REPELLING
+
+
+@pytest.mark.parametrize("surface", ["beta = mu", "lambda2 = -1"])
+def test_label_is_the_sign_rule_next_to_each_critical_surface(surface):
+    # alpha and mu log-uniform, beta a relative 10^-k off the surface
+    # where p(1) = 0 or where p(-1) = 0, k uniform in [1, 16]: the label
+    # is the exact sign rule, and the filtered float inequalities say
+    # attracting exactly when it does, each one p(-1) > 0 and p(1) > 0
+    # (the unfiltered ones disagree on about 5% of the draws next to
+    # beta = mu)
+    rng = np.random.default_rng(13)
+    n = 4000
+    alpha = 10.0 ** rng.uniform(-6.0, 0.0, n)
+    mu = 10.0 ** rng.uniform(-4.0, 0.0, n)
+    on = mu if surface == "beta = mu" else (2.0 - alpha) * (2.0 - mu) / alpha
+    beta = on * (1.0 + rng.choice([-1.0, 1.0], n) * 10.0 ** -rng.uniform(1.0, 16.0, n))
+    labels = set()
+    for a, b, m in zip(alpha, beta, mu):
+        p = mq.Parameters(a, b, m)
+        signs = jury_signs(p)
+        label = mq.classify_origin(p).classification
+        assert label is sign_rule(signs), p
+        inequalities = mq.stability_inequalities(p)
+        assert all(inequalities) == (label is mq.Classification.ATTRACTING), p
+        assert inequalities == (signs[1] > 0, signs[0] > 0), p
+        labels.add(label)
+    assert len(labels) >= 2
+
+
+@pytest.mark.parametrize("rates, label", [
+    ((0.5, 4.5, 0.5), mq.Classification.NONHYPERBOLIC),  # p(-1) = 0: lambda2 = -1
+    ((0.5, 4.500000000000001, 0.5), mq.Classification.REPELLING),
+    ((0.5, 4.499999999999999, 0.5), mq.Classification.SADDLE),
+    ((0.6, 0.5000000000000001, 0.5), mq.Classification.SADDLE),  # one ulp above mu
+    ((0.6, 0.49999999999999994, 0.5), mq.Classification.ATTRACTING),  # one ulp below
+    ((1e-6, 0.49995, 0.5), mq.Classification.ATTRACTING),  # lambda1 = 1 - 5e-11
+])
+def test_classification_on_the_critical_surfaces(rates, label):
+    p = mq.Parameters(*rates)
+    assert mq.classify_origin(p).classification is label
+    assert all(mq.stability_inequalities(p)) == (label is mq.Classification.ATTRACTING)
+
+
+def test_eigenvalues_stay_finite_at_the_top_of_the_box():
+    # (alpha - mu)^2 + 4 alpha beta overflows from beta about 4.5e307;
+    # the root form taken does not, and numpy's solver agrees
+    p = mq.Parameters(1.0, sys.float_info.max, 0.48)
+    l1, l2 = mq.origin_eigenvalues(p)
+    assert math.isfinite(l1) and math.isfinite(l2)
+    numeric = np.sort(np.linalg.eigvals(np.asarray(mq.jacobian_at_origin(p))).real)[::-1]
+    assert abs(l1 - numeric[0]) <= 1e-12 * l1 and abs(l2 - numeric[1]) <= 1e-12 * l1
+    assert mq.classify_origin(p).classification is mq.Classification.REPELLING
+
+
 # ---------------------------------------------------------- fixed points
 
 
@@ -138,6 +212,9 @@ def test_stability_inequalities_equivalent_to_modulus(alpha, beta, mu):
     mq.Parameters(0.6, 0.49999999999, 0.5),
     # tiny rates, where the nullcline's adults y = alpha x/((1+x) mu) are O(1)
     mq.Parameters(1e-12, 1e-8, 1e-12),
+    # one ulp either side of mu: every g is inside its own rounding band
+    mq.Parameters(0.6, 0.5000000000000001, 0.5),
+    mq.Parameters(0.6, 0.49999999999999994, 0.5),
 ])
 def test_origin_is_only_fixed_point(p):
     pts = mq.find_fixed_points(p)
