@@ -42,16 +42,34 @@ CASES = {
                               "--dt", "0.01", "--out", "{}"], "compare-general.csv"),
     "simulate-ref2-file": (["simulate", "--alpha", "0.4", "--beta", "0.35", "--mu", "0.3", "--x0", "0.5", "--y0", "2",
                             "--out", "{}"], "ref2.csv"),
+    # one rate set for each label, the two nonhyperbolic surfaces
+    # (lambda1 = 1 at beta = mu, lambda2 = -1 at beta = (2 - alpha)(2 - mu)/alpha)
+    "classify-attracting": (["classify", "--alpha", "0.5", "--beta", "0.3", "--mu", "0.6"], None),
+    "classify-repelling": (["classify", "--alpha", "0.5", "--beta", "4.6", "--mu", "0.5"], None),
+    "classify-nonhyperbolic-one": (["classify", "--alpha", "0.9", "--beta", "0.9", "--mu", "0.9"], None),
+    "classify-nonhyperbolic-minus-one": (["classify", "--alpha", "0.5", "--beta", "4.5", "--mu", "0.5"], None),
+    # r0 about 0.45 with d1 > 0: the summary's "positive_equilibrium=none"
+    "compare-general-subcritical": (["compare", "--alpha", "0.5", "--beta", "0.3", "--mu", "0.6", "--d0", "0.05",
+                                     "--d1", "0.01", "--x0", "1", "--y0", "1", "--steps", "20", "--t-end", "2"],
+                                    None),
 }
 
 # name -> (exit code, sha256 of stdout, of stderr, of the written file or None)
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # sha256 of b""
 PINS = {
     "classify": (0, "5b44d68036431320288eecf2dfec12b7f3a07aebd5a3b5fc998b6db52b889d8d", EMPTY, None),
+    "classify-attracting": (0, "42ebdb09b6c05d7653c838de8c8ac1d80bb870a01b86c03f3c01464e68444295", EMPTY, None),
+    "classify-nonhyperbolic-minus-one": (0, "4c496d94f2a9ea752fa1cec563b57cc2f01fd14fc2f0c3edc796d17ea2010a59",
+                                         EMPTY, None),
+    "classify-nonhyperbolic-one": (0, "4ce0d4ecc060c8947f2576699f747a05811dfe0cccb5a5330ae133943b3690f1", EMPTY,
+                                   None),
+    "classify-repelling": (0, "0b29476519dd1287971258c0fad02eaa08ffa4e2232f39d4a6c4f1ef26f6c3da", EMPTY, None),
     "compare-general-file": (0, "3c3959f2b48fafe3db07fe538708319aa7810d7ef6125027d4dd38a8154324aa", EMPTY,
                              "d55f8f5bfae3a8641ea84d1c96f9914cc67e27b4e469d98d9618edae08d27733"),
     "compare-reduced-file": (0, "a100c2a1f958d73f77fcf8e46ab246a17da961b389c47348c0d993b3faea2e4b", EMPTY,
                              "e371863d3c6bc3b37da9e95e97ecbcdd97bf771231f4e21a5be08256d5e87fc2"),
+    "compare-general-subcritical": (0, "b16639861c1c1de59479225f9bef21fd1376c393d0ad8fbf455832973a8573b4",
+                                    "37b7dfc7d6894e862e256ae80636beecdc87924bc7a73d6b7754d473f6117862", None),
     "compare": (0, "9f5d5c9546be06521a9c7639b2a41ac6e7c79316b567156b33a5406378b9ed92",
                 "88738e64d1bee65d9c1e6f4a33844fecf1afd393326804d99288fa83770a1777", None),
     "simulate-csv": (0, "b8c644e41c34b6e9806531bb97fc0b6731b7b6284349d7da279f3092a58f5703",
