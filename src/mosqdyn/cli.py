@@ -35,7 +35,7 @@ from .battery import SWEEP_CSV_HEADER, expected_fate, run_certificates, run_tria
 from .errors import IntegrationError, VerificationError
 from .ioutil import FLOAT_FIELD, atomic_write_lines, atomic_write_text, fmt, json_text
 from .model import Mode, Parameters, State, validate_parameters
-from .ode import OdeConfig, equilibrium_report, integrate_flow, offspring_number
+from .ode import OdeConfig, integrate_flow, offspring_number, positive_equilibrium
 from .spectral import classify_origin, stability_inequalities
 from .trajectory import Orbit, OrbitConfig, iterate_general, iterate_orbit, orbit_to_csv
 
@@ -215,6 +215,7 @@ def _axis(rng3: list[float], name: str) -> np.ndarray:
     if hi < lo:
         raise ValueError(f"{name}: inverted range [{lo}, {hi}]")
     if n == 1:
+        # not np.linspace(lo, hi, 1): that is [nan] where hi - lo overflows
         return np.asarray([lo], dtype=np.float64)
     return np.linspace(lo, hi, n)
 
@@ -284,19 +285,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
         return 2
     s0 = State(args.x0, args.y0)
 
-    eq = equilibrium_report(p)
+    r0 = offspring_number(p)
+    positive = positive_equilibrium(p) if p.d1 > 0.0 else None
     flow = integrate_flow(p, s0, OdeConfig(step=args.dt, t_end=args.t_end))
 
     reduced = validate_parameters(p, Mode.REDUCED).valid
-    summary: list[str] = []
-    if eq.positive is not None:
-        eq_txt = f"({fmt(eq.positive.x)}, {fmt(eq.positive.y)})"
-    else:
-        eq_txt = "none"
-    summary.append(
-        f"r0={fmt(eq.r0)} trivial_stable={'true' if eq.trivial_stable else 'false'} "
-        f"positive_equilibrium={eq_txt}"
-    )
+    eq_txt = "none" if positive is None else f"({fmt(positive.x)}, {fmt(positive.y)})"
+    summary = [
+        f"r0={fmt(r0)} trivial_stable={'true' if r0 <= 1.0 else 'false'} positive_equilibrium={eq_txt}"
+    ]
     if reduced:
         orbit = iterate_orbit(p, s0, _orbit_config(args))
         ns, xs, ys = orbit.steps, orbit.xs, orbit.ys

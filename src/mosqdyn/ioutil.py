@@ -35,7 +35,11 @@ def _atomic_write(path, write: Callable[[TextIO], object]) -> None:
     0600 of mkstemp.
     """
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".part")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".part")
+    except OSError as exc:
+        # name the file asked for, not the random temp name
+        raise OSError(exc.errno, exc.strerror, str(target)) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             # the umask can only be read by setting it (single-threaded program)

@@ -138,17 +138,18 @@ def validate_parameters(p: Parameters, mode: Mode | str = Mode.GENERAL) -> Valid
     finite = all(
         math.isfinite(v) for v in (p.alpha, p.beta, p.mu, p.d0, p.d1)
     )
+    # nan fails every comparison, so each range names only its own rate
     checks: list[tuple[str, bool]] = [
         ("all parameters finite", finite),
-        ("0 < alpha <= 1", finite and 0.0 < p.alpha <= 1.0),
-        ("beta > 0", finite and p.beta > 0.0),
-        ("0 < mu <= 1", finite and 0.0 < p.mu <= 1.0),
-        ("d0 >= 0", finite and p.d0 >= 0.0),
-        ("d1 >= 0", finite and p.d1 >= 0.0),
+        ("0 < alpha <= 1", 0.0 < p.alpha <= 1.0),
+        ("beta > 0", p.beta > 0.0),
+        ("0 < mu <= 1", 0.0 < p.mu <= 1.0),
+        ("d0 >= 0", p.d0 >= 0.0),
+        ("d1 >= 0", p.d1 >= 0.0),
     ]
     if mode is Mode.REDUCED:
         checks.append(("d0 = 0 and d1 = 0", p.d0 == 0.0 and p.d1 == 0.0))
-        checks.append(("beta != mu", finite and p.beta != p.mu))
+        checks.append(("beta != mu", p.beta != p.mu))
     return ValidationReport(mode=mode, failures=tuple(name for name, ok in checks if not ok))
 
 

@@ -44,11 +44,9 @@ from .model import Mode, Parameters, State, _field, _slack, require_valid
 
 __all__ = [
     "OdeConfig",
-    "EquilibriumReport",
     "FlowTrajectory",
     "offspring_number",
     "positive_equilibrium",
-    "equilibrium_report",
     "integrate_flow",
 ]
 
@@ -73,17 +71,6 @@ class OdeConfig:
             raise ValueError("t_end must be at least one step")
         if not math.isfinite(self.t_end / self.step):
             raise ValueError(f"t_end / step must be finite, got {self.t_end} / {self.step}")
-
-
-@dataclass(frozen=True)
-class EquilibriumReport:
-    """Threshold quantity and equilibria of the flow: r0, stability of
-    the extinction state (stable iff r0 <= 1), and the positive
-    equilibrium when it exists (r0 > 1 and d1 > 0, else None)."""
-
-    r0: float
-    trivial_stable: bool
-    positive: State | None
 
 
 @dataclass(frozen=True)
@@ -142,13 +129,6 @@ def positive_equilibrium(p: Parameters) -> State | None:
     if res > tol:
         raise VerificationError(f"positive equilibrium residual {res:.3e} exceeds {tol:.1e}")
     return State(x, y)
-
-
-def equilibrium_report(p: Parameters) -> EquilibriumReport:
-    """r0, trivial-state stability, and the positive equilibrium if any."""
-    r0 = offspring_number(p)
-    positive = positive_equilibrium(p) if p.d1 > 0.0 else None
-    return EquilibriumReport(r0=r0, trivial_stable=r0 <= 1.0, positive=positive)
 
 
 def integrate_flow(p: Parameters, s0: State, config: OdeConfig | None = None) -> FlowTrajectory:

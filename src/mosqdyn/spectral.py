@@ -13,9 +13,10 @@ always distinct since alpha*beta > 0.  The root is computed as twice
 sqrt(((alpha - mu)/2)^2 + alpha beta), the same double wherever the
 textbook form is finite, and finite up to beta = DBL_MAX.
 
-`classify_origin` decides the origin's stability by the Jury
-(Schur-Cohn) test for a 2x2 map (E. I. Jury, 1964), on the
-characteristic polynomial p(z) = det(zI - J):
+`classify_origin` is the one entry point for J, its two eigenvalues and
+the origin's label, returned together in a `SpectralReport`.  It decides
+the origin's stability by the Jury (Schur-Cohn) test for a 2x2 map
+(E. I. Jury, 1964), on the characteristic polynomial p(z) = det(zI - J):
 
     p(1)  = alpha (mu - beta),
     p(-1) = (2 - alpha)(2 - mu) - alpha beta.
@@ -24,9 +25,10 @@ On the admissible box lambda1 > 0 and lambda2 < 1, so the sign of p(1)
 says on which side of 1 lambda1 lies, and the sign of p(-1) on which
 side of -1 lambda2 lies (`tests/test_proofs.py`).  Both signs are exact:
 the first is the float comparison of mu with beta, the second a float
-evaluation, redone in `model._EXACT` inside its rounding band.  The sign of beta - mu thus decides the
-local picture: the origin attracts for beta < mu, and loses
-hyperbolicity exactly at beta = mu, where lambda1 = 1.
+evaluation, redone in `model._EXACT` inside its rounding band.  The
+sign of beta - mu thus decides the local picture: the origin attracts
+for beta < mu, and loses hyperbolicity exactly at beta = mu, where
+lambda1 = 1.
 
 `find_fixed_points` checks numerically that the reduced map has no
 fixed point besides the origin in the strip [0, 50] x [0, inf), by a
@@ -49,8 +51,6 @@ from .model import Mode, Parameters, State, _EXACT, _exact, _field, _slack, requ
 __all__ = [
     "Classification",
     "SpectralReport",
-    "jacobian_at_origin",
-    "origin_eigenvalues",
     "classify_origin",
     "stability_inequalities",
     "find_fixed_points",
@@ -87,23 +87,11 @@ def _require_linearizable(p: Parameters) -> None:
         )
 
 
-def jacobian_at_origin(p: Parameters) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Jacobian of the reduced map at the extinction state (0, 0)."""
-    _require_linearizable(p)
-    return ((1.0 - p.alpha, p.beta), (p.alpha, 1.0 - p.mu))
-
-
 def _half_root(p: Parameters) -> float:
     # sqrt((alpha - mu)^2 + 4 alpha beta) / 2 with every term scaled by a
     # power of two, so the same double wherever that form is finite;
     # alpha beta <= DBL_MAX for alpha <= 1, so this one never overflows
     return math.sqrt(((p.alpha - p.mu) / 2.0) ** 2 + p.alpha * p.beta)
-
-
-def _eigenvalues(p: Parameters) -> tuple[float, float]:
-    half_trace = (2.0 - p.alpha - p.mu) / 2.0
-    half_root = _half_root(p)
-    return (half_trace + half_root, half_trace - half_root)
 
 
 def _at_minus_one(p):
@@ -127,24 +115,18 @@ def _sign_at_minus_one(p: Parameters) -> int:
     return (v > 0) - (v < 0)
 
 
-def origin_eigenvalues(p: Parameters) -> tuple[float, float]:
-    """Both eigenvalues of the origin Jacobian, closed form, descending.
-
-    The discriminant (alpha - mu)^2 + 4 alpha beta is strictly positive
-    for admissible rates, so the pair is real and distinct.
-    """
-    _require_linearizable(p)
-    return _eigenvalues(p)
-
-
 def classify_origin(p: Parameters) -> SpectralReport:
-    """Classify the origin by the exact signs of p(1) and p(-1).
+    """J, its eigenvalues in closed form (descending), and the origin's
+    label, decided by the exact signs of p(1) and p(-1).
 
     Both positive is attracting, both negative repelling, either zero
     nonhyperbolic (beta = mu gives p(1) = 0: lambda1 = 1), one of each a
     saddle.
     """
-    jacobian = jacobian_at_origin(p)
+    _require_linearizable(p)
+    jacobian = ((1.0 - p.alpha, p.beta), (p.alpha, 1.0 - p.mu))
+    half_trace = (2.0 - p.alpha - p.mu) / 2.0
+    half_root = _half_root(p)
     signs = ((p.mu > p.beta) - (p.mu < p.beta), _sign_at_minus_one(p))
     if 0 in signs:
         cls = Classification.NONHYPERBOLIC
@@ -152,7 +134,7 @@ def classify_origin(p: Parameters) -> SpectralReport:
         cls = Classification.SADDLE
     else:
         cls = Classification.ATTRACTING if signs[0] > 0 else Classification.REPELLING
-    return SpectralReport(jacobian, *_eigenvalues(p), cls)
+    return SpectralReport(jacobian, half_trace + half_root, half_trace - half_root, cls)
 
 
 def stability_inequalities(p: Parameters) -> tuple[bool, bool]:

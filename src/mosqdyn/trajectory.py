@@ -33,7 +33,10 @@ coordinates below CONV_TOL) decides only beta < mu, or the fixed point
 (0, 0) itself, and the escape threshold (x above DIV_THRESHOLD = 1e9)
 decides only beta > mu.  A step that overflows (only the larval count
 can: y' = f(x) + (1 - mu)*y is at most alpha + y) ends the run
-`exhausted` at its state, inf being no state to decide from.
+`exhausted` at its state, inf being no state to decide from.  So does a
+step that returns its own input, or that of the step before it, bit for
+bit: rounding has frozen the state or caught it in a two-cycle.  A run
+that meets no rule within `max_iters` steps is `exhausted` too.
 
 Every rule is judged on every computed step.  The recording stride
 `record_every` only picks the rows kept, every k-th step plus the start
@@ -121,31 +124,9 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class OrbitConfig:
-    """Iteration budget and recording stride.  The detection thresholds
-    are the module constants CONV_TOL, DIV_THRESHOLD and CONFIRM_STEPS.
-
-    extinction: both coordinates below CONV_TOL, for beta < mu; for
-                beta > mu only the fixed point (0, 0) itself.
-    survival:   for beta > mu only: x above DIV_THRESHOLD, or
-                the monotone-regime window of CONFIRM_STEPS computed
-                steps on which the second-order estimator
-                y + (alpha/mu)*u - (alpha/mu)*(u - u_prev)/mu,
-                u = 1/(1+x), stays within CONV_TOL of alpha/mu (see the
-                module docstring); or, where the caller asks for it
-                (`battery.sweep`, `battery.run_trials`), a state in the
-                both-up region, a certificate that needs none of these
-                thresholds.
-    exhausted:  neither within max_iters; or a step overflowed; or a
-                step returned its own input or that of the step before
-                it bit for bit: rounding has frozen the state or caught
-                it in a two-cycle, so the run ends there.
-
-    Each rule decides only the regime whose fate it names, so no verdict
-    falls on the wrong side of the dichotomy.  The two patterns counted
-    online are (a) and (b) of `count_forbidden_patterns`.  record_every
-    only thins the rows kept: every k-th step, plus the start and the
-    final state.
-    """
+    """Iteration budget and recording stride.  The verdict rules and
+    their thresholds (CONV_TOL, DIV_THRESHOLD, CONFIRM_STEPS) are in the
+    module docstring; record_every only thins the rows kept."""
 
     max_iters: int = 1_000_000
     record_every: int = 1
@@ -260,10 +241,8 @@ def iterate_orbit(
     x = s0.x
     y = s0.y
     px = x  # larval count of the previous state; x itself at n = 0, so du = 0
-    rec_n = array("q", [0])
     rec_x = array("d", [x])
     rec_y = array("d", [y])
-    put_n = rec_n.append
     put_x = rec_x.append
     put_y = rec_y.append
 
@@ -370,12 +349,13 @@ def iterate_orbit(
         x = x1
         y = y1
         if n % every == 0:
-            put_n(n)
             put_x(x)
             put_y(y)
 
-    if rec_n[-1] != n:
-        put_n(n)
+    # the rows kept: every k-th step below n, then n itself, recorded in
+    # the loop already where the run ended at its top on a multiple of k
+    steps = np.append(np.arange(0, n, every, dtype=np.int64), n)
+    if len(rec_x) < len(steps):
         put_x(x)
         put_y(y)
     y_limit = _adult_limit(am, mu, x, px, y) if verdict is Verdict.SURVIVAL else y
@@ -399,7 +379,7 @@ def iterate_orbit(
     return Orbit(
         params=p,
         config=cfg,
-        steps=np.frombuffer(rec_n, dtype=np.int64),
+        steps=steps,
         xs=np.frombuffer(rec_x, dtype=np.float64),
         ys=np.frombuffer(rec_y, dtype=np.float64),
         verdict=verdict,

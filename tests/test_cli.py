@@ -203,6 +203,17 @@ def test_simulate_unwritable_output_path(tmp_path, capsys):
     assert "i/o error" in err
 
 
+def test_unwritable_output_path_is_named_as_given(tmp_path, capsys):
+    # the message names the requested file, not the temp file beside it
+    target = tmp_path / "missing" / "cells.csv"
+    rc = main(["sweep", "--alpha-range", "0.6", "0.6", "1", "--beta-range", "0.5", "0.5", "1",
+               "--mu-range", "0.48", "0.48", "1", "--out", str(target)])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert out == ""
+    assert err == f"i/o error: [Errno 2] No such file or directory: '{target}'\n"
+
+
 def test_simulate_budget_far_beyond_memory_matches_default(tmp_path, capsys):
     default_path = tmp_path / "default.csv"
     huge_path = tmp_path / "huge.csv"
@@ -483,6 +494,17 @@ def test_sweep_rejects_inverted_range(tmp_path, capsys):
     assert "inverted range" in err
 
 
+def test_sweep_single_point_axis_is_its_low_end_when_the_span_overflows(tmp_path, capsys):
+    # hi - lo overflows, where np.linspace(lo, hi, 1) would give [nan];
+    # argparse reads "-1e+308" as a flag, so the low end is spelled out
+    out_path = tmp_path / "s.csv"
+    rc = main(["sweep", "--alpha-range", "0.6", "0.6", "1", "--beta-range", str(int(-1e308)), "1.7e308", "1",
+               "--mu-range", "0.5", "0.5", "1", "--out", str(out_path)])
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (0, "cells=1 in_condition=0 agree=0 disagree=0\n", "")
+    assert out_path.read_text().splitlines()[1].split(",")[1] == "-1.0000000000000000e+308"
+
+
 @pytest.mark.parametrize("axis", [("0.6", "0.6", "inf"), ("0.6", "0.6", "nan"),
                                   ("0.6", "inf", "2"), ("nan", "0.6", "1")])
 def test_sweep_rejects_non_finite_axis(tmp_path, capsys, axis):
@@ -753,6 +775,14 @@ def test_certify_rejects_invalid_rates(capsys):
     assert err == "invalid parameters (mode=reduced): 0 < alpha <= 1\n"
 
 
+def test_classify_names_only_the_failing_constraints_of_a_nan_rate(capsys):
+    rc = main(["classify", "--alpha", "nan", "--beta", "0.5", "--mu", "0.4"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err == "error: invalid parameters (mode=general): all parameters finite; 0 < alpha <= 1\n"
+
+
 def test_certify_does_not_hide_an_overflowed_residual(capsys):
     rc = main(["certify", "--alpha", "0.5", "--beta", "0.9", "--mu", "1.0",
                "--x0", "1.7e308", "--y0", "1.7e308", "--steps", "5"])
@@ -974,7 +1004,7 @@ def test_verification_failure_inside_a_command_exits_4(monkeypatch, capsys):
     def failing(p):
         raise VerificationError("positive equilibrium residual 1.000e+00 exceeds 1.0e-09")
 
-    monkeypatch.setattr(cli, "equilibrium_report", failing)
+    monkeypatch.setattr(cli, "offspring_number", failing)
     rc = main(["compare", *EXT, "--x0", "1", "--y0", "1", "--steps", "5", "--t-end", "1"])
     out, err = capsys.readouterr()
     assert rc == 4

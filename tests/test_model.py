@@ -109,6 +109,23 @@ def test_validation_rejects_out_of_range(bad):
         mq.require_valid(bad, mq.Mode.GENERAL)
 
 
+@pytest.mark.parametrize(
+    "p, mode, failures",
+    [
+        (mq.Parameters(float("nan"), 0.5, 0.4), mq.Mode.GENERAL, ("all parameters finite", "0 < alpha <= 1")),
+        (mq.Parameters(0.5, float("nan"), 0.4), mq.Mode.REDUCED, ("all parameters finite", "beta > 0")),
+        (mq.Parameters(0.5, float("inf"), 0.4), mq.Mode.REDUCED, ("all parameters finite",)),
+        (mq.Parameters(0.5, 0.5, float("-inf")), mq.Mode.GENERAL, ("all parameters finite", "0 < mu <= 1")),
+        (mq.Parameters(0.5, 0.5, 0.4, float("nan"), float("inf")), mq.Mode.GENERAL,
+         ("all parameters finite", "d0 >= 0")),
+    ],
+)
+def test_validation_names_only_the_constraints_that_fail(p, mode, failures):
+    # a rate that is not finite fails the finiteness check and its own
+    # range, never the ranges of the other rates
+    assert mq.validate_parameters(p, mode).failures == failures
+
+
 def test_validation_mode_accepts_strings():
     assert mq.validate_parameters(REF1, "reduced").valid
     assert mq.validate_parameters(REF1, "general").valid

@@ -143,20 +143,18 @@ def test_positive_equilibrium_requires_density_dependence():
         mq.positive_equilibrium(mq.Parameters(0.6, 0.8, 0.5, 0.1, 0.0))
 
 
-def test_equilibrium_report_fields():
-    rep = mq.equilibrium_report(FULL_GROW)
-    assert rep.r0 == pytest.approx(1.3714285714285714, abs=1e-14)
-    assert not rep.trivial_stable
-    assert rep.positive == mq.positive_equilibrium(FULL_GROW)
+def test_offspring_number_decides_the_positive_equilibrium():
+    assert mq.offspring_number(FULL_GROW) == pytest.approx(1.3714285714285714, abs=1e-14)
+    eq = mq.positive_equilibrium(FULL_GROW)
+    assert eq.x > 0.0 and eq.y > 0.0
 
-    rep = mq.equilibrium_report(FULL_DIE)
-    assert rep.trivial_stable
-    assert rep.positive is None
+    assert mq.offspring_number(FULL_DIE) <= 1.0
+    assert mq.positive_equilibrium(FULL_DIE) is None
 
-    # d1 = 0 above threshold: report degrades gracefully to no equilibrium
-    rep = mq.equilibrium_report(RED)
-    assert not rep.trivial_stable
-    assert rep.positive is None
+    # d1 = 0 above threshold: no positive equilibrium to ask for
+    assert mq.offspring_number(RED) > 1.0
+    with pytest.raises(ValueError, match="d1 > 0"):
+        mq.positive_equilibrium(RED)
 
 
 # -------------------------------------------------------------- integrator

@@ -66,13 +66,13 @@ def test_positive_equilibrium_is_the_conjugate_root_symbolically():
 def test_origin_jacobian_is_the_derivative_of_the_map():
     # the spectral classification linearizes the map itself: the
     # Jacobian of `_map` at (0, 0), symbolically, and in floats the
-    # matrix `jacobian_at_origin` returns, entry for entry
+    # matrix `classify_origin` reports, entry for entry
     jac = sympy.Matrix(_map(REDUCED, x, y)).jacobian([x, y]).subs({x: 0, y: 0})
     jac = sympy.nsimplify(jac, rational=True)
     assert sympy.simplify(jac - sympy.Matrix([[1 - alpha, beta], [alpha, 1 - mu]])) == sympy.zeros(2, 2)
     entries = sympy.lambdify((alpha, beta, mu), jac)
     for rates in ((0.6, 0.5, 0.48), (0.4, 0.35, 0.3), (1e-9, 1e8, 0.1)):
-        assert entries(*rates).tolist() == [list(row) for row in mq.jacobian_at_origin(mq.Parameters(*rates))]
+        assert entries(*rates).tolist() == [list(row) for row in mq.classify_origin(mq.Parameters(*rates)).jacobian]
 
 
 z = sympy.Symbol("z")
@@ -197,7 +197,8 @@ def test_jury_signs_place_the_eigenvalues_on_the_admissible_box():
     roots = sympy.lambdify((alpha, beta, mu), (l1, l2), "math")
     for rates in ((0.6, 0.5, 0.48), (0.5, 4.5, 0.5), (1e-6, 0.49995, 0.5), (1.0, 1e300, 0.48)):
         want = roots(*rates)
-        got = mq.origin_eigenvalues(mq.Parameters(*rates))
+        rep = mq.classify_origin(mq.Parameters(*rates))
+        got = (rep.lambda1, rep.lambda2)
         assert all(math.isclose(g, w, rel_tol=1e-15, abs_tol=1e-15 * abs(want[0])) for g, w in zip(got, want))
 
 

@@ -31,15 +31,20 @@ def charpoly_eigs(p: mq.Parameters) -> tuple[float, float]:
     return float(roots[0]), float(roots[1])
 
 
+def eigenvalues(p: mq.Parameters) -> tuple[float, float]:
+    rep = mq.classify_origin(p)
+    return rep.lambda1, rep.lambda2
+
+
 # ------------------------------------------------------------ frozen values
 
 
 def test_jacobian_frozen():
-    assert mq.jacobian_at_origin(REF1) == ((0.4, 0.5), (0.6, 0.52))
+    assert mq.classify_origin(REF1).jacobian == ((0.4, 0.5), (0.6, 0.52))
 
 
 def test_eigenvalues_frozen():
-    l1, l2 = mq.origin_eigenvalues(REF1)
+    l1, l2 = eigenvalues(REF1)
     assert l1 == pytest.approx(1.0109990925582364, abs=1e-12)
     assert l2 == pytest.approx(-0.09099909255823646, abs=1e-12)
     # rounded values often quoted for this configuration
@@ -48,7 +53,7 @@ def test_eigenvalues_frozen():
 
 
 def test_eigenvalues_frozen_attracting_case():
-    l1, l2 = mq.origin_eigenvalues(mq.Parameters(0.5, 0.3, 0.6))
+    l1, l2 = eigenvalues(mq.Parameters(0.5, 0.3, 0.6))
     assert l1 == pytest.approx(0.8405124837953327, abs=1e-12)
     assert l2 == pytest.approx(0.0594875162046673, abs=1e-12)
 
@@ -68,8 +73,9 @@ def test_stability_inequalities_frozen():
 
 def test_report_carries_consistent_fields():
     rep = mq.classify_origin(REF2)
-    assert rep.jacobian == mq.jacobian_at_origin(REF2)
-    assert (rep.lambda1, rep.lambda2) == mq.origin_eigenvalues(REF2)
+    numeric = np.sort(np.linalg.eigvals(np.asarray(rep.jacobian)).real)[::-1]
+    assert rep.lambda1 == pytest.approx(numeric[0], abs=1e-12)
+    assert rep.lambda2 == pytest.approx(numeric[1], abs=1e-12)
     assert rep.lambda1 >= rep.lambda2
 
 
@@ -82,7 +88,7 @@ birth = st.floats(min_value=1e-3, max_value=3.0, allow_nan=False)
 @given(alpha=rate, beta=birth, mu=rate)
 def test_eigenvalues_match_charpoly_oracle(alpha, beta, mu):
     p = mq.Parameters(alpha, beta, mu)
-    l1, l2 = mq.origin_eigenvalues(p)
+    l1, l2 = eigenvalues(p)
     o1, o2 = charpoly_eigs(p)
     scale = max(1.0, abs(o1), abs(o2))
     assert abs(l1 - o1) <= 1e-12 * scale
@@ -93,7 +99,7 @@ def test_eigenvalues_match_charpoly_oracle(alpha, beta, mu):
 @given(alpha=rate, beta=birth, mu=rate)
 def test_vieta_identities(alpha, beta, mu):
     p = mq.Parameters(alpha, beta, mu)
-    l1, l2 = mq.origin_eigenvalues(p)
+    l1, l2 = eigenvalues(p)
     tr = 2.0 - alpha - mu
     det = (1.0 - alpha) * (1.0 - mu) - alpha * beta
     assert abs((l1 + l2) - tr) <= 1e-12 * max(1.0, abs(tr))
@@ -105,7 +111,7 @@ def test_equal_rates_give_unit_eigenvalue(alpha, mu):
     # when the birth and death rates coincide the leading eigenvalue is
     # exactly 1, so the origin is never hyperbolic
     p = mq.Parameters(alpha, mu, mu)
-    l1, _ = mq.origin_eigenvalues(p)
+    l1, _ = eigenvalues(p)
     assert abs(l1 - 1.0) <= 1e-9
     assert mq.classify_origin(p).classification is mq.Classification.NONHYPERBOLIC
 
@@ -126,7 +132,7 @@ def test_classification_tracks_rate_ordering(alpha, beta, mu):
 @given(alpha=rate, beta=birth, mu=rate)
 def test_stability_inequalities_equivalent_to_modulus(alpha, beta, mu):
     p = mq.Parameters(alpha, beta, mu)
-    l1, l2 = mq.origin_eigenvalues(p)
+    l1, l2 = eigenvalues(p)
     margin = min(abs(abs(l1) - 1.0), abs(abs(l2) - 1.0))
     assume(margin > 1e-8)
     inside = max(abs(l1), abs(l2)) < 1.0
@@ -195,9 +201,9 @@ def test_eigenvalues_stay_finite_at_the_top_of_the_box():
     # (alpha - mu)^2 + 4 alpha beta overflows from beta about 4.5e307;
     # the root form taken does not, and numpy's solver agrees
     p = mq.Parameters(1.0, sys.float_info.max, 0.48)
-    l1, l2 = mq.origin_eigenvalues(p)
+    l1, l2 = eigenvalues(p)
     assert math.isfinite(l1) and math.isfinite(l2)
-    numeric = np.sort(np.linalg.eigvals(np.asarray(mq.jacobian_at_origin(p))).real)[::-1]
+    numeric = np.sort(np.linalg.eigvals(np.asarray(mq.classify_origin(p).jacobian)).real)[::-1]
     assert abs(l1 - numeric[0]) <= 1e-12 * l1 and abs(l2 - numeric[1]) <= 1e-12 * l1
     assert mq.classify_origin(p).classification is mq.Classification.REPELLING
 
@@ -245,20 +251,18 @@ def test_fixed_point_scan_fails_on_non_finite_increments():
 def test_spectral_ops_reject_full_map_parameters():
     p = mq.Parameters(0.6, 0.5, 0.48, 0.1, 0.0)
     with pytest.raises(ValueError):
-        mq.origin_eigenvalues(p)
-    with pytest.raises(ValueError):
         mq.classify_origin(p)
 
 
 def test_spectral_ops_reject_invalid_rates():
     with pytest.raises(ValueError):
-        mq.jacobian_at_origin(mq.Parameters(1.5, 0.5, 0.5))
+        mq.classify_origin(mq.Parameters(1.5, 0.5, 0.5))
 
 
 def test_equal_rates_allowed_for_spectral_ops():
     # spectral routines only need the linear part, which exists on the
     # beta = mu line even though the dichotomy statements exclude it
     p = mq.Parameters(0.9, 0.9, 0.9)
-    l1, l2 = mq.origin_eigenvalues(p)
+    l1, l2 = eigenvalues(p)
     assert l1 == pytest.approx(1.0, abs=1e-12)
     assert l2 == pytest.approx(-0.8, abs=1e-12)  # trace 0.2 minus leading 1.0

@@ -8,6 +8,7 @@ actually fail.
 
 import dataclasses
 import io
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -265,33 +266,50 @@ def test_coarse_recording_still_converges():
 
 
 def stride_cases():
-    yield REF1, mq.State(2.0, 0.1), mq.OrbitConfig()
-    yield REF2, mq.State(0.5, 2.0), mq.OrbitConfig()
-    yield REF3, mq.State(0.01, 0.2), mq.OrbitConfig()
-    yield EXT, mq.State(1.0, 1.0), mq.OrbitConfig()
+    # each case with the strides it is recorded at besides 1
+    yield REF1, mq.State(2.0, 0.1), mq.OrbitConfig(), (16, 32, 64)
+    yield REF2, mq.State(0.5, 2.0), mq.OrbitConfig(), (16, 32, 64)
+    yield REF3, mq.State(0.01, 0.2), mq.OrbitConfig(), (16, 32, 64)
+    yield EXT, mq.State(1.0, 1.0), mq.OrbitConfig(), (16, 32, 64)
     for contracting in (True, False):
         for p, s0 in seeded_sets(13, 10, contracting):
-            yield p, s0, mq.OrbitConfig(max_iters=20_000)
-    yield mq.Parameters(0.6, 0.300001, 0.3), mq.State(1e-8, 0.0), mq.OrbitConfig(max_iters=5_000)
+            yield p, s0, mq.OrbitConfig(max_iters=20_000), (16, 32, 64)
+    yield mq.Parameters(0.6, 0.300001, 0.3), mq.State(1e-8, 0.0), mq.OrbitConfig(max_iters=5_000), (16, 32, 64)
+    # runs that end inside a step, not at the top of the loop: besides
+    # the both-up certificate (REF1 above), a state frozen by rounding, a
+    # float two-cycle and two overflows, the second with both increments up
+    for p, s0 in ((REF1, mq.State(5e-324, 0.0)), (mq.Parameters(1.0, 0.6, 0.5), mq.State(5e-324, 0.0)),
+                  (mq.Parameters(0.5, 0.9, 1.0), mq.State(1.7e308, 1.7e308)),
+                  (mq.Parameters(1.0, 1.7e308, 0.1), mq.State(1e8, 2.0))):
+        yield p, s0, mq.OrbitConfig(max_iters=5_000), (2, 7, 1000)
+    # seeded draws: a zero start coordinate in half of them (the origin in
+    # one of six), budgets from 1 up, some a multiple of the stride
+    rng = np.random.default_rng(21)
+    draws = itertools.chain(seeded_sets(21, 30, contracting=True), seeded_sets(22, 30, contracting=False))
+    for i, (p, s0) in enumerate(draws):
+        zero = rng.integers(6)
+        s0 = mq.State(0.0 if zero in (1, 3) else s0.x, 0.0 if zero in (2, 3) else s0.y)
+        every = int(rng.integers(2, 1001))
+        budget = every * int(rng.integers(1, 4)) if i % 4 == 0 else int(10.0 ** rng.uniform(0.0, 3.7))
+        yield p, s0, mq.OrbitConfig(max_iters=budget), (every,)
 
 
 def test_recording_stride_only_thins_the_rows():
     # the stride picks the rows kept and nothing else: verdict, step
-    # count, estimate and monitors are those of the full recording
-    for p, s0, cfg in stride_cases():
+    # count, estimate and monitors are those of the full recording, and
+    # the rows are every k-th step below the last, then the last
+    for p, s0, cfg, strides in stride_cases():
         for stop in (False, True):
-            full = None
-            for every in (1, 16, 32, 64):
+            full = mq.iterate_orbit(p, s0, cfg, stop_at_certificate=stop)
+            assert np.array_equal(full.steps, np.arange(full.n_steps + 1))
+            for every in strides:
                 orb = mq.iterate_orbit(p, s0, dataclasses.replace(cfg, record_every=every), stop_at_certificate=stop)
-                if full is None:
-                    full = orb
-                    assert np.array_equal(full.steps, np.arange(full.n_steps + 1))
-                case = (p, s0, every, stop)
+                case = (p, s0, cfg.max_iters, every, stop)
                 assert (orb.verdict, orb.n_steps) == (full.verdict, full.n_steps), case
                 assert orb.y_limit_estimate.hex() == full.y_limit_estimate.hex(), case
-                assert dataclasses.asdict(orb.monitors) == dataclasses.asdict(full.monitors), case
-                kept = (full.steps % every == 0) | (full.steps == full.n_steps)
-                assert np.array_equal(orb.steps, full.steps[kept]), case
+                assert repr(orb.monitors) == repr(full.monitors), case  # nan, after an overflow, too
+                kept = [*range(0, full.n_steps, every), full.n_steps]
+                assert orb.steps.dtype == np.int64 and orb.steps.tolist() == kept, case
                 assert np.array_equal(orb.xs, full.xs[kept]) and np.array_equal(orb.ys, full.ys[kept]), case
 
 
