@@ -217,6 +217,9 @@ def _axis(rng3: list[float], name: str) -> np.ndarray:
     if n == 1:
         # not np.linspace(lo, hi, 1): that is [nan] where hi - lo overflows
         return np.asarray([lo], dtype=np.float64)
+    if not np.isfinite(hi - lo):
+        # np.linspace would warn and return nan nodes
+        raise ValueError(f"{name}: high - low must be finite, got {lo} {hi} {n_f}")
     return np.linspace(lo, hi, n)
 
 

@@ -27,6 +27,11 @@ def json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _named(exc: OSError, target: Path) -> OSError:
+    # the same error naming the file asked for, not the random temp name
+    return OSError(exc.errno, exc.strerror, str(target))
+
+
 def _atomic_write(path, write: Callable[[TextIO], object]) -> None:
     """Call `write` on a temp file in the target directory, then rename it
     over `path`.  Either the old content or the complete new content
@@ -38,8 +43,7 @@ def _atomic_write(path, write: Callable[[TextIO], object]) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".part")
     except OSError as exc:
-        # name the file asked for, not the random temp name
-        raise OSError(exc.errno, exc.strerror, str(target)) from exc
+        raise _named(exc, target) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             # the umask can only be read by setting it (single-threaded program)
@@ -47,7 +51,10 @@ def _atomic_write(path, write: Callable[[TextIO], object]) -> None:
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
             write(fh)
-        os.replace(tmp, target)
+        try:
+            os.replace(tmp, target)
+        except OSError as exc:
+            raise _named(exc, target) from exc
     except BaseException:
         try:
             os.unlink(tmp)

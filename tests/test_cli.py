@@ -11,6 +11,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,20 @@ def test_unwritable_output_path_is_named_as_given(tmp_path, capsys):
     assert rc == 3
     assert out == ""
     assert err == f"i/o error: [Errno 2] No such file or directory: '{target}'\n"
+
+
+def test_output_path_that_is_a_directory_is_named_as_given(tmp_path, capsys):
+    # the final rename fails; the message names the requested path, not
+    # the temp file, and the temp file is gone
+    target = tmp_path / "cells"
+    target.mkdir()
+    rc = main(["sweep", "--alpha-range", "0.6", "0.6", "1", "--beta-range", "0.5", "0.5", "1",
+               "--mu-range", "0.48", "0.48", "1", "--out", str(target)])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (3, "")
+    assert err == f"i/o error: [Errno 21] Is a directory: '{target}'\n"
+    assert list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []
 
 
 def test_simulate_budget_far_beyond_memory_matches_default(tmp_path, capsys):
@@ -503,6 +518,20 @@ def test_sweep_single_point_axis_is_its_low_end_when_the_span_overflows(tmp_path
     out, err = capsys.readouterr()
     assert (rc, out, err) == (0, "cells=1 in_condition=0 agree=0 disagree=0\n", "")
     assert out_path.read_text().splitlines()[1].split(",")[1] == "-1.0000000000000000e+308"
+
+
+def test_sweep_rejects_an_axis_whose_span_overflows(tmp_path, capsys):
+    # with two or more points, np.linspace would give nan nodes and warn
+    out_path = tmp_path / "s.csv"
+    low = str(int(-1e308))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["sweep", "--alpha-range", "0.6", "0.6", "1", "--beta-range", low, "1.7e308", "2",
+                   "--mu-range", "0.5", "0.5", "1", "--out", str(out_path)])
+    out, err = capsys.readouterr()
+    assert (rc, out, caught) == (2, "", [])
+    assert err == "error: --beta-range: high - low must be finite, got -1e+308 1.7e+308 2.0\n"
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("axis", [("0.6", "0.6", "inf"), ("0.6", "0.6", "nan"),

@@ -312,3 +312,118 @@ def test_grid_counts_a_genuine_two_cycle(monkeypatch):
     # returns new arrays
     monkeypatch.setattr(mq.simplex, "_map", lambda p, x, y: tuple(a.copy() for a in np.broadcast_arrays(y, x)))
     assert mq.count_two_cycles_on_grid(REF1) == 500 * 500 - 500
+
+
+GRID = np.linspace(0.0, 5.0, 500)
+BLOCK = mq.simplex._GRID_BLOCK
+
+
+def grid_images(p):
+    """Both images of the whole grid at once, by `_map`."""
+    gx, gy = GRID[:, None], GRID[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x1, y1 = mq.model._map(p, gx, gy)
+        x2, y2 = mq.model._map(p, x1, y1)
+    return gx, gy, x1, y1, x2, y2
+
+
+def whole_grid_rule(p):
+    """The grid's rule on the whole grid at once, with no block skipped:
+    (cells counted as two-cycles, cells whose residual is not finite)."""
+    gx, gy, x1, y1, x2, y2 = grid_images(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = np.maximum(np.abs(x2 - gx), np.abs(y2 - gy))
+        disp = np.maximum(np.abs(x1 - gx), np.abs(y1 - gy))
+        return int(np.count_nonzero(res < disp * 1e-10)), int(np.count_nonzero(~np.isfinite(res)))
+
+
+def _oracle_rates():
+    rng = np.random.default_rng(24)
+    cases = []
+    while len(cases) < 12:  # the battery box: rates in (0, 1], |beta - mu| >= 0.01
+        alpha, beta, mu = 1.0 - rng.uniform(0.0, 1.0, size=3)
+        if abs(beta - mu) >= 0.01:
+            cases.append((alpha, beta, mu))
+    for k, sign in zip(rng.integers(1, 16, size=8), [1, -1] * 4):  # beta = mu (1 +- 10^-k)
+        alpha, mu = 1.0 - rng.uniform(0.0, 1.0, size=2)
+        cases.append((alpha, mu * (1 + sign * 10.0 ** -int(k)), mu))
+    cases += [(1e-6, 0.5, 0.48), (1e-6, 0.3, 0.6), (1e-6, 1e9, 0.48)]
+    # skipping stops at beta about 7e9, where the bound passes every adult residual
+    cases += [(1.0, beta, 0.48) for beta in (1e8, 1e9, 5e9, 7e9, 1e10, 3e10, 1e11)]
+    cases += [(0.6, 1e12, 0.48), (1.0, 1e12, 0.48), (1.0, 4e307, 0.48)]
+    return [mq.Parameters(*(float(v) for v in c)) for c in cases]
+
+
+@pytest.mark.parametrize("p", _oracle_rates(), ids=lambda p: f"{p.alpha:.3g}-{p.beta:.17g}-{p.mu:.3g}")
+def test_grid_matches_the_whole_grid_rule(p):
+    count, bad = whole_grid_rule(p)
+    if bad:
+        with pytest.raises(mq.VerificationError, match=rf"two-cycle grid: {bad} of the 250000 cells are not finite "):
+            mq.count_two_cycles_on_grid(p)
+    else:
+        assert mq.count_two_cycles_on_grid(p) == count
+
+
+def _edit_second_image(monkeypatch, row, col, value):
+    # the real `_map`, except that the second image of the grid state
+    # (GRID[row], GRID[col]) is `value`; `_map` is called twice per block
+    # of rows, first image then second
+    calls = []
+
+    def edited(p, x, y):
+        out = mq.model._map(p, x, y)
+        calls.append(None)
+        if len(calls) == 2 * (row // BLOCK) + 2:
+            out[0][row % BLOCK, col], out[1][row % BLOCK, col] = value
+        return out
+
+    monkeypatch.setattr(mq.simplex, "_map", edited)
+
+
+def _block_would_be_skipped(p, row):
+    # every adult residual of the row's block is far above the grid's
+    # threshold (2e-10 (5 beta + alpha + 5) is 1.6e-9 at REF1)
+    _, gy, _, _, _, y2 = grid_images(p)
+    start = row - row % BLOCK
+    return np.abs(y2 - gy)[start:start + BLOCK].min() > 1e-6
+
+
+SECOND_BLOCK_ROWS = [BLOCK, BLOCK + BLOCK // 2, 2 * BLOCK - 1]  # its first, a middle and its last row
+
+
+@pytest.mark.parametrize("row", SECOND_BLOCK_ROWS)
+def test_grid_counts_one_two_cycle_in_a_block_it_would_skip(monkeypatch, row):
+    # the edited state returns to itself; every other state of the block
+    # is ruled out by its adult residual
+    assert _block_would_be_skipped(REF1, row)
+    _edit_second_image(monkeypatch, row, 300, (GRID[row], GRID[300]))
+    assert mq.count_two_cycles_on_grid(REF1) == 1
+
+
+@pytest.mark.parametrize("row", SECOND_BLOCK_ROWS)
+def test_grid_counts_one_nan_image_in_a_block_it_would_skip(monkeypatch, row):
+    assert _block_would_be_skipped(REF1, row)
+    _edit_second_image(monkeypatch, row, 300, (np.nan, np.nan))
+    with pytest.raises(mq.VerificationError, match=r"two-cycle grid: 1 of the 250000 cells are not finite "):
+        mq.count_two_cycles_on_grid(REF1)
+
+
+def _bound_rates():
+    rng = np.random.default_rng(25)
+    alphas = 10.0 ** rng.uniform(-6, 0, size=40)
+    mus = 10.0 ** rng.uniform(-4, 0, size=40)
+    betas = 10.0 ** rng.uniform(-8, 300, size=40)
+    betas[:10] = mus[:10] * (1 + rng.choice([-1, 1], size=10) * 10.0 ** -rng.integers(1, 16, size=10))
+    return [mq.Parameters(*(float(v) for v in c)) for c in zip(alphas, betas, mus)]
+
+
+@pytest.mark.parametrize("p", _bound_rates(), ids=lambda p: f"{p.alpha:.3g}-{p.beta:.3g}-{p.mu:.3g}")
+def test_grid_displacement_and_adult_residual_bounds(p):
+    # the grid skips a block whose least adult residual is at least
+    # 2e-10 (5 beta + alpha + 5): that is sound while no displacement
+    # exceeds 5 beta + alpha + 5 by more than a few ulps, and skipping
+    # stops at beta about 7e9 while no adult residual exceeds 2 alpha + 5
+    gx, gy, x1, y1, x2, y2 = grid_images(p)
+    ulps = 1 + 4 * sys.float_info.epsilon
+    assert np.maximum(np.abs(x1 - gx), np.abs(y1 - gy)).max() <= (5 * p.beta + p.alpha + 5) * ulps
+    assert np.abs(y2 - gy).max() <= (2 * p.alpha + 5) * ulps
