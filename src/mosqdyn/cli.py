@@ -45,10 +45,12 @@ DEFAULT_SEED = 12345
 
 
 def _orbit_config(args: argparse.Namespace) -> OrbitConfig:
-    return OrbitConfig(
-        max_iters=args.steps,
-        record_every=getattr(args, "record_every", 1),  # certify and compare keep every step
-    )
+    record_every = getattr(args, "record_every", 1)  # certify and compare keep every step
+    # checked here as well as in OrbitConfig, so that the message names the flag
+    for flag, value in (("--steps", args.steps), ("--record-every", record_every)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
+    return OrbitConfig(max_iters=args.steps, record_every=record_every)
 
 
 # ---------------------------------------------------------------- parser
@@ -209,7 +211,9 @@ def _axis(rng3: list[float], name: str) -> np.ndarray:
     lo, hi, n_f = rng3
     if not np.all(np.isfinite(rng3)):
         raise ValueError(f"{name}: low, high and count must be finite, got {lo} {hi} {n_f}")
-    n = int(round(n_f))
+    if not n_f.is_integer():
+        raise ValueError(f"{name}: grid count must be a whole number, got {n_f}")
+    n = int(n_f)
     if n < 1:
         raise ValueError(f"{name}: grid count must be at least 1, got {n_f}")
     if hi < lo:

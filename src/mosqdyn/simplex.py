@@ -28,7 +28,7 @@ from decimal import Decimal
 import numpy as np
 
 from .errors import VerificationError
-from .model import Mode, Parameters, _EXACT, _exact, _map, require_valid
+from .model import Mode, Parameters, _EXACT, _exact, _map, _next_adults, _next_larvae, require_valid
 
 __all__ = [
     "PeriodCertificate",
@@ -142,14 +142,25 @@ def two_cycle_certificate(p: Parameters) -> PeriodCertificate:
     return PeriodCertificate(quad_a=float(qa), quad_b=float(qb), quad_c=float(qc), signs_ok=signs_ok)
 
 
+def _interval_power(p: Parameters, q: int, x: float) -> float:
+    """T^q(x) for one float x: `interval_map_parts` inlined, operation for
+    operation, with 1 - alpha and beta + (1 - mu) formed once, so it is q
+    applications of `interval_map` bit for bit."""
+    beta = p.beta
+    oma = 1 - p.alpha
+    bmu = beta + (1 - p.mu)
+    for _ in range(q):
+        v = 1 + x
+        w = (1 - x) * v
+        x = (beta * w + x * (x + oma)) / (bmu * w + x * v)
+    return x
+
+
 def _bisect_root(p: Parameters, q: int, lo: float, hi: float, flo: float) -> float:
     # f(x) = T^q(x) - x, sign change certified on [lo, hi]
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        t = mid
-        for _ in range(q):
-            t = interval_map(p, t)
-        fmid = t - mid
+        fmid = _interval_power(p, q, mid) - mid
         if fmid == 0.0:
             return mid
         if (flo < 0.0) == (fmid < 0.0):
@@ -176,7 +187,11 @@ def scan_periodic_points(p: Parameters, p_max: int = 8, grid_n: int = 10_000) ->
     no period-two point (`two_cycle_certificate`) on a self-map of [0, 1]
     (`check_interval_map_range`), T has no period of 2 or more
     (Sharkovskii).  Grid sign changes of T^q(x) - x are refined by
-    bisection to width 1e-12; a refined root r with
+    bisection to width 1e-12, each evaluation one call of the scalar
+    kernel `_interval_power`, which is T applied q times bit for bit;
+    grid points with |T^q(x) - x| < 1e-13 are roots as they stand, and
+    only when there are any do they mask the sign changes next to them.
+    A refined root r with
     |T(r) - r| >= 1e-10 max(1, beta) would witness a genuine q-periodic
     point and raises VerificationError, listing at most five distinct
     such roots and their count.  The bound scales with beta because T's
@@ -186,6 +201,8 @@ def scan_periodic_points(p: Parameters, p_max: int = 8, grid_n: int = 10_000) ->
     fail.  `interval_map_parts` adds only nonnegative terms, so T is
     finite on [0, 1] for every admissible rate and the guard catches a
     broken T, not a large beta: an iterate that is not finite raises.
+    The guard reads max |T^q(x) - x| < inf, which a nan fails too, and
+    counts the iterates that are not finite only for the message.
     Returns the roots found, by q.
     """
     require_valid(p, Mode.REDUCED)
@@ -202,17 +219,21 @@ def scan_periodic_points(p: Parameters, p_max: int = 8, grid_n: int = 10_000) ->
             cur = interval_map(p, cur)
         if q < 2:
             continue
-        bad = grid_n - int(np.count_nonzero(np.isfinite(cur)))
-        if bad:
+        diff = cur - xs
+        size = np.abs(diff)
+        # nan propagates through max; the count is for the message only
+        if not size.max() < np.inf:
+            bad = grid_n - int(np.count_nonzero(np.isfinite(cur)))
             raise VerificationError(f"periodic-point scan: {bad} of the {grid_n} iterates T^{q}(x) are not finite "
                                     f"(alpha={p.alpha}, beta={p.beta}, mu={p.mu})")
-        diff = cur - xs
         roots: list[float] = []
-        small = np.abs(diff) < 1e-13
-        roots.extend(float(xs[i]) for i in np.nonzero(small)[0])
         sign = diff > 0.0
-        flip = np.nonzero((sign[:-1] != sign[1:]) & ~(small[:-1] | small[1:]))[0]
-        for i in flip:
+        flips = sign[:-1] != sign[1:]
+        if size.min() < 1e-13:
+            small = size < 1e-13
+            roots.extend(float(xs[i]) for i in np.nonzero(small)[0])
+            flips &= ~(small[:-1] | small[1:])
+        for i in np.nonzero(flips)[0]:
             roots.append(_bisect_root(p, q, float(xs[i]), float(xs[i + 1]), float(diff[i])))
         dedup = _distinct(roots)
         for r in dedup:
@@ -256,7 +277,11 @@ def count_two_cycles_on_grid(p: Parameters) -> int:
     is not finite (beta y overflows from beta about 3.6e307) raises
     VerificationError, counting such cells over the whole grid.
 
-    A block whose least adult residual ry = |y'' - y| is at least
+    A block takes the second image in the two halves `_map` runs: first
+    the adult count y'' by `_next_adults`, and the larval count x'' by
+    `_next_larvae` only where the block is not skipped, from the same
+    emergence, so no value is computed twice.  A block whose least
+    adult residual ry = |y'' - y| is at least
     bound = 2e-10 (5 beta + alpha + 5) skips the rest, with every count
     unchanged:
     - every displacement is at most 5 beta + alpha + 5 to a few ulps,
@@ -280,10 +305,11 @@ def count_two_cycles_on_grid(p: Parameters) -> int:
         for start in range(0, xs.size, _GRID_BLOCK):
             gx = xs[start:start + _GRID_BLOCK, None]
             x1, y1 = _map(p, gx, gy)
-            mx, my = _map(p, x1, y1)
+            my, em = _next_adults(p, x1, y1)
             ry = np.abs(np.subtract(my, gy, out=my), out=my)
             if ry.min() >= bound:
                 continue
+            mx = _next_larvae(p, x1, y1, em)
             res = np.maximum(np.abs(np.subtract(mx, gx, out=mx), out=mx), ry, out=mx)
             # a first image that is not finite makes the second one nan,
             # so the residual alone shows every such cell; max is the

@@ -219,6 +219,12 @@ def iterate_orbit(
     on the fly.  With `stop_at_certificate`, a state in the both-up
     region ends the run in survival at that step (see the module
     docstring); without it the orbit runs on to the estimator window.
+
+    The loop inlines `model._map` and, in the window test, the estimator
+    `_adult_limit`, operation for operation.  It classifies each step's
+    increment signs by nested tests that read each comparison once,
+    counts the ties as the steps left over after the loop, and keeps a
+    row when a countdown from `record_every` runs out.
     """
     require_valid(p, Mode.REDUCED)
     cfg = config if config is not None else OrbitConfig()
@@ -235,7 +241,9 @@ def iterate_orbit(
     every = cfg.record_every
     confirm = CONFIRM_STEPS
     tie = TIE_TOL
+    ntie = -tie
     ybtol = _slack(max(s0.y, am), Y_BOUND_TOL)
+    nybtol = -ybtol
     stop = stop_at_certificate
 
     x = s0.x
@@ -252,12 +260,13 @@ def iterate_orbit(
     last_bad = 0
     pw = 1.0
     y0_excess = y - am
-    c_uu = c_dd = c_ud = c_du = c_tie = 0
+    c_uu = c_dd = c_ud = c_du = 0
     tie_n = -1  # the last tie step, and its input state
     tie_x = tie_y = 0.0
     dx = dy = 0.0
     streak = 0
     n = 0
+    left = every  # steps to the next recorded row
     max_iters = cfg.max_iters
 
     # The state of step n is judged at the top of the loop, n = 0
@@ -281,11 +290,16 @@ def iterate_orbit(
             if growth:
                 verdict = Verdict.SURVIVAL
                 break
-        if dx > tie and dy >= -tie and abs(_adult_limit(am, mu, x, px, y) - am) < conv:
-            streak += 1
-            if streak >= confirm:
-                verdict = Verdict.SURVIVAL
-                break
+        # the window's estimator is `_adult_limit`, inlined
+        if dx > tie and dy >= ntie:
+            u = 1.0 / (1.0 + x)
+            if abs(y + am * u - am * (u - 1.0 / (1.0 + px)) / mu - am) < conv:
+                streak += 1
+                if streak >= confirm:
+                    verdict = Verdict.SURVIVAL
+                    break
+            else:
+                streak = 0
         else:
             streak = 0
         if n >= max_iters:
@@ -305,34 +319,47 @@ def iterate_orbit(
             sum_err = err
 
         pw *= omm
-        bound = am + pw * y0_excess
-        if y1 > bound + ybtol or y1 < -ybtol:
+        if y1 > (am + pw * y0_excess) + ybtol or y1 < nybtol:
             ybv += 1
 
-        up_x = dx > tie
-        dn_x = dx < -tie
-        up_y = dy > tie
-        dn_y = dy < -tie
-        if dn_x or dn_y:
+        # One classification per step, each comparison read once: the
+        # census classes partition the steps, so the ties are counted
+        # after the loop and pattern (a) is read off the counts.  A step
+        # with an increment below -tie is bad (the monotone onset) and,
+        # after the first both-up step, a drop.  A step in no class is a
+        # tie.  A break below ends the run at the new state, step n
+        # complete.
+        tied = False
+        if dx > tie:
+            if dy > tie:
+                c_uu += 1
+                if stop and _in_both_up_region(alpha, beta, mu, x1, y1):
+                    px, x, y, verdict = x, x1, y1, Verdict.SURVIVAL
+                    break
+            elif dy < ntie:
+                c_ud += 1
+                last_bad = n
+                if c_uu:
+                    drops_after_both_up += 1
+            else:
+                tied = True
+        elif dx < ntie:
             last_bad = n
-            if c_uu:  # after the first both-up step
+            if c_uu:
                 drops_after_both_up += 1
-        # One classification per step: the census branches partition the
-        # steps, so pattern (a) is read off their counts after the loop.
-        # A break below ends the run at the new state, step n complete.
-        if up_x and up_y:
-            c_uu += 1
-            if stop and _in_both_up_region(alpha, beta, mu, x1, y1):
-                px, x, y, verdict = x, x1, y1, Verdict.SURVIVAL
-                break
-        elif dn_x and dn_y:
-            c_dd += 1
-        elif up_x and dn_y:
-            c_ud += 1
-        elif dn_x and up_y:
-            c_du += 1
+            if dy < ntie:
+                c_dd += 1
+            elif dy > tie:
+                c_du += 1
+            else:
+                tied = True
         else:
-            c_tie += 1
+            if dy < ntie:
+                last_bad = n
+                if c_uu:
+                    drops_after_both_up += 1
+            tied = True
+        if tied:
             if stop and dx > 0.0 and dy > 0.0 and _in_both_up_region(alpha, beta, mu, x1, y1):
                 px, x, y, verdict = x, x1, y1, Verdict.SURVIVAL
                 break
@@ -348,7 +375,9 @@ def iterate_orbit(
         px = x
         x = x1
         y = y1
-        if n % every == 0:
+        left -= 1
+        if not left:
+            left = every
             put_x(x)
             put_y(y)
 
@@ -367,7 +396,7 @@ def iterate_orbit(
         both_down=c_dd,
         x_up_y_down=c_ud,
         x_down_y_up=c_du,
-        ties=c_tie,
+        ties=n - (c_uu + c_dd + c_ud + c_du),
     )
     monitors = MonitorLog(
         y_bound_violations=ybv,

@@ -534,6 +534,47 @@ def test_sweep_rejects_an_axis_whose_span_overflows(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("count", ["0.6", "2.5", "1.0000000000000002"])
+def test_sweep_rejects_a_fractional_grid_count(tmp_path, capsys, count):
+    # a count is not rounded: 0.6 wrote one cell and 2.5 two
+    out_path = tmp_path / "s.csv"
+    rc = main(["sweep", "--alpha-range", "0.6", "0.6", "1", "--beta-range", "0.3", "0.7", count,
+               "--mu-range", "0.48", "0.48", "1", "--out", str(out_path)])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == f"error: --beta-range: grid count must be a whole number, got {float(count)}\n"
+    assert not out_path.exists()
+
+
+def test_sweep_takes_a_whole_grid_count_written_as_a_float(tmp_path, capsys):
+    files = []
+    for count in ("20", "20.0"):
+        out_path = tmp_path / f"s-{count}.csv"
+        rc = main(["sweep", "--alpha-range", "0.6", "0.6", "1", "--beta-range", "0.05", "1.0", count,
+                   "--mu-range", "0.48", "0.48", "1", "--out", str(out_path), "--steps", "2000"])
+        out, _ = capsys.readouterr()
+        assert rc in (0, 4) and out.startswith("cells=20 ")
+        files.append(out_path.read_bytes())
+    assert files[0] == files[1]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", *REF1, "--x0", "1", "--y0", "1", "--steps", "0"], "--steps"),
+    (["simulate", *REF1, "--x0", "1", "--y0", "1", "--record-every", "0"], "--record-every"),
+    (["certify", *REF1, "--steps", "0"], "--steps"),
+    (["sweep", "--alpha-range", "0.6", "0.6", "1", "--beta-range", "0.5", "0.5", "1",
+      "--mu-range", "0.48", "0.48", "1", "--record-every", "-2", "--out", "s.csv"], "--record-every"),
+    (["compare", *REF1, "--x0", "1", "--y0", "1", "--steps", "0"], "--steps"),
+])
+def test_a_budget_or_stride_below_one_names_its_flag(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    value = argv[argv.index(flag) + 1]
+    assert (rc, out, err) == (2, "", f"error: {flag} must be at least 1, got {value}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("axis", [("0.6", "0.6", "inf"), ("0.6", "0.6", "nan"),
                                   ("0.6", "inf", "2"), ("nan", "0.6", "1")])
 def test_sweep_rejects_non_finite_axis(tmp_path, capsys, axis):
@@ -786,8 +827,15 @@ def test_certify_spectral_agreement_passes_at_the_top_of_the_box(capsys):
 def test_certify_keeps_the_periodic_scan_failure_short(monkeypatch, capsys):
     # with the stand-in T(x) = 1 - x every grid point is a two-cycle; the
     # FAIL line lists five roots and counts the rest (it ran to 635,606
-    # characters when every root of every even period was listed)
+    # characters when every root of every even period was listed).  The
+    # bisection's kernel `_interval_power` is T applied q times
+    def power(p, q, x):
+        for _ in range(q):
+            x = simplex.interval_map(p, x)
+        return x
+
     monkeypatch.setattr(simplex, "interval_map_parts", lambda p, x: (1 - x, 1 + 0 * x))
+    monkeypatch.setattr(simplex, "_interval_power", power)
     rc = main(["certify", *REF1])
     out, _ = capsys.readouterr()
     scan = [ln for ln in out.splitlines() if ln.startswith("FAIL periodic-scan: ")]

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import sympy
 
 import mosqdyn as mq
-from mosqdyn.model import _field, _map
+from mosqdyn.model import _field, _map, _next_adults, _next_larvae
 from mosqdyn.simplex import _two_cycle_coefficients, interval_map_parts
 from mosqdyn.spectral import _at_minus_one
 
@@ -35,6 +35,19 @@ def test_map_is_identity_plus_field_symbolically():
     dx, dy = _field(FULL, x, y)
     assert vanishes(x1 - x - dx)
     assert vanishes(y1 - y - dy)
+
+
+def test_map_halves_are_the_model_equations_symbolically():
+    # `_map` is `_next_adults` then `_next_larvae`, which the planar grid
+    # also calls apart: the halves are the two equations of the model
+    # (module docstring of `model`), larval mortality or not
+    for rates in (REDUCED, FULL):
+        y1, emergence = _next_adults(rates, x, y)
+        x1 = _next_larvae(rates, x, y, emergence)
+        assert vanishes(emergence - alpha * x / (1 + x))
+        assert vanishes(x1 - (beta * y - alpha * x / (1 + x) - (rates.d0 + rates.d1 * x) * x + x))
+        assert vanishes(y1 - (alpha * x / (1 + x) - mu * y + y))
+        assert (x1, y1) == _map(rates, x, y)
 
 
 def test_interval_map_is_the_simplex_projection_symbolically():

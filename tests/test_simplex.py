@@ -211,12 +211,42 @@ def test_interval_map_is_accurate_at_every_beta(alpha, beta, mu):
     mq.scan_periodic_points(p)
 
 
+def interval_map_applied(p, q, x):
+    """q applications of `simplex.interval_map`, which is what
+    `_interval_power` computes: the bisection's seam for a stand-in T."""
+    for _ in range(q):
+        x = mq.simplex.interval_map(p, x)
+    return x
+
+
+def _power_rates():
+    rng = np.random.default_rng(28)
+    fixed = [(alpha, beta, mu) for alpha, mu in [(1.0, 0.48), (0.6, 0.48), (1e-6, 1.0)]
+             for beta in (0.5, 1e8, 1e16, 1e300, sys.float_info.max)]
+    drawn = zip(rng.uniform(1e-6, 1.0, 10), 10.0 ** rng.uniform(-8, 308, 10), rng.uniform(1e-4, 1.0, 10))
+    return [mq.Parameters(*(float(v) for v in c)) for c in fixed + list(drawn)]
+
+
+@pytest.mark.parametrize("p", _power_rates(), ids=lambda p: f"{p.alpha:.3g}-{p.beta:.3g}-{p.mu:.3g}")
+def test_interval_power_is_the_interval_map_applied_q_times(p):
+    # the bisection's scalar kernel inlines T; it must round as T does,
+    # bit for bit, at every beta up to DBL_MAX
+    rng = np.random.default_rng(27)
+    xs = [0.0, 0.5, 1.0 - 2.0**-53, 1.0, *rng.random(40).tolist(), *(1.0 - rng.random(10) * 1e-9).tolist()]
+    for q in range(1, 9):
+        for x in xs:
+            assert mq.simplex._interval_power(p, q, x).hex() == interval_map_applied(p, q, x).hex(), (q, x)
+
+
 def test_scan_fails_on_a_genuine_two_cycle(monkeypatch):
     # a stand-in T, the logistic map at r = 3.3, has the two-cycle
     # (r + 1 -+ sqrt((r + 1)(r - 3))) / (2 r); found at every even
-    # period, it must be reported once, as two distinct roots
+    # period, it must be reported once, as two distinct roots.  The scan
+    # takes T from `interval_map_parts`, the bisection from
+    # `_interval_power`
     r = 3.3
     monkeypatch.setattr(mq.simplex, "interval_map_parts", lambda p, x: (r * x * (1 - x), 1.0))
+    monkeypatch.setattr(mq.simplex, "_interval_power", interval_map_applied)
     with pytest.raises(mq.VerificationError, match="found 2 distinct roots") as exc:
         mq.scan_periodic_points(REF1)
     listed = ast.literal_eval(re.search(r"the first 2: (\[.*?\])", str(exc.value)).group(1))
@@ -266,27 +296,75 @@ def test_grid_counts_every_non_finite_cell(beta, bad):
 
 @pytest.mark.parametrize("p", [REF1, REF2, REF3, mq.Parameters(1.0, 1e12, 0.48), mq.Parameters(1.0, 4e307, 0.48)])
 def test_grid_blocks_map_each_cell_as_the_whole_grid_does(monkeypatch, p):
-    # record every image `_map` returns, before the scan overwrites it
-    images = []
+    # record every image a kernel returns, keyed on the row block of its
+    # input, before the scan overwrites it
+    _, _, x1, y1, x2, y2 = grid_images(p)
+    starts = list(range(0, GRID.size, BLOCK))
+    images = {"first": {}, "adults": {}, "larvae": {}}
 
-    def recorder(q, x, y):
+    def row_block(x):
+        # the start row of the block whose x axis (a column) or first
+        # image (a full block) x is
+        if x.shape[1] == 1:
+            return int(np.flatnonzero(GRID == x[0, 0])[0])
+        return next(i for i in starts if np.array_equal(x, x1[i:i + BLOCK], equal_nan=True))
+
+    def map_recorder(q, x, y):
         out = mq.model._map(q, x, y)
-        images.append(tuple(a.copy() for a in out))
+        images["first"].setdefault(row_block(x), []).append(tuple(a.copy() for a in out))
         return out
 
-    monkeypatch.setattr(mq.simplex, "_map", recorder)
+    def adults_recorder(q, x, y):
+        out = mq.model._next_adults(q, x, y)
+        images["adults"].setdefault(row_block(x), []).append((out[0].copy(),))
+        return out
+
+    def larvae_recorder(q, x, y, emergence):
+        out = mq.model._next_larvae(q, x, y, emergence)
+        images["larvae"].setdefault(row_block(x), []).append((out.copy(),))
+        return out
+
+    monkeypatch.setattr(mq.simplex, "_map", map_recorder)
+    monkeypatch.setattr(mq.simplex, "_next_adults", adults_recorder)
+    monkeypatch.setattr(mq.simplex, "_next_larvae", larvae_recorder)
     try:
         mq.count_two_cycles_on_grid(p)
     except mq.VerificationError:
         pass
-    assert len(images) == 2 * (500 // mq.simplex._GRID_BLOCK)
-    xs = np.linspace(0.0, 5.0, 500)
+    # a first image and the adults of the second per block; the larvae
+    # of the second only for the blocks not skipped
+    assert sorted(images["first"]) == sorted(images["adults"]) == starts
+    assert set(images["larvae"]) <= set(starts)
+    whole = {"first": (x1, y1), "adults": (y2,), "larvae": (x2,)}
+    for kind, by_block in images.items():
+        for start, outs in by_block.items():
+            assert len(outs) == 1
+            for got, grid in zip(outs[0], whole[kind]):
+                assert np.array_equal(got, grid[start:start + BLOCK], equal_nan=True), (kind, start)
+
+
+def map_written_out(p, x, y):
+    """The reduced map as one expression per count, with the float
+    operations in the order of the model's equations."""
+    return (p.beta * y - p.alpha * (x / (1.0 + x))) + x, p.alpha * (x / (1.0 + x)) + (1.0 - p.mu) * y
+
+
+@pytest.mark.parametrize("p", [REF1, REF2, REF3, mq.Parameters(1e-6, 0.5, 0.48), mq.Parameters(1.0, 1e12, 0.48),
+                               mq.Parameters(1.0, 4e307, 0.48), mq.Parameters(1.0, sys.float_info.max, 0.48)])
+def test_map_halves_round_as_the_written_out_map_on_the_grid_blocks(p):
+    # the skip test reads y'' from `_next_adults`, the count x'' from
+    # `_next_larvae`; with `_map` they must round as the written-out map
+    # does, bit for bit, on both images of every block
+    gy = GRID[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        first = mq.model._map(p, xs[:, None], xs[None, :])
-        second = mq.model._map(p, *first)
-    for k, whole in enumerate((first, second)):
-        for blocks, grid in zip(zip(*images[k::2]), whole):
-            assert np.array_equal(np.concatenate(blocks), grid, equal_nan=True)
+        for start in range(0, GRID.size, BLOCK):
+            gx = GRID[start:start + BLOCK, None]
+            x1, y1 = map_written_out(p, gx, gy)
+            for x, y in ((gx, gy), (x1, y1)):
+                y2, emergence = mq.model._next_adults(p, x, y)
+                x2 = mq.model._next_larvae(p, x, y, emergence)
+                for got, want in zip((x2, y2, *mq.model._map(p, x, y)), 2 * map_written_out(p, x, y)):
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), start
 
 
 def test_grid_counts_two_cycles_at_block_edges(monkeypatch):
@@ -302,15 +380,22 @@ def test_grid_counts_two_cycles_at_block_edges(monkeypatch):
         return x.copy(), np.where(np.isin(x, rows), -y, y)
 
     monkeypatch.setattr(mq.simplex, "_map", flip_rows)
+    monkeypatch.setattr(mq.simplex, "_next_adults", lambda p, x, y: (flip_rows(p, x, y)[1], None))
+    monkeypatch.setattr(mq.simplex, "_next_larvae", lambda p, x, y, emergence: flip_rows(p, x, y)[0])
     assert mq.count_two_cycles_on_grid(REF1) == 3 * 499
 
 
 def test_grid_counts_a_genuine_two_cycle(monkeypatch):
     # under the swap (x, y) -> (y, x) every off-diagonal state is a
     # two-cycle and every diagonal state a fixed point, which is not one;
-    # like the real kernel, the stand-in broadcasts the grid's axes and
-    # returns new arrays
-    monkeypatch.setattr(mq.simplex, "_map", lambda p, x, y: tuple(a.copy() for a in np.broadcast_arrays(y, x)))
+    # like the real kernels, the stand-ins broadcast the grid's axes and
+    # return new arrays
+    def swap(p, x, y):
+        return tuple(a.copy() for a in np.broadcast_arrays(y, x))
+
+    monkeypatch.setattr(mq.simplex, "_map", swap)
+    monkeypatch.setattr(mq.simplex, "_next_adults", lambda p, x, y: (swap(p, x, y)[1], None))
+    monkeypatch.setattr(mq.simplex, "_next_larvae", lambda p, x, y, emergence: swap(p, x, y)[0])
     assert mq.count_two_cycles_on_grid(REF1) == 500 * 500 - 500
 
 
@@ -364,20 +449,31 @@ def test_grid_matches_the_whole_grid_rule(p):
         assert mq.count_two_cycles_on_grid(p) == count
 
 
-def _edit_second_image(monkeypatch, row, col, value):
-    # the real `_map`, except that the second image of the grid state
-    # (GRID[row], GRID[col]) is `value`; `_map` is called twice per block
-    # of rows, first image then second
-    calls = []
+def _edit_second_image(monkeypatch, p, row, col, value):
+    # the real kernels, except that the second image of the grid state
+    # (GRID[row], GRID[col]) is `value`: edited in the output of each
+    # half of the map whose input is the first image of that state's row
+    # block
+    start = row - row % BLOCK
+    first = grid_images(p)[2][start:start + BLOCK]
 
-    def edited(p, x, y):
-        out = mq.model._map(p, x, y)
-        calls.append(None)
-        if len(calls) == 2 * (row // BLOCK) + 2:
-            out[0][row % BLOCK, col], out[1][row % BLOCK, col] = value
-        return out
+    def of_the_row_block(x):
+        return np.shape(x) == first.shape and np.array_equal(x, first)
 
-    monkeypatch.setattr(mq.simplex, "_map", edited)
+    def edited_adults(q, x, y):
+        y2, emergence = mq.model._next_adults(q, x, y)
+        if of_the_row_block(x):
+            y2[row % BLOCK, col] = value[1]
+        return y2, emergence
+
+    def edited_larvae(q, x, y, emergence):
+        x2 = mq.model._next_larvae(q, x, y, emergence)
+        if of_the_row_block(x):
+            x2[row % BLOCK, col] = value[0]
+        return x2
+
+    monkeypatch.setattr(mq.simplex, "_next_adults", edited_adults)
+    monkeypatch.setattr(mq.simplex, "_next_larvae", edited_larvae)
 
 
 def _block_would_be_skipped(p, row):
@@ -396,14 +492,14 @@ def test_grid_counts_one_two_cycle_in_a_block_it_would_skip(monkeypatch, row):
     # the edited state returns to itself; every other state of the block
     # is ruled out by its adult residual
     assert _block_would_be_skipped(REF1, row)
-    _edit_second_image(monkeypatch, row, 300, (GRID[row], GRID[300]))
+    _edit_second_image(monkeypatch, REF1, row, 300, (GRID[row], GRID[300]))
     assert mq.count_two_cycles_on_grid(REF1) == 1
 
 
 @pytest.mark.parametrize("row", SECOND_BLOCK_ROWS)
 def test_grid_counts_one_nan_image_in_a_block_it_would_skip(monkeypatch, row):
     assert _block_would_be_skipped(REF1, row)
-    _edit_second_image(monkeypatch, row, 300, (np.nan, np.nan))
+    _edit_second_image(monkeypatch, REF1, row, 300, (np.nan, np.nan))
     with pytest.raises(mq.VerificationError, match=r"two-cycle grid: 1 of the 250000 cells are not finite "):
         mq.count_two_cycles_on_grid(REF1)
 

@@ -675,6 +675,74 @@ def test_online_patterns_match_the_offline_scan_on_completed_orbits(ref1_orbit, 
         assert orb.monitors.pattern_violations == mq.count_forbidden_patterns(orb)
 
 
+def monitor_oracle_runs():
+    """Seeded (params, start, stop_at_certificate) runs for the monitor
+    oracle: the battery box, beta = mu (1 +- 10^-k), zero starts, tie
+    steps, a state frozen by rounding, two overflows (each with a nan
+    residual) and runs stopped at the certificate."""
+    rng = np.random.default_rng(26)
+    runs = []
+    while len(runs) < 16:  # the battery box: rates in [0.05, 1], |beta - mu| >= 0.01
+        alpha, beta, mu = (float(v) for v in rng.uniform(0.05, 1.0, size=3))
+        if abs(beta - mu) >= 0.01:
+            runs.append((mq.Parameters(alpha, beta, mu), mq.State(*rng.uniform(0.0, 10.0, 2))))
+    for k, sign in zip(rng.integers(1, 16, size=8), [1, -1] * 4):
+        alpha, mu = (float(v) for v in rng.uniform(0.05, 1.0, size=2))
+        runs.append((mq.Parameters(alpha, mu * (1 + sign * 10.0 ** -int(k)), mu), mq.State(*rng.uniform(0.0, 10.0, 2))))
+    for p in (REF1, EXT):
+        runs += [(p, mq.State(0.0, 0.0)), (p, mq.State(3.0, 0.0)), (p, mq.State(0.0, 3.0))]
+    # beta y = f(x) to rounding, the adults down: a tie step, the last bad
+    # one before the extinction box; then mu y = f(x), the larvae down
+    runs += [(EXT, mq.State(7.2e-9, 1.2e-8)), (EXT, mq.State(1.5, 0.5))]
+    runs += [
+        (mq.Parameters(0.6, 0.5000000000000001, 0.5), mq.State(1.0, 1.0)),
+        (mq.Parameters(0.5, 0.9, 1.0), mq.State(1.7e308, 1.7e308)),
+        (mq.Parameters(1.0, 1.7e308, 0.1), mq.State(1e8, 2.0)),
+    ]
+    return [(p, s0, stop) for p, s0 in runs for stop in (False, True)]
+
+
+def test_online_monitors_match_their_recomputation_from_the_rows():
+    # every monitor `iterate_orbit` keeps on the fly, recomputed from the
+    # rows of a full-resolution run with the same float operations
+    cfg = mq.OrbitConfig(max_iters=20_000)
+    runs = monitor_oracle_runs()
+    seen, nans = set(), 0
+    for p, s0, stop in runs:
+        orb = mq.iterate_orbit(p, s0, cfg, stop_at_certificate=stop)
+        case = (p, s0, stop)
+        seen.add(orb.verdict)
+        nans += math.isnan(orb.monitors.sum_identity_max_err)
+        xs, ys, n = orb.xs, orb.ys, orb.n_steps
+        assert len(xs) == n + 1, case
+        mon = orb.monitors
+        dx, dy = np.diff(xs), np.diff(ys)
+        tie = mq.trajectory.TIE_TOL
+        up_x, dn_x, up_y, dn_y = dx > tie, dx < -tie, dy > tie, dy < -tie
+        census = mq.StepSignCensus(
+            both_up=int(np.count_nonzero(up_x & up_y)),
+            both_down=int(np.count_nonzero(dn_x & dn_y)),
+            x_up_y_down=int(np.count_nonzero(up_x & dn_y)),
+            x_down_y_up=int(np.count_nonzero(dn_x & up_y)),
+            ties=int(np.count_nonzero(~((up_x | dn_x) & (up_y | dn_y)))),
+        )
+        assert mon.sign_census == census, case
+        bad = np.flatnonzero(dn_x | dn_y)
+        assert mon.monotone_onset_estimate == (int(bad[-1]) + 1 if bad.size else 0), case
+        growth = p.beta > p.mu
+        assert mon.pattern_violations == (mq.count_forbidden_patterns(orb) if growth else 0), case
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf after an overflow
+            assert repr(mon.sum_identity_max_err) == repr(mq.check_sum_identity(orb)), case
+        am = p.alpha / p.mu
+        y0 = float(ys[0])
+        pw = np.multiply.accumulate(np.full(n, 1.0 - p.mu))
+        tol = mq.model._slack(max(y0, am), mq.trajectory.Y_BOUND_TOL)
+        ybv = np.count_nonzero((ys[1:] > (am + pw * (y0 - am)) + tol) | (ys[1:] < -tol))
+        assert mon.y_bound_violations == ybv, case
+    assert seen == set(mq.Verdict)
+    assert nans == 4  # both overflows, with and without the stop
+
+
 # ----------------------------------------------------------- raw full map
 
 
