@@ -277,14 +277,63 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 # `compare` CSV rows: map n, x, y beside flow t, x, y; a side that has
 # run out leaves its three fields empty
-_COMPARE_MAP = f"%d,{FLOAT_FIELD},{FLOAT_FIELD}"
-_COMPARE_FLOW = f"%.6f,{FLOAT_FIELD},{FLOAT_FIELD}"
-_COMPARE_BOTH = f"{_COMPARE_MAP},{_COMPARE_FLOW}"
-_COMPARE_MAP_ONLY = f"{_COMPARE_MAP},,,"
-_COMPARE_FLOW_ONLY = f",,,{_COMPARE_FLOW}"
+_COMPARE_HEADER = "n,x_map,y_map,t,x_flow,y_flow"
+_COMPARE_XY = f"{FLOAT_FIELD},{FLOAT_FIELD}"
+
+
+def _last_change(v: np.ndarray) -> int:
+    """Index of the last element of `v` that differs from its final one,
+    -1 if none: argmax on a mask built in reverse order, so neither an
+    index array nor a contiguous copy of the mask is made."""
+    back = v[::-1] != v[-1]
+    j = int(back.argmax())
+    return len(v) - 1 - j if back[j] else -1
+
+
+def _compare_rows(sides):
+    """The `compare` rows of two sides, each (lead, xs, ys, lead field),
+    header first.  The rows are cut where a side's frozen tail begins
+    and where it ends; in each segment a frozen side's "x,y" text is
+    spliced into the row template once, so it is formatted once.  Each
+    row is still one `%` of its template, streamed as it is written.
+    Frozen means the same bits as the last row, so a -0.0 does not
+    repeat a 0.0.
+
+    Memoryviews yield Python ints and floats, which format faster than
+    numpy scalars, into the same bytes, and copy nothing."""
+    parts = []
+    for lead, xs, ys, lead_field in sides:
+        # the first row of the tail frozen at the last (x, y)
+        k = max(_last_change(xs.view(np.int64)), _last_change(ys.view(np.int64))) + 1
+        xy = _COMPARE_XY % (float(xs[-1]), float(ys[-1]))
+        parts.append((len(xs), k, lead_field, xy, *map(memoryview, (lead, xs, ys))))
+    cuts = sorted({0, *(c for n, k, *_ in parts for c in (n, k))})
+    segments = [(_COMPARE_HEADER,)]
+    for a, b in zip(cuts, cuts[1:]):
+        fields = []
+        cols = []
+        for n, k, lead_field, xy, lead, xs, ys in parts:
+            if a >= n:
+                fields.append(",,")
+            elif a >= k:
+                fields.append(f"{lead_field},{xy}")
+                cols.append(lead[a:b])
+            else:
+                fields.append(f"{lead_field},{_COMPARE_XY}")
+                cols += (lead[a:b], xs[a:b], ys[a:b])
+        segments.append(map(",".join(fields).__mod__, zip(*cols)))
+    return itertools.chain.from_iterable(segments)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    """The discrete orbit next to the RK4 flow, as CSV, with a summary.
+
+    The map side is `iterate_orbit` where the rates are admissible for
+    the reduced map (no larval mortality), else `iterate_general`; both
+    take --steps, which must be at least 1.  Rows stream to --out or
+    stdout; a side that has frozen (see `_compare_rows`) has its text
+    formatted once, not once per row.
+    """
     p = Parameters(args.alpha, args.beta, args.mu, args.d0, args.d1)
     general = validate_parameters(p, Mode.GENERAL)
     if not general.valid:
@@ -301,8 +350,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     summary = [
         f"r0={fmt(r0)} trivial_stable={'true' if r0 <= 1.0 else 'false'} positive_equilibrium={eq_txt}"
     ]
+    cfg = _orbit_config(args)  # after the flow, so a failing flow still exits 4 first
     if reduced:
-        orbit = iterate_orbit(p, s0, _orbit_config(args))
+        orbit = iterate_orbit(p, s0, cfg)
         ns, xs, ys = orbit.steps, orbit.xs, orbit.ys
         summary.append(
             f"discrete: verdict={orbit.verdict.value} n={orbit.n_steps} "
@@ -310,24 +360,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
         summary.append(f"threshold_coherence={'true' if thresholds_agree(p) else 'false'}")
     else:
-        ns, xs, ys = iterate_general(p, s0, args.steps)
+        ns, xs, ys = iterate_general(p, s0, cfg.max_iters)
         summary.append(
             f"discrete: full map, {int(ns[-1])} steps, final=({fmt(xs[-1])}, {fmt(ys[-1])})"
         )
     fx, fy = flow.final
     summary.append(f"continuous: t={flow.ts[-1]:.6g} final=({fmt(fx)}, {fmt(fy)})")
 
-    # zip stops at the shorter side; the longer side's tail follows alone.
-    # Memoryviews yield Python ints and floats, which format faster than
-    # numpy scalars, into the same bytes, and copy nothing.
-    n_both = min(len(ns), len(flow.ts))
-    ns, xs, ys, ts, fxs, fys = map(memoryview, (ns, xs, ys, flow.ts, flow.xs, flow.ys))
-    rows = itertools.chain(
-        ("n,x_map,y_map,t,x_flow,y_flow",),
-        map(_COMPARE_BOTH.__mod__, zip(ns, xs, ys, ts, fxs, fys)),
-        map(_COMPARE_MAP_ONLY.__mod__, zip(ns[n_both:], xs[n_both:], ys[n_both:])),
-        map(_COMPARE_FLOW_ONLY.__mod__, zip(ts[n_both:], fxs[n_both:], fys[n_both:])),
-    )
+    rows = _compare_rows(((ns, xs, ys, "%d"), (flow.ts, flow.xs, flow.ys, "%.6f")))
 
     if args.out:
         atomic_write_lines(args.out, rows)

@@ -210,6 +210,12 @@ def _slack(size, floor: float):
     return np.maximum(floor, scaled) if isinstance(scaled, np.ndarray) else max(floor, scaled)
 
 
+def _same_bits(a: float, b: float) -> bool:
+    """Whether two equal floats are the same double: a zero equals the
+    zero of the other sign (-0.0 == 0.0), and the two format apart."""
+    return math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
 # Decimal(float) is exact, as every double is a finite decimal.  Each
 # value formed in this context is a polynomial of degree <= 2 in the
 # rates with coefficients in Z/16: at most 2,771 digits (1e619 down to

@@ -29,18 +29,24 @@ reference for cross-checking discrete verdicts, so it avoids adaptive
 machinery that would be harder to reason about.  For speed its loop
 inlines `_field` at each of the four stages instead of calling it;
 `test_rk4_loop_matches_field_kernel_bit_for_bit` in `tests/test_ode.py`
-pins the loop to an RK4 step written on `_field`, bit for bit.
+pins the loop to an RK4 step written on `_field`, bit for bit.  It also
+stops at the first step that returns its input bit for bit: the field
+is autonomous and the step size fixed, so every later step would return
+the same state, and the remaining samples are filled with it.  On the
+long horizons of `compare`, where the flow settles on the positive
+equilibrium, that is most of the samples.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IntegrationError, VerificationError
-from .model import Mode, Parameters, State, _field, _slack, require_valid
+from .model import Mode, Parameters, State, _field, _same_bits, _slack, require_valid
 
 __all__ = [
     "OdeConfig",
@@ -51,6 +57,7 @@ __all__ = [
 ]
 
 _INF = math.inf
+_TINY = sys.float_info.min  # the smallest normal double
 
 
 @dataclass(frozen=True)
@@ -95,9 +102,19 @@ def offspring_number(p: Parameters) -> float:
     round to zero, and the first product is at most beta, so nothing
     overflows before r0 itself does.  With d0 = 0 the fraction is
     exactly 1, so r0 is beta/mu rounded once and lies on the same side
-    of 1 as beta of mu."""
+    of 1 as beta of mu.  Where the first product is subnormal it has
+    lost digits (or all of them), and r0 is the exact rational value
+    rounded once instead."""
     require_valid(p, Mode.GENERAL)
-    return p.beta * (p.alpha / (p.alpha + p.d0)) / p.mu
+    q = p.beta * (p.alpha / (p.alpha + p.d0))
+    if q < _TINY:
+        # subnormal or zero: digits lost, so evaluate exactly and round
+        # once; r0 < _TINY / 5e-324 < 4.5e15 cannot overflow.  Imported
+        # here, as every command's start-up would pay for it at the top.
+        from fractions import Fraction as F
+
+        return float(F(p.alpha) * F(p.beta) / ((F(p.alpha) + F(p.d0)) * F(p.mu)))
+    return q / p.mu
 
 
 def positive_equilibrium(p: Parameters) -> State | None:
@@ -136,7 +153,10 @@ def integrate_flow(p: Parameters, s0: State, config: OdeConfig | None = None) ->
 
     Raises IntegrationError if the state turns non-finite or the larval
     count falls below -0.5 (the vector field has a pole at x = -1;
-    nothing meaningful lives on that side).
+    nothing meaningful lives on that side); every computed step is
+    checked.  A step that returns its input bit for bit (a zero repeats
+    only a zero of its own sign) ends the loop: the later samples are
+    that state, which each further step would return again.
     """
     require_valid(p, Mode.GENERAL)
     cfg = config if config is not None else OdeConfig()
@@ -194,15 +214,20 @@ def integrate_flow(p: Parameters, s0: State, config: OdeConfig | None = None) ->
                 k4x = k4x - (d0 + d1 * sx) * sx
             k4y = em - mu * sy
 
-            x = x + sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
-            y = y + sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
+            nx = x + sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
+            ny = y + sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
             # not finite, or x below -0.5: nan fails every comparison
-            if not (-0.5 <= x < _INF and -_INF < y < _INF):
+            if not (-0.5 <= nx < _INF and -_INF < ny < _INF):
                 raise IntegrationError(
-                    f"integration left the admissible region at t={i * h:.6g}: x={x!r}, y={y!r}"
+                    f"integration left the admissible region at t={i * h:.6g}: x={nx!r}, y={ny!r}"
                 )
-            put_x[i] = x
-            put_y[i] = y
+            if nx == x and ny == y and _same_bits(nx, x) and _same_bits(ny, y):
+                # the step returned its input: every later step repeats it
+                xs[i:] = x
+                ys[i:] = y
+                break
+            put_x[i] = x = nx
+            put_y[i] = y = ny
     except ZeroDivisionError as exc:
         raise IntegrationError("vector field pole reached (x = -1)") from exc
     # sample i is at float(i) * h, the product i * h rounded once

@@ -90,7 +90,7 @@ from enum import Enum
 import numpy as np
 
 from .ioutil import FLOAT_FIELD
-from .model import Mode, Parameters, State, _slack, require_valid
+from .model import Mode, Parameters, State, _same_bits, _slack, require_valid
 
 __all__ = [
     "Verdict",
@@ -423,6 +423,9 @@ def iterate_general(p: Parameters, s0: State, n_steps: int) -> tuple[np.ndarray,
     verdicts, no monitors, every step recorded.  Exploratory helper for
     side-by-side comparisons.  Stops early if a coordinate leaves
     [0, 1e15] or turns non-finite, keeping what was recorded so far.
+    A step that returns its input bit for bit (a zero repeats only a
+    zero of its own sign) stops the stepping but not the rows: the map
+    is autonomous, so the remaining steps are that state, filled in.
     """
     require_valid(p, Mode.GENERAL)
     if n_steps < 0:
@@ -441,16 +444,24 @@ def iterate_general(p: Parameters, s0: State, n_steps: int) -> tuple[np.ndarray,
     put_y = ys.append
     # `_map` inlined, the larval term behind its own test;
     # tests/test_trajectory.py pins the loop to `_map` bit for bit
-    for _ in range(n_steps):
+    for left in range(n_steps - 1, -1, -1):
         em = alpha * (x / (1.0 + x))
         dx = beta * y - em
         if larval:
             dx = dx - (d0 + d1 * x) * x
-        x, y = dx + x, em + omm * y
-        put_x(x)
-        put_y(y)
-        if not (0.0 <= x <= 1e15 and 0.0 <= y <= 1e15):
+        nx = dx + x
+        ny = em + omm * y
+        put_x(nx)
+        put_y(ny)
+        if not (0.0 <= nx <= 1e15 and 0.0 <= ny <= 1e15):
             break
+        if nx == x and ny == y and _same_bits(nx, x) and _same_bits(ny, y):
+            # the step returned its input: the `left` steps to go repeat it
+            xs.extend(array("d", [x]) * left)
+            ys.extend(array("d", [y]) * left)
+            break
+        x = nx
+        y = ny
     return (
         np.arange(len(xs), dtype=np.int64),
         np.frombuffer(xs, dtype=np.float64),

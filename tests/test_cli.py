@@ -565,6 +565,11 @@ def test_sweep_takes_a_whole_grid_count_written_as_a_float(tmp_path, capsys):
     (["sweep", "--alpha-range", "0.6", "0.6", "1", "--beta-range", "0.5", "0.5", "1",
       "--mu-range", "0.48", "0.48", "1", "--record-every", "-2", "--out", "s.csv"], "--record-every"),
     (["compare", *REF1, "--x0", "1", "--y0", "1", "--steps", "0"], "--steps"),
+    # the full map (larval mortality) is held to the same budget rule
+    (["compare", "--alpha", "0.5", "--beta", "0.9", "--mu", "0.3", "--d0", "0.05", "--d1", "0.01",
+      "--x0", "1", "--y0", "1", "--steps", "0", "--t-end", "1", "--dt", "0.5"], "--steps"),
+    (["compare", "--alpha", "0.5", "--beta", "0.9", "--mu", "0.3", "--d0", "0.05",
+      "--x0", "1", "--y0", "1", "--steps", "-3", "--t-end", "1", "--dt", "0.5"], "--steps"),
 ])
 def test_a_budget_or_stride_below_one_names_its_flag(tmp_path, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(tmp_path)
@@ -999,6 +1004,13 @@ def _compare_csv_oracle(alpha, beta, mu, d0, d1, steps, t_end, dt) -> str:
     ("map-longer", 0.6, 0.8, 0.5, 0.1, 0.05, 400, 2.0, 0.05, 401, 41),
     ("equal", 0.6, 0.8, 0.5, 0.1, 0.05, 40, 2.0, 0.05, 41, 41),
     ("flow-longer", 0.5, 0.3, 0.6, 0.0, 0.0, 5, 2.0, 0.1, 6, 21),
+    # the map freezes from row 306, the flow never does
+    ("map-frozen", 0.6, 0.8, 0.5, 0.1, 0.05, 400, 30.0, 0.05, 401, 601),
+    # both freeze on the positive equilibrium, the map from row 216 and
+    # the flow from row 453, and the flow's frozen tail runs on alone
+    ("both-frozen", 0.5, 0.9, 0.3, 0.05, 0.01, 600, 500.0, 0.5, 601, 1001),
+    # both freeze at (5e-324, 0.0), the map from row 909, the flow from 1333
+    ("frozen-zero", 0.5, 0.3, 0.9, 0.5, 0.1, 2000, 1500.0, 1.0, 2001, 1501),
 ])
 def test_compare_csv_bytes_match_the_field_by_field_oracle(
     shape, alpha, beta, mu, d0, d1, steps, t_end, dt, n_map, n_flow, tmp_path, capsys

@@ -72,6 +72,18 @@ def test_offspring_number_of_extreme_rates_is_its_exact_value_rounded(rates):
     assert abs(F(mq.offspring_number(p)) - exact) <= exact * 8 * F(sys.float_info.epsilon)
 
 
+@pytest.mark.parametrize("rates, r0", [
+    # beta * (alpha / (alpha + d0)) is subnormal: the float form gives
+    # 9.999999999999969e-11 and 0, so r0 is evaluated exactly instead
+    ((1e-10, 1e-290, 1e-300, 1e10, 0.0), 1e-10),
+    ((1e-300, 1e-300, 1e-300, 1e-10, 0.0), 9.999999999999999e-291),
+])
+def test_offspring_number_with_a_subnormal_numerator_is_rounded_once(rates, r0):
+    p = mq.Parameters(*rates)
+    assert r0 == float(F(p.alpha) * F(p.beta) / ((F(p.alpha) + F(p.d0)) * F(p.mu)))
+    assert mq.offspring_number(p) == r0
+
+
 # ------------------------------------------------------------- equilibria
 
 
@@ -249,18 +261,35 @@ def _rk4_on_field(p, s0, h, n_steps):
     (mq.Parameters(0.5, 0.9, 0.3, 0.05, 0.01), mq.State(2.0, 0.1), 0.05, 100.0, False),
     # h d0 = 1.5 from a small x: the stage states fall below 0, the steps do not
     (mq.Parameters(0.5, 0.5, 0.5, 30.0, 0.0), mq.State(0.01, 0.001), 0.05, 100.0, True),
+    # freezes bit for bit at step 4,305 of 20,000: the integrator stops
+    # stepping there and fills the rest (see test_rk4_stops_at_a_bit_for_bit_fixed_point)
+    (mq.Parameters(0.5, 0.9, 0.3, 0.05, 0.01), mq.State(2.0, 0.1), 0.05, 1000.0, False),
 ])
 def test_rk4_loop_matches_field_kernel_bit_for_bit(p, s0, h, t_end, dips):
     # integrate_flow inlines the field for speed; it must stay the shared
-    # kernel's arithmetic exactly, the -0.0s and the time grid included
+    # kernel's arithmetic exactly, the -0.0s and the time grid included,
+    # and so must the frozen tail it fills without stepping
     traj = mq.integrate_flow(p, s0, mq.OdeConfig(step=h, t_end=t_end))
     n = len(traj.ts) - 1
-    assert n == 2000
+    assert n == round(t_end / h)  # 2,000 steps, 20,000 for the frozen case
     xs, ys, lowest = _rk4_on_field(p, s0, h, n)
     assert (lowest < 0.0) == dips
     assert traj.xs.tobytes() == xs.tobytes()
     assert traj.ys.tobytes() == ys.tobytes()
     assert all(t == i * h for i, t in enumerate(traj.ts.tolist()))
+
+
+def test_rk4_stops_at_a_bit_for_bit_fixed_point():
+    # the flow settles on the positive equilibrium and step 4,305 is the
+    # last to move a bit: every sample after it is that state, and the
+    # reference RK4 on `_field` agrees on the whole horizon (above)
+    p = mq.Parameters(0.5, 0.9, 0.3, 0.05, 0.01)
+    traj = mq.integrate_flow(p, mq.State(2.0, 0.1), mq.OdeConfig(step=0.05, t_end=1000.0))
+    xs, ys = traj.xs, traj.ys
+    assert len(xs) == 20_001
+    assert (xs[4304], ys[4304]) != (xs[4305], ys[4305])
+    assert (xs[4305:] == xs[-1]).all() and (ys[4305:] == ys[-1]).all()
+    assert _field(p, xs[-1], ys[-1]) != (0.0, 0.0)  # frozen by rounding, not a root
 
 
 def test_flow_pole_raises_an_integration_error_from_the_division():

@@ -758,6 +758,8 @@ def test_general_iteration_matches_single_steps():
 
 
 @pytest.mark.parametrize("rates, s0, n_steps, n_rows, stop", [
+    # the first two freeze bit for bit at steps 297 and 216, and the loop
+    # fills their tails without stepping
     ((0.6, 0.8, 0.5, 0.1, 0.05), (1.3, 0.7), 3000, 3001, None),
     ((0.5, 0.9, 0.3, 0.05, 0.01), (1.3, 0.7), 2000, 2001, None),
     ((0.6, 0.5, 0.48, 0.0, 0.0), (2.0, 0.1), 2000, 2001, None),
@@ -765,11 +767,13 @@ def test_general_iteration_matches_single_steps():
     ((1.0, 1.0, 0.001, 0.0, 0.0), (1.0, 1e13), 2000, 107, "above"),
     # crowding throws the larvae below 0 at step 1188
     ((0.9, 2.25, 0.9, 0.5, 0.4), (0.3, 0.2), 2000, 1189, "below"),
+    # freezes at (5e-324, 0.0) from step 909: a subnormal and a zero
+    ((0.5, 0.3, 0.9, 0.5, 0.1), (1.0, 1.0), 2000, 2001, "zero"),
 ])
 def test_general_iteration_matches_map_kernel_bit_for_bit(rates, s0, n_steps, n_rows, stop):
     # iterate_general inlines the map step for speed; it must stay the
     # shared kernel's arithmetic exactly, up to and including the step
-    # that leaves [0, 1e15]
+    # that leaves [0, 1e15], and so must a frozen tail it fills
     from mosqdyn.model import _map
 
     p = mq.Parameters(*rates)
@@ -785,7 +789,11 @@ def test_general_iteration_matches_map_kernel_bit_for_bit(rates, s0, n_steps, n_
     assert len(ref_x) == n_rows
     assert ns.tolist() == list(range(n_rows))
     assert xs.tobytes() == np.array(ref_x).tobytes() and ys.tobytes() == np.array(ref_y).tobytes()
-    assert {"above": xs[-1] > 1e15, "below": xs[-1] < 0.0, None: True}[stop]
+    if stop == "zero":
+        assert (ys[908], xs[909], ys[909]) == (5e-324, 5e-324, 0.0)
+        assert (xs[909:] == 5e-324).all() and not np.signbit(ys[909:]).any() and not ys[909:].any()
+    else:
+        assert {"above": xs[-1] > 1e15, "below": xs[-1] < 0.0, None: True}[stop]
 
 
 def test_general_iteration_stops_outside_quadrant():
