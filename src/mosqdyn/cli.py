@@ -10,7 +10,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 invalid parameters or options (argparse errors
 included, and budgets too large for memory), 3 I/O failure, 4 a
-verification or agreement failure.
+verification or agreement failure.  The rates (through
+`model.require_valid`), then the options, are checked before any
+computation.
 
 Every option is a command line flag.  The detection thresholds and the
 certify scan sizes are not options: they are constants of the modules
@@ -34,7 +36,7 @@ import numpy as np
 from .battery import SWEEP_CSV_HEADER, expected_fate, run_certificates, run_trials, sweep, thresholds_agree
 from .errors import IntegrationError, VerificationError
 from .ioutil import FLOAT_FIELD, atomic_write_lines, atomic_write_text, fmt, json_text
-from .model import Mode, Parameters, State, validate_parameters
+from .model import Mode, Parameters, State, require_valid, validate_parameters
 from .ode import OdeConfig, integrate_flow, offspring_number, positive_equilibrium
 from .spectral import classify_origin, stability_inequalities
 from .trajectory import Orbit, OrbitConfig, iterate_general, iterate_orbit, orbit_to_csv
@@ -158,10 +160,7 @@ def _orbit_json(orbit: Orbit) -> dict:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     p = Parameters(args.alpha, args.beta, args.mu)
-    report = validate_parameters(p, Mode.REDUCED)
-    if not report.valid:
-        print(report.message(), file=sys.stderr)
-        return 2
+    require_valid(p, Mode.REDUCED)
     orbit = iterate_orbit(p, State(args.x0, args.y0), _orbit_config(args))
     verdict_line = (
         f"verdict={orbit.verdict.value} n_steps={orbit.n_steps} "
@@ -244,10 +243,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     p = Parameters(args.alpha, args.beta, args.mu)
-    report = validate_parameters(p, Mode.REDUCED)
-    if not report.valid:
-        print(report.message(), file=sys.stderr)
-        return 2
+    require_valid(p, Mode.REDUCED)
     if args.trials < 0:
         raise ValueError(f"--trials must be nonnegative, got {args.trials}")
     cfg = _orbit_config(args)
@@ -335,22 +331,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
     formatted once, not once per row.
     """
     p = Parameters(args.alpha, args.beta, args.mu, args.d0, args.d1)
-    general = validate_parameters(p, Mode.GENERAL)
-    if not general.valid:
-        print(general.message(), file=sys.stderr)
-        return 2
+    require_valid(p, Mode.GENERAL)
     s0 = State(args.x0, args.y0)
+    cfg = _orbit_config(args)
+    ode_cfg = OdeConfig(step=args.dt, t_end=args.t_end)
 
     r0 = offspring_number(p)
     positive = positive_equilibrium(p) if p.d1 > 0.0 else None
-    flow = integrate_flow(p, s0, OdeConfig(step=args.dt, t_end=args.t_end))
+    flow = integrate_flow(p, s0, ode_cfg)
 
     reduced = validate_parameters(p, Mode.REDUCED).valid
     eq_txt = "none" if positive is None else f"({fmt(positive.x)}, {fmt(positive.y)})"
     summary = [
         f"r0={fmt(r0)} trivial_stable={'true' if r0 <= 1.0 else 'false'} positive_equilibrium={eq_txt}"
     ]
-    cfg = _orbit_config(args)  # after the flow, so a failing flow still exits 4 first
     if reduced:
         orbit = iterate_orbit(p, s0, cfg)
         ns, xs, ys = orbit.steps, orbit.xs, orbit.ys

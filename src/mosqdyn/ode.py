@@ -102,18 +102,21 @@ def offspring_number(p: Parameters) -> float:
     round to zero, and the first product is at most beta, so nothing
     overflows before r0 itself does.  With d0 = 0 the fraction is
     exactly 1, so r0 is beta/mu rounded once and lies on the same side
-    of 1 as beta of mu.  Where the first product is subnormal it has
-    lost digits (or all of them), and r0 is the exact rational value
-    rounded once instead."""
+    of 1 as beta of mu.  Where the fraction or the first product is
+    subnormal it has lost digits (or all of them), and r0 is the exact
+    rational value rounded once instead, inf beyond the float range."""
     require_valid(p, Mode.GENERAL)
-    q = p.beta * (p.alpha / (p.alpha + p.d0))
-    if q < _TINY:
-        # subnormal or zero: digits lost, so evaluate exactly and round
-        # once; r0 < _TINY / 5e-324 < 4.5e15 cannot overflow.  Imported
-        # here, as every command's start-up would pay for it at the top.
+    a = p.alpha / (p.alpha + p.d0)
+    q = p.beta * a
+    if a < _TINY or q < _TINY:
+        # digits lost: evaluate exactly and round once.  Imported here,
+        # as every command's start-up would pay for it at the top.
         from fractions import Fraction as F
 
-        return float(F(p.alpha) * F(p.beta) / ((F(p.alpha) + F(p.d0)) * F(p.mu)))
+        try:
+            return float(F(p.alpha) * F(p.beta) / ((F(p.alpha) + F(p.d0)) * F(p.mu)))
+        except OverflowError:
+            return _INF
     return q / p.mu
 
 

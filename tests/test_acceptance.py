@@ -14,6 +14,7 @@ import pytest
 
 import mosqdyn as mq
 from mosqdyn.model import _field, _map
+from orbit_oracles import check_sum_identity, check_y_bound, count_forbidden_patterns
 
 ACCEPT_SEED = 20260815
 
@@ -85,8 +86,8 @@ def test_c2_reference_configurations():
             and abs(orb.y_limit_estimate - target) < 1e-6
             and orb.monitors.y_bound_violations == 0
             and orb.monitors.pattern_violations == 0
-            and mq.check_y_bound(orb) == 0
-            and mq.count_forbidden_patterns(orb) == 0
+            and check_y_bound(orb) == 0
+            and count_forbidden_patterns(orb) == 0
         )
         details.append(f"beta={p.beta} limit_err={abs(orb.y_limit_estimate - target):.2e}")
         if not checks:
@@ -197,7 +198,7 @@ def test_c5_algebraic_identities():
     for p in orbit_params:
         s0 = mq.State(float(rng.uniform(0.0, 10.0)), float(rng.uniform(0.0, 10.0)))
         orb = mq.iterate_orbit(p, s0, cfg)
-        worst_sum = max(worst_sum, mq.check_sum_identity(orb))
+        worst_sum = max(worst_sum, check_sum_identity(orb))
         worst_sum = max(worst_sum, orb.monitors.sum_identity_max_err)
 
     # the Euler link, map = identity + field, is proved in

@@ -570,6 +570,9 @@ def test_sweep_takes_a_whole_grid_count_written_as_a_float(tmp_path, capsys):
       "--x0", "1", "--y0", "1", "--steps", "0", "--t-end", "1", "--dt", "0.5"], "--steps"),
     (["compare", "--alpha", "0.5", "--beta", "0.9", "--mu", "0.3", "--d0", "0.05",
       "--x0", "1", "--y0", "1", "--steps", "-3", "--t-end", "1", "--dt", "0.5"], "--steps"),
+    # the flow meets its pole at these rates (exit 4), after the budget is refused
+    (["compare", "--alpha", "0.5", "--beta", "0.5", "--mu", "0.5", "--d0", "4.25",
+      "--x0", "1", "--y0", "1", "--steps", "0", "--t-end", "1", "--dt", "1"], "--steps"),
 ])
 def test_a_budget_or_stride_below_one_names_its_flag(tmp_path, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(tmp_path)
@@ -854,7 +857,19 @@ def test_certify_rejects_invalid_rates(capsys):
     out, err = capsys.readouterr()
     assert rc == 2
     assert out == ""
-    assert err == "invalid parameters (mode=reduced): 0 < alpha <= 1\n"
+    assert err == "error: invalid parameters (mode=reduced): 0 < alpha <= 1\n"
+
+
+@pytest.mark.parametrize("command, start, mode", [
+    ("simulate", ["--x0", "1", "--y0", "1"], "reduced"),
+    ("certify", [], "reduced"),
+    ("compare", ["--x0", "1", "--y0", "1"], "general"),
+    ("classify", [], "general"),
+], ids=["simulate", "certify", "compare", "classify"])
+def test_every_command_rejects_invalid_rates_with_one_message(capsys, command, start, mode):
+    rc = main([command, "--alpha", "1.5", "--beta", "0.5", "--mu", "0.48", *start])
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (2, "", f"error: invalid parameters (mode={mode}): 0 < alpha <= 1\n")
 
 
 def test_classify_names_only_the_failing_constraints_of_a_nan_rate(capsys):
@@ -1041,7 +1056,7 @@ def test_compare_rejects_negative_mortality(capsys):
     out, err = capsys.readouterr()
     assert rc == 2
     assert out == ""
-    assert err == "invalid parameters (mode=general): d1 >= 0\n"
+    assert err == "error: invalid parameters (mode=general): d1 >= 0\n"
 
 
 def test_compare_integration_failure_exits_4(capsys):
@@ -1063,6 +1078,15 @@ def test_compare_pole_exits_4(capsys):
     assert rc == 4
     assert out == ""
     assert err == "integration failure: vector field pole reached (x = -1)\n"
+
+
+def test_compare_checks_the_budget_before_the_flow(monkeypatch, capsys):
+    def failing(p, s0, cfg):
+        raise AssertionError("the flow ran before --steps was checked")
+
+    monkeypatch.setattr(cli, "integrate_flow", failing)
+    assert main(["compare", *EXT, "--x0", "1", "--y0", "1", "--steps", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: --steps must be at least 1, got 0\n")
 
 
 @pytest.mark.parametrize("rates", [

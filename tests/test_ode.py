@@ -77,11 +77,25 @@ def test_offspring_number_of_extreme_rates_is_its_exact_value_rounded(rates):
     # 9.999999999999969e-11 and 0, so r0 is evaluated exactly instead
     ((1e-10, 1e-290, 1e-300, 1e10, 0.0), 1e-10),
     ((1e-300, 1e-300, 1e-300, 1e-10, 0.0), 9.999999999999999e-291),
+    # alpha / (alpha + d0) alone is subnormal while its product with beta
+    # is not: the float form gives 6.666666666666317e-11 and
+    # 9.99999999999997e-111
+    ((1e-310, 1e300, 0.5, 3.0, 0.0), 6.666666666666646e-11),
+    ((1e-300, 1e200, 1.0, 1e10, 0.0), 1e-110),
 ])
 def test_offspring_number_with_a_subnormal_numerator_is_rounded_once(rates, r0):
     p = mq.Parameters(*rates)
     assert r0 == float(F(p.alpha) * F(p.beta) / ((F(p.alpha) + F(p.d0)) * F(p.mu)))
     assert mq.offspring_number(p) == r0
+
+
+def test_offspring_number_beyond_the_float_range_is_inf():
+    # the fraction is subnormal, and the exact r0, about 1e310, has no
+    # float: it is inf, as the float form gives where r0 overflows
+    p = mq.Parameters(1e-310, 1e300, 1e-320, 1.0)
+    with pytest.raises(OverflowError):
+        float(F(p.alpha) * F(p.beta) / ((F(p.alpha) + F(p.d0)) * F(p.mu)))
+    assert mq.offspring_number(p) == math.inf
 
 
 # ------------------------------------------------------------- equilibria

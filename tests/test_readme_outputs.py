@@ -74,7 +74,7 @@ PINS = {
                 "88738e64d1bee65d9c1e6f4a33844fecf1afd393326804d99288fa83770a1777", None),
     "simulate-csv": (0, "b8c644e41c34b6e9806531bb97fc0b6731b7b6284349d7da279f3092a58f5703",
                      "9c76ec3d0c21088490dfdee90e238caaf7fa41ccf532452d8d48328f63e67a30", None),
-    "simulate-invalid": (2, EMPTY, "1603cf5269b7bd9aeb0c826cf63989d752a886a4cf18a623dd841d71d1972447", None),
+    "simulate-invalid": (2, EMPTY, "bebb4f59361c736d17985118d00bd6ed6adf6899eeaa5de695e683b41dacdaa9", None),
     "simulate-ref2-file": (0, "93bf21e9678080337531dbf5761fee00ebd7aa6b6aae08faf4940d45f8063307", EMPTY,
                            "6e0ea8afe72cdf0197b8b0837bdb50e9e522d5a170c9a3698220aa81bafb6863"),
     "simulate-json": (0, "9c76ec3d0c21088490dfdee90e238caaf7fa41ccf532452d8d48328f63e67a30", EMPTY,

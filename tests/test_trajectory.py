@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import mosqdyn as mq
 from mosqdyn.trajectory import _in_both_up_region
+from orbit_oracles import check_sum_identity, check_y_bound, count_forbidden_patterns
 
 REF1 = mq.Parameters(0.6, 0.5, 0.48)
 REF2 = mq.Parameters(0.4, 0.35, 0.3)
@@ -130,11 +131,11 @@ def test_extinction_orbit(ext_orbit):
 
 
 def test_offline_checkers_agree_on_real_orbits(ref1_orbit, ext_orbit):
-    assert mq.check_y_bound(ref1_orbit) == 0
-    assert mq.check_sum_identity(ref1_orbit) < 1e-9
-    assert mq.count_forbidden_patterns(ref1_orbit) == 0
+    assert check_y_bound(ref1_orbit) == 0
+    assert check_sum_identity(ref1_orbit) < 1e-9
+    assert count_forbidden_patterns(ref1_orbit) == 0
     assert mq.check_growth_lower_bound(ref1_orbit)
-    assert mq.check_y_bound(ext_orbit) == 0
+    assert check_y_bound(ext_orbit) == 0
     assert mq.check_decreasing_totals(ext_orbit)
 
 
@@ -155,7 +156,7 @@ def test_adult_envelope_slack_scales_with_the_start():
     # y_1 = 1.2e14 lies one ulp (0.0156) above the rounded envelope
     orb = mq.iterate_orbit(REF3, mq.State(1e5, 1e15))
     assert orb.monitors.y_bound_violations == 0
-    assert mq.check_y_bound(orb) == 0
+    assert check_y_bound(orb) == 0
 
 
 # ------------------------------------------------------------- edge starts
@@ -352,7 +353,7 @@ def test_escaping_growth_orbit_has_no_pattern_violations():
     assert (orb.verdict, orb.n_steps) == (mq.Verdict.SURVIVAL, 2)
     assert orb.monitors.sign_census.x_up_y_down == 2
     assert orb.monitors.pattern_violations == 0
-    assert mq.count_forbidden_patterns(orb) == 0
+    assert count_forbidden_patterns(orb) == 0
 
 
 def test_orbit_loop_matches_map_kernel_bit_for_bit():
@@ -549,12 +550,12 @@ def test_sum_identity_requires_full_resolution(ref1_orbit):
     orb = mq.iterate_orbit(REF1, mq.State(2.0, 0.1),
                            mq.OrbitConfig(max_iters=100, record_every=2))
     with pytest.raises(ValueError):
-        mq.check_sum_identity(orb)
+        check_sum_identity(orb)
 
 
 def test_pattern_scan_requires_growth_regime(ext_orbit):
     with pytest.raises(ValueError):
-        mq.count_forbidden_patterns(ext_orbit)
+        count_forbidden_patterns(ext_orbit)
 
 
 def test_decreasing_totals_requires_contracting_regime(ref1_orbit):
@@ -600,18 +601,18 @@ def test_y_bound_checker_detects_doctored_data(ref1_orbit):
     bad_ys = ref1_orbit.ys.copy()
     bad_ys[5] = 0.6 / 0.48 + 10.0
     doctored = dataclasses.replace(ref1_orbit, ys=bad_ys)
-    assert mq.check_y_bound(doctored) >= 1
+    assert check_y_bound(doctored) >= 1
     neg_ys = ref1_orbit.ys.copy()
     neg_ys[7] = -0.5
     doctored = dataclasses.replace(ref1_orbit, ys=neg_ys)
-    assert mq.check_y_bound(doctored) >= 1
+    assert check_y_bound(doctored) >= 1
 
 
 def test_sum_identity_detects_doctored_data(ref1_orbit):
     bad_xs = ref1_orbit.xs.copy()
     bad_xs[10] += 1e-3
     doctored = dataclasses.replace(ref1_orbit, xs=bad_xs)
-    assert mq.check_sum_identity(doctored) > 1e-4
+    assert check_sum_identity(doctored) > 1e-4
 
 
 def test_pattern_scan_detects_injected_both_down(ref1_orbit):
@@ -620,7 +621,7 @@ def test_pattern_scan_detects_injected_both_down(ref1_orbit):
     bad_xs[10] = bad_xs[9] - 1.0
     bad_ys[10] = bad_ys[9] - 0.05
     doctored = dataclasses.replace(ref1_orbit, xs=bad_xs, ys=bad_ys)
-    assert mq.count_forbidden_patterns(doctored) >= 1
+    assert count_forbidden_patterns(doctored) >= 1
 
 
 def _hand_built_orbit(params, xs, ys):
@@ -637,7 +638,7 @@ def test_pattern_scan_does_not_flag_honest_alternation():
     # keeps alternating transients out of the violation count
     orb = _hand_built_orbit(REF1, [1.0, 1.2, 1.1, 1.3, 1.2],
                             [1.0, 0.8, 0.9, 0.7, 0.8])
-    assert mq.count_forbidden_patterns(orb) == 0
+    assert count_forbidden_patterns(orb) == 0
 
 
 def test_sign_census_partitions_the_steps(ref1_orbit, ref2_orbit, ref3_orbit, ext_orbit):
@@ -672,7 +673,7 @@ def test_online_patterns_match_the_offline_scan_on_completed_orbits(ref1_orbit, 
     assert [(orb.verdict, orb.monitors.pattern_violations) for orb in orbits[3:5]] == [(mq.Verdict.SURVIVAL, 0)] * 2
     for orb in orbits:
         assert orb.verdict is not mq.Verdict.EXHAUSTED
-        assert orb.monitors.pattern_violations == mq.count_forbidden_patterns(orb)
+        assert orb.monitors.pattern_violations == count_forbidden_patterns(orb)
 
 
 def monitor_oracle_runs():
@@ -730,9 +731,9 @@ def test_online_monitors_match_their_recomputation_from_the_rows():
         bad = np.flatnonzero(dn_x | dn_y)
         assert mon.monotone_onset_estimate == (int(bad[-1]) + 1 if bad.size else 0), case
         growth = p.beta > p.mu
-        assert mon.pattern_violations == (mq.count_forbidden_patterns(orb) if growth else 0), case
+        assert mon.pattern_violations == (count_forbidden_patterns(orb) if growth else 0), case
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf after an overflow
-            assert repr(mon.sum_identity_max_err) == repr(mq.check_sum_identity(orb)), case
+            assert repr(mon.sum_identity_max_err) == repr(check_sum_identity(orb)), case
         am = p.alpha / p.mu
         y0 = float(ys[0])
         pw = np.multiply.accumulate(np.full(n, 1.0 - p.mu))
