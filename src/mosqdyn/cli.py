@@ -246,6 +246,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
     require_valid(p, Mode.REDUCED)
     if args.trials < 0:
         raise ValueError(f"--trials must be nonnegative, got {args.trials}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     cfg = _orbit_config(args)
     results = run_certificates(p, State(args.x0, args.y0), cfg)
     seed = args.seed if args.trials > 0 else None

@@ -251,10 +251,26 @@ def scan_periodic_points(p: Parameters, p_max: int = 8, grid_n: int = 10_000) ->
 
 
 # Rows of the 500 x 500 grid that `count_two_cycles_on_grid` evaluates
-# at once: 12,500 cells, 100 kB per array, so a block's temporaries stay
-# in cache.  On a 2-vCPU Xeon 20 and 25 rows time alike; 40 and 50 rows
-# are 15-35% slower at the reference rates, where most blocks skip.
+# at once: at most 12,500 cells, 100 kB per array, so a block's
+# temporaries stay in cache.  With the adult cut in place, summed over
+# the 48 battery sets of the benchmark's seed 1 on a 2-vCPU Xeon, 25, 40
+# and 50 rows time within 10% of each other (31-35 ms); 10 rows are 50%
+# slower and 100 rows 20% slower.
 _GRID_BLOCK = 25
+
+
+def _adult_columns(p: Parameters, xs, bound: float) -> int:
+    """How many of the grid's y values `xs` (ascending) lie below an upper
+    bound on y_hi = ((1 + u)^4 alpha (1 + c) + bound) / (1 - (1 + u)^4 c^2), with
+    c = fl(1 - mu) and u = 2^-53: every state with y >= y_hi has an adult
+    residual |y'' - y| of at least `bound` (see `count_two_cycles_on_grid`).
+    All of them where (1 - c)(1 + c) <= 1e-6."""
+    c = 1.0 - p.mu
+    den = (1.0 - c) * (1.0 + c)
+    if not den > 1e-6:
+        return xs.size
+    y_hi = (p.alpha * (1.0 + c) + bound) / den * (1.0 + 1e-9)
+    return int(np.searchsorted(xs, y_hi))
 
 
 def count_two_cycles_on_grid(p: Parameters) -> int:
@@ -271,8 +287,8 @@ def count_two_cycles_on_grid(p: Parameters) -> int:
     y = y' = 0 with beta != mu; then y' is the emergence term alone, so
     x = 0.  The origin is the only period-two state.  The grid runs in
     blocks of `_GRID_BLOCK` rows of x, each going to `_map` as its slice
-    of the x axis and the whole y axis, which broadcast: the emergence
-    once per x.  Every cell gets the same float operations as on the
+    of the x axis and the kept y values (below), which broadcast: the
+    emergence once per x.  Every cell gets the same float operations as on the
     whole grid at once, so the blocks change no count.  A residual that
     is not finite (beta y overflows from beta about 3.6e307) raises
     VerificationError, counting such cells over the whole grid.
@@ -295,11 +311,39 @@ def count_two_cycles_on_grid(p: Parameters) -> int:
       propagates through the least value and fails the comparison, so
       such a block is never skipped;
     - ry <= 2 alpha + 5 <= 7, so from beta about 7e9 no block is
-      skipped: a skipped block has beta < 7e9 and finite images."""
+      skipped: a skipped block has beta < 7e9 and finite images.
+
+    The same bound rules out whole columns before any is mapped: the
+    scan keeps only the `_adult_columns` y values below y_hi, and the
+    paper's adult bound y' <= alpha + (1 - mu) y says why that cut is
+    sound.  In floats, rounding to nearest, with c = fl(1 - mu) and
+    u = 2^-53:
+    - rounding is monotone and fl(1 + x) >= max(1, x) for x >= 0, so
+      every emergence e = fl(alpha fl(x / fl(1 + x))) lies in
+      [0, min(alpha, x)]; then x' >= fl(x - e) >= 0, so the second
+      emergence lies in [0, alpha] too, wherever x' is finite;
+    - so y' <= (1 + u)(alpha + (1 + u) c y), and
+      y'' <= (1 + u)^4 (alpha (1 + c) + c^2 y), up to underflow, whose
+      absolute error (below 1e-300) the margin below covers;
+    - hence y - y'' >= bound once y >= y_hi, and then the computed ry
+      is at least bound too, bound being a float: a column with
+      y >= y_hi holds no counted cell.
+    `_adult_columns` evaluates y_hi as fl(num / den) times fl(1 + 1e-9),
+    with num = fl(fl(alpha fl(1 + c)) + bound) and
+    den = fl(fl(1 - c) fl(1 + c)).  num is at least
+    (1 - u)^3 (alpha (1 + c) + bound), den is within a factor (1 + u)^3
+    of (1 - c)(1 + c), and 1 - (1 + u)^4 c^2 is at least
+    (1 - c)(1 + c) - 4.0001u.  Where den > 1e-6, these put the exact
+    y_hi below (num / den)(1 + 4.5e-10), and the margin, less its own
+    three roundings, exceeds that.  Where den <= 1e-6 (mu below about
+    5e-7), every column stays.  A column goes only when y_hi <= 5, and
+    y_hi >= bound, so bound <= 5: beta < 5e9, where every image is
+    finite.  So the cut changes neither the count nor the cells that
+    are not finite."""
     require_valid(p, Mode.REDUCED)
     xs = np.linspace(0.0, 5.0, 500)
-    gy = xs[None, :]
     bound = 2e-10 * (5 * p.beta + p.alpha + 5)
+    gy = xs[None, :_adult_columns(p, xs, bound)]
     count = bad = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, xs.size, _GRID_BLOCK):

@@ -932,6 +932,20 @@ def test_certify_rejects_negative_trials(capsys):
     assert err.startswith("error: --trials") and err.count("\n") == 1
 
 
+def test_certify_rejects_a_negative_seed_before_the_battery(monkeypatch, capsys):
+    # numpy refuses a negative seed only once the trials start, after the
+    # grid, the scan and the orbit have run and `seed=-1` is printed
+    def certificates(*args):
+        raise AssertionError("the battery ran")
+
+    monkeypatch.setattr(cli, "run_certificates", certificates)
+    rc = main(["certify", *REF1, "--trials", "2", "--seed", "-1"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err == "error: --seed must be nonnegative, got -1\n"
+
+
 def test_certify_trials_echo_default_seed(capsys):
     rc = main(["certify", *REF1, "--x0", "2", "--y0", "0.1", "--trials", "3"])
     out, _ = capsys.readouterr()

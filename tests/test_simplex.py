@@ -297,8 +297,10 @@ def test_grid_counts_every_non_finite_cell(beta, bad):
 @pytest.mark.parametrize("p", [REF1, REF2, REF3, mq.Parameters(1.0, 1e12, 0.48), mq.Parameters(1.0, 4e307, 0.48)])
 def test_grid_blocks_map_each_cell_as_the_whole_grid_does(monkeypatch, p):
     # record every image a kernel returns, keyed on the row block of its
-    # input, before the scan overwrites it
-    _, _, x1, y1, x2, y2 = grid_images(p)
+    # input, before the scan overwrites it; the scan maps the columns
+    # below its adult cut only
+    ncol = mq.simplex._adult_columns(p, GRID, grid_bound(p))
+    x1, y1, x2, y2 = (a[:, :ncol] for a in grid_images(p)[2:])
     starts = list(range(0, GRID.size, BLOCK))
     images = {"first": {}, "adults": {}, "larvae": {}}
 
@@ -367,10 +369,16 @@ def test_map_halves_round_as_the_written_out_map_on_the_grid_blocks(p):
                     assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), start
 
 
+def all_columns(p, xs, bound):
+    """A stand-in for `simplex._adult_columns` that keeps every column."""
+    return xs.size
+
+
 def test_grid_counts_two_cycles_at_block_edges(monkeypatch):
     # the stand-in flips y -> -y on three rows of x only: both rows at the
     # first block boundary and the grid's last row.  Each is a two-cycle
-    # off y = 0, where the state is fixed
+    # off y = 0, where the state is fixed.  The adult bound holds for the
+    # real map only, so every column is scanned
     xs = np.linspace(0.0, 5.0, 500)
     block = mq.simplex._GRID_BLOCK
     rows = xs[[block - 1, block, 499]]
@@ -379,6 +387,7 @@ def test_grid_counts_two_cycles_at_block_edges(monkeypatch):
         x, y = np.broadcast_arrays(x, y)
         return x.copy(), np.where(np.isin(x, rows), -y, y)
 
+    monkeypatch.setattr(mq.simplex, "_adult_columns", all_columns)
     monkeypatch.setattr(mq.simplex, "_map", flip_rows)
     monkeypatch.setattr(mq.simplex, "_next_adults", lambda p, x, y: (flip_rows(p, x, y)[1], None))
     monkeypatch.setattr(mq.simplex, "_next_larvae", lambda p, x, y, emergence: flip_rows(p, x, y)[0])
@@ -389,10 +398,11 @@ def test_grid_counts_a_genuine_two_cycle(monkeypatch):
     # under the swap (x, y) -> (y, x) every off-diagonal state is a
     # two-cycle and every diagonal state a fixed point, which is not one;
     # like the real kernels, the stand-ins broadcast the grid's axes and
-    # return new arrays
+    # return new arrays; every column is scanned, as for the flip above
     def swap(p, x, y):
         return tuple(a.copy() for a in np.broadcast_arrays(y, x))
 
+    monkeypatch.setattr(mq.simplex, "_adult_columns", all_columns)
     monkeypatch.setattr(mq.simplex, "_map", swap)
     monkeypatch.setattr(mq.simplex, "_next_adults", lambda p, x, y: (swap(p, x, y)[1], None))
     monkeypatch.setattr(mq.simplex, "_next_larvae", lambda p, x, y, emergence: swap(p, x, y)[0])
@@ -401,6 +411,11 @@ def test_grid_counts_a_genuine_two_cycle(monkeypatch):
 
 GRID = np.linspace(0.0, 5.0, 500)
 BLOCK = mq.simplex._GRID_BLOCK
+
+
+def grid_bound(p):
+    """The grid's skip bound, 2e-10 (5 beta + alpha + 5)."""
+    return 2e-10 * (5 * p.beta + p.alpha + 5)
 
 
 def grid_images(p):
@@ -436,6 +451,9 @@ def _oracle_rates():
     # skipping stops at beta about 7e9, where the bound passes every adult residual
     cases += [(1.0, beta, 0.48) for beta in (1e8, 1e9, 5e9, 7e9, 1e10, 3e10, 1e11)]
     cases += [(0.6, 1e12, 0.48), (1.0, 1e12, 0.48), (1.0, 4e307, 0.48)]
+    # the adult cut: at the grid's top edge, after the first column, and
+    # none at tiny mu
+    cases += [(1.0, 0.3, 0.2), (1.0, 0.19, 0.2), (0.005, 0.2, 0.9), (0.5, 0.3, 1e-7), (0.6, 0.5, 1e-300)]
     return [mq.Parameters(*(float(v) for v in c)) for c in cases]
 
 
@@ -453,9 +471,10 @@ def _edit_second_image(monkeypatch, p, row, col, value):
     # the real kernels, except that the second image of the grid state
     # (GRID[row], GRID[col]) is `value`: edited in the output of each
     # half of the map whose input is the first image of that state's row
-    # block
+    # block, cut to the columns the scan maps
     start = row - row % BLOCK
-    first = grid_images(p)[2][start:start + BLOCK]
+    ncol = mq.simplex._adult_columns(p, GRID, grid_bound(p))
+    first = grid_images(p)[2][start:start + BLOCK, :ncol]
 
     def of_the_row_block(x):
         return np.shape(x) == first.shape and np.array_equal(x, first)
@@ -490,16 +509,17 @@ SECOND_BLOCK_ROWS = [BLOCK, BLOCK + BLOCK // 2, 2 * BLOCK - 1]  # its first, a m
 @pytest.mark.parametrize("row", SECOND_BLOCK_ROWS)
 def test_grid_counts_one_two_cycle_in_a_block_it_would_skip(monkeypatch, row):
     # the edited state returns to itself; every other state of the block
-    # is ruled out by its adult residual
+    # is ruled out by its adult residual.  It sits below REF1's adult cut
+    # (y about 1.25), in a column the scan maps
     assert _block_would_be_skipped(REF1, row)
-    _edit_second_image(monkeypatch, REF1, row, 300, (GRID[row], GRID[300]))
+    _edit_second_image(monkeypatch, REF1, row, 100, (GRID[row], GRID[100]))
     assert mq.count_two_cycles_on_grid(REF1) == 1
 
 
 @pytest.mark.parametrize("row", SECOND_BLOCK_ROWS)
 def test_grid_counts_one_nan_image_in_a_block_it_would_skip(monkeypatch, row):
     assert _block_would_be_skipped(REF1, row)
-    _edit_second_image(monkeypatch, REF1, row, 300, (np.nan, np.nan))
+    _edit_second_image(monkeypatch, REF1, row, 100, (np.nan, np.nan))
     with pytest.raises(mq.VerificationError, match=r"two-cycle grid: 1 of the 250000 cells are not finite "):
         mq.count_two_cycles_on_grid(REF1)
 
@@ -518,8 +538,17 @@ def test_grid_displacement_and_adult_residual_bounds(p):
     # the grid skips a block whose least adult residual is at least
     # 2e-10 (5 beta + alpha + 5): that is sound while no displacement
     # exceeds 5 beta + alpha + 5 by more than a few ulps, and skipping
-    # stops at beta about 7e9 while no adult residual exceeds 2 alpha + 5
+    # stops at beta about 7e9 while no adult residual exceeds 2 alpha + 5.
+    # The scan maps only the columns below its adult cut: every cell of a
+    # column beyond it has an adult residual of at least that bound
     gx, gy, x1, y1, x2, y2 = grid_images(p)
     ulps = 1 + 4 * sys.float_info.epsilon
     assert np.maximum(np.abs(x1 - gx), np.abs(y1 - gy)).max() <= (5 * p.beta + p.alpha + 5) * ulps
     assert np.abs(y2 - gy).max() <= (2 * p.alpha + 5) * ulps
+    ncol = mq.simplex._adult_columns(p, GRID, grid_bound(p))
+    assert 1 <= ncol <= GRID.size
+    assert (np.abs(y2 - gy)[:, ncol:] >= grid_bound(p)).all()
+    if ncol < GRID.size:  # the first column dropped is at or above the exact y_hi
+        c, u = F(1.0 - p.mu), F(1, 2 ** 53)
+        y_hi = ((1 + u) ** 4 * F(p.alpha) * (1 + c) + F(grid_bound(p))) / (1 - (1 + u) ** 4 * c * c)
+        assert F(GRID[ncol]) >= y_hi > 0
