@@ -12,7 +12,9 @@ for the command line interface and the scripts to print and write.
   nonhyperbolic origin with beta > mu, lambda2 = -1, agrees.
 * `run_certificates`: the certificate battery for one parameter set, each
   certificate re-deriving a statement of the theory by an independent
-  route; `run_trials` adds cheaper checks on random rates.
+  route.  Its orbit stops at its survival certificate too, and the adult
+  limit is proved from the state there (`adult_limit_step`).
+  `run_trials` adds cheaper checks on random rates.
 
 All three hold their orbits to one acceptance rule (`_orbit_accepted`),
 which reads the orbit alone: the verdict is the fate expected from the
@@ -46,9 +48,11 @@ from .spectral import (
     stability_inequalities,
 )
 from .trajectory import (
+    CONV_TOL,
     Orbit,
     OrbitConfig,
     Verdict,
+    adult_limit_step,
     check_decreasing_totals,
     check_growth_lower_bound,
     iterate_orbit,
@@ -176,9 +180,12 @@ class Certificate(NamedTuple):
 def run_certificates(p: Parameters, s0: State, config: OrbitConfig) -> list[Certificate]:
     """The certificate battery for one reduced-map parameter set: the
     spectral and periodic-point certificates, the orbit from s0 under
-    `config` with its monitors, and the growth or contraction certificate
-    matching its verdict.  The interval-map scan runs at its default sizes,
-    periods 2 to 8 on 10,000 points."""
+    `config` with its monitors, stopped at its survival certificate, and
+    the growth or contraction certificate matching its verdict.  Where the
+    orbit ends in the both-up region, `adult-limit` reports the step from
+    which the adult count is proved within CONV_TOL of alpha/mu.  The
+    interval-map scan runs at its default sizes, periods 2 to 8 on 10,000
+    points."""
     results: list[Certificate] = []
 
     rep = classify_origin(p)
@@ -229,7 +236,7 @@ def run_certificates(p: Parameters, s0: State, config: OrbitConfig) -> list[Cert
         ok, detail = False, str(exc)
     results.append(Certificate("fixed-point-scan", ok, detail))
 
-    orbit = iterate_orbit(p, s0, config)
+    orbit = iterate_orbit(p, s0, config, stop_at_certificate=True)
     mon = orbit.monitors
     results.append(
         Certificate(
@@ -244,6 +251,10 @@ def run_certificates(p: Parameters, s0: State, config: OrbitConfig) -> list[Cert
     if p.beta > p.mu and orbit.verdict is Verdict.SURVIVAL:
         detail = f"anchored at onset {mon.monotone_onset_estimate}"
         results.append(Certificate("growth-lower-bound", check_growth_lower_bound(orbit), detail))
+        onset = adult_limit_step(orbit)
+        if onset is not None:
+            detail = f"|y_n - alpha/mu| < {CONV_TOL:g} for n >= {onset} (proved from R at step {orbit.n_steps})"
+            results.append(Certificate("adult-limit", True, detail))
     elif p.beta < p.mu and orbit.verdict is Verdict.EXTINCTION:
         detail = "x+y and (mu/beta)x+y nonincreasing"
         results.append(Certificate("decreasing-totals", check_decreasing_totals(orbit), detail))

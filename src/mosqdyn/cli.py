@@ -328,9 +328,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     The map side is `iterate_orbit` where the rates are admissible for
     the reduced map (no larval mortality), else `iterate_general`; both
-    take --steps, which must be at least 1.  Rows stream to --out or
-    stdout; a side that has frozen (see `_compare_rows`) has its text
-    formatted once, not once per row.
+    take --steps, which must be at least 1.  A full map whose larvae fall
+    below 0 fails, as the flow does when it leaves its region (exit 4).
+    Rows stream to --out or stdout; a side that has frozen (see
+    `_compare_rows`) has its text formatted once, not once per row.
     """
     p = Parameters(args.alpha, args.beta, args.mu, args.d0, args.d1)
     require_valid(p, Mode.GENERAL)
@@ -357,6 +358,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         summary.append(f"threshold_coherence={'true' if thresholds_agree(p) else 'false'}")
     else:
         ns, xs, ys = iterate_general(p, s0, cfg.max_iters)
+        x, y = float(xs[-1]), float(ys[-1])
+        if not (x >= 0.0 and y >= 0.0):
+            # larval mortality can throw the larvae below 0, where the
+            # model has no meaning; the flow's failure reads the same
+            raise IntegrationError(f"full map left the admissible region at n={int(ns[-1])}: x={x!r}, y={y!r}")
         summary.append(
             f"discrete: full map, {int(ns[-1])} steps, final=({fmt(xs[-1])}, {fmt(ys[-1])})"
         )

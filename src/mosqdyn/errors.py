@@ -16,4 +16,5 @@ class VerificationError(AssertionError):
 
 class IntegrationError(RuntimeError):
     """The reference integrator left the region where the flow makes sense
-    (non-finite values, or the larval count fell below -0.5)."""
+    (non-finite values, or the larval count fell below -0.5), or the full
+    map, the flow's unit-step Euler scheme, left the quadrant."""

@@ -43,11 +43,12 @@ Every rule is judged on every computed step.  The recording stride
 and the final state; no verdict, step count, estimate or monitor
 depends on it.
 
-On request (`stop_at_certificate`, passed by `battery.sweep` and
-`battery.run_trials`) survival is certified sooner, once the orbit has
-entered the both-up region R = {mu*y < f(x) < beta*y}, f(x) =
-alpha*x/(1+x): the states whose next step raises both x and y.  With
-g = alpha/((1+x)(1+x')) the next increments are exactly
+On request (`stop_at_certificate`, passed by `battery.sweep`,
+`battery.run_certificates` and `battery.run_trials`) survival is
+certified sooner, once the orbit has entered the both-up region
+R = {mu*y < f(x) < beta*y}, f(x) = alpha*x/(1+x): the states whose next
+step raises both x and y.  With g = alpha/((1+x)(1+x')) the next
+increments are exactly
 
     dx' = (1 - g)*dx + beta*dy,    dy' = (1 - mu)*dy + g*dx,
 
@@ -57,11 +58,14 @@ increases; the origin is the only fixed point, so x grows without
 bound.  R is empty for beta < mu, since dx + dy = (beta - mu)*y.  The
 test is exact in integer arithmetic on the float state, so, like every
 other rule here, it certifies the computed state, which then starts an
-exact orbit that survives.  It runs only on steps whose float
-increments are both positive, and the run ends at the first state in R:
-`n_steps` is that step and `y_limit_estimate` the estimator yhat2 there,
-not a limit.  `simulate`, the `certify` orbit and `compare` run on to the
-estimator window.
+exact orbit that survives.  It runs on steps whose float increments
+are both positive, and on a state where rounding has frozen the run or
+caught it in a two-cycle, which would otherwise end it `exhausted`.  The
+run ends at the first state in R: `n_steps` is that step and
+`y_limit_estimate` the estimator yhat2 there, not a limit.
+`adult_limit_step` proves the limit from that state instead: the first
+step from which y is within CONV_TOL of alpha/mu.  `simulate` and
+`compare` run on to the estimator window.
 
 Monitors accumulated along the way, in one pass.  A slack on a state is
 a few ulps of its size, never below an absolute floor (`model._slack`):
@@ -101,6 +105,7 @@ __all__ = [
     "iterate_orbit",
     "iterate_general",
     "check_growth_lower_bound",
+    "adult_limit_step",
     "check_decreasing_totals",
     "orbit_to_csv",
 ]
@@ -214,8 +219,9 @@ def iterate_orbit(
 
     Single pass; all monitors from the module docstring are accumulated
     on the fly.  With `stop_at_certificate`, a state in the both-up
-    region ends the run in survival at that step (see the module
-    docstring); without it the orbit runs on to the estimator window.
+    region ends the run in survival at that step, a state frozen or
+    caught in a two-cycle inside it included (see the module docstring);
+    without it the orbit runs on to the estimator window.
 
     The loop inlines `model._map` and, in the window test, the estimator
     `_adult_limit`, operation for operation.  It classifies each step's
@@ -365,7 +371,9 @@ def iterate_orbit(
             # bit for bit has caught the float map in a fixed point or a
             # two-cycle: every later step repeats, and no rule can fire.
             if (dx == 0.0 and dy == 0.0) or (tie_n == n - 1 and x1 == tie_x and y1 == tie_y):
-                x, y = x1, y1
+                px, x, y = x, x1, y1
+                if stop and _in_both_up_region(alpha, beta, mu, x, y):
+                    verdict = Verdict.SURVIVAL
                 break
             tie_n, tie_x, tie_y = n, x, y
 
@@ -494,6 +502,96 @@ def check_growth_lower_bound(orbit: Orbit) -> bool:
     lower = x_a + y_a - theta + (p.beta - p.mu) * gap * y_a
     xs = orbit.xs[a + 1 :]
     return bool(np.all(xs > lower - _slack(xs, 1e-12)))
+
+
+def adult_limit_step(orbit: Orbit) -> int | None:
+    """The first step N from which |y_n - alpha/mu| < CONV_TOL is proved
+    for the exact orbit through the final state, or None where that state
+    is not in the both-up region R.
+
+    Let k be the final step.  From a state in R the exact orbit raises x
+    and y at every step and keeps y < alpha/mu, so u = 1/(1 + x) falls,
+    and the adult-deficit identity of the module docstring telescopes:
+    for k <= m <= n,
+
+        |y_n - alpha/mu| <= (1-mu)^(n-k) |e_k|
+                            + (alpha/mu) ((1-mu)^(n-m) u_k + u_m + u_n),
+
+    where u_j <= 1/(1 + l_j) for the growth bound
+    l_j = max(x_k, x_k + y_k - alpha/mu + (beta - mu) (j - k) y_k).  Take
+    m = floor((n + k)/2) and (1-mu)^j <= 1/(1 + j mu).  With t = n - k the
+    right side is at most
+
+        B(t) = |e_k|/(1 + t mu) + (alpha/mu) u_k/(1 + ceil(t/2) mu)
+               + (alpha/mu)/(1 + l_(k + floor(t/2))) + (alpha/mu)/(1 + l_(k+t)).
+
+    Every denominator is nondecreasing in t, so B(N - k) < CONV_TOL holds
+    the gap below it for all n >= N.  `tests/test_proofs.py` proves each
+    step.  B is decided exactly, in integers: every double is an integer
+    over a power of two, so with P the largest of those denominators,
+    each term of B is an integer over M + (an integer linear in t).  The
+    search solves t = t B(t)/CONV_TOL by a few rounds of fixed-point
+    iteration (t B(t) rises to its limit as the gap falls like 1/t), then
+    brackets the crossing exactly and bisects it.
+    """
+    p = orbit.params
+    x, y = float(orbit.xs[-1]), float(orbit.ys[-1])
+    if not _in_both_up_region(p.alpha, p.beta, p.mu, x, y):
+        return None
+    ratios = [v.as_integer_ratio() for v in (p.alpha, p.beta, p.mu, x, y)]
+    P = max(d for _, d in ratios)
+    A, B, W, X, Y = (n * (P // d) for n, d in ratios)  # alpha P, beta P, mu P, x P, y P
+    Q = P + X
+    # each quantity below is the one named times M = P^2 W Q
+    M = P * P * W * Q
+    ek = abs(Y * W * Q - A * X * P) * P  # |e_k|
+    amu = A * P**3  # (alpha/mu) u_k
+    am = A * P * P * Q  # alpha/mu
+    xk = X * P * W * Q  # x_k
+    c0 = ((X + Y) * W - A * P) * P * Q  # x_k + y_k - alpha/mu
+    s = (B - W) * Y * W * Q  # (beta - mu) y_k, positive in R
+    mu = W * W * P * Q
+    tn, td = CONV_TOL.as_integer_ratio()
+
+    def bound(t: int) -> tuple[int, int]:
+        # B(t) as numerator, denominator
+        d1 = M + t * mu
+        d2 = M + (t + 1) // 2 * mu
+        d3 = M + max(xk, c0 + s * (t // 2))
+        d4 = M + max(xk, c0 + s * t)
+        return (ek * d2 + amu * d1) * d3 * d4 + am * d1 * d2 * (d3 + d4), d1 * d2 * d3 * d4
+
+    def below(t: int) -> bool:
+        num, den = bound(t)
+        return num * td < tn * den
+
+    # t B(t) rises to (|e_k| + 2 (alpha/mu) u_k)/mu + 3 (alpha/mu)/s
+    t = -(-((ek + 2 * amu) * s + 3 * am * mu) * td // (mu * s * tn))
+    for _ in range(8):
+        num, den = bound(t)
+        t, last = -(-t * num * td // (den * tn)), t
+        if abs(t - last) <= 1:
+            break
+    # bracket the first t below: below(hi), and lo = -1 or not below(lo)
+    step = 1
+    if below(t):
+        hi, lo = t, t - 1
+        while lo >= 0 and below(lo):
+            hi, step = lo, 2 * step
+            lo = hi - step
+        lo = max(lo, -1)
+    else:
+        lo, hi = t, t + 1
+        while not below(hi):
+            lo, step = hi, 2 * step
+            hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below(mid):
+            hi = mid
+        else:
+            lo = mid
+    return orbit.n_steps + hi
 
 
 def check_decreasing_totals(orbit: Orbit) -> bool:

@@ -617,10 +617,12 @@ def test_certify_battery_passes(tmp_path, capsys):
     assert "PASS spectral-agreement" in out
     assert "PASS orbit-dichotomy" in out
     assert "PASS growth-lower-bound" in out
-    assert "certificates=9 failed=0" in out
+    # the orbit enters R at step 5, and the adult limit is proved from there
+    assert "PASS adult-limit: |y_n - alpha/mu| < 1e-08 for n >= 26239181751 (proved from R at step 5)" in out
+    assert "certificates=10 failed=0" in out
     doc = json.loads(out_path.read_text())
     assert doc["seed"] is None
-    assert len(doc["certificates"]) == 9
+    assert len(doc["certificates"]) == 10
     assert all(c["pass"] for c in doc["certificates"])
 
 
@@ -633,7 +635,8 @@ def test_certify_extinction_side_uses_totals_certificate(capsys):
 
 
 def test_certify_fails_on_starved_budget(capsys):
-    rc = main(["certify", *REF1, "--x0", "2", "--y0", "0.1", "--steps", "100"])
+    # the orbit enters R at step 5, after the budget
+    rc = main(["certify", *REF1, "--x0", "2", "--y0", "0.1", "--steps", "3"])
     out, _ = capsys.readouterr()
     assert rc == 4
     assert "FAIL orbit-dichotomy" in out
@@ -700,27 +703,32 @@ def test_certify_passes_at_large_egg_production(capsys, alpha, beta):
     out, _ = capsys.readouterr()
     lines = out.splitlines()
     assert "PASS interval-map-range: T([0,1]) within [0,1]" in lines
-    assert sum(ln.startswith("PASS ") for ln in lines) == 9
-    assert lines[-1] == "certificates=9 failed=0"
+    assert sum(ln.startswith("PASS ") for ln in lines) == 10
+    assert lines[-1] == "certificates=10 failed=0"
     assert rc == 0, out
 
 
-@pytest.mark.parametrize("argv", [
-    ["--alpha", "0.6", "--beta", "0.50000000001", "--mu", "0.5"],
-    ["--alpha", "1", "--beta", "1e8", "--mu", "0.5"],
-    ["--alpha", "0.9", "--beta", "0.9", "--mu", "0.88", "--x0", "1e5", "--y0", "1e15"],
-], ids=["near-critical", "periodic-scan-1e8", "large-start-envelope"])
-def test_certify_passes_every_certificate(capsys, argv):
+@pytest.mark.parametrize("argv, count", [
+    (["--alpha", "0.6", "--beta", "0.50000000001", "--mu", "0.5"], 10),
+    (["--alpha", "1", "--beta", "1e8", "--mu", "0.5"], 10),
+    # the escape rule decides it at step 1, at y far above alpha/mu,
+    # outside R: no adult-limit certificate
+    (["--alpha", "0.9", "--beta", "0.9", "--mu", "0.88", "--x0", "1e5", "--y0", "1e15"], 9),
+    (["--alpha", "0.13118423734799706", "--beta", "0.002302042613417179", "--mu", "0.00015569643446886728",
+      "--x0", "0.00038711135629219013", "--y0", "0.548318476756715"], 10),
+], ids=["near-critical", "periodic-scan-1e8", "large-start-envelope", "tiny-mu"])
+def test_certify_passes_every_certificate(capsys, argv, count):
     # beta 2e-11 above mu once met the old fixed-point scan's residual
     # bound; at beta = 1e8 the interval map's rounding near x = 1 once
     # exceeded the periodic scan's absolute bound; from y0 = 1e15, y_1 =
     # 1.2e14 lies one ulp (0.0156) above the rounded adult envelope, over
-    # the old absolute 1e-12
+    # the old absolute 1e-12; at tiny mu the estimator window needed over
+    # 1e6 steps, where the orbit enters R at step 2
     rc = main(["certify", *argv])
     out, _ = capsys.readouterr()
     lines = out.splitlines()
-    assert sum(ln.startswith("PASS ") for ln in lines) == 9
-    assert lines[-1] == "certificates=9 failed=0"
+    assert sum(ln.startswith("PASS ") for ln in lines) == count
+    assert lines[-1] == f"certificates={count} failed=0"
     assert rc == 0, out
 
 
@@ -760,7 +768,7 @@ def test_certify_fails_the_periodic_scan_alone_on_non_finite_iterates(monkeypatc
     lines = out.splitlines()
     assert "PASS growth-lower-bound: anchored at onset 0" in lines
     assert any(ln.startswith("PASS periodic-scan: periods 2..8: ") for ln in lines)
-    assert lines[-1] == "certificates=9 failed=0"
+    assert lines[-1] == "certificates=10 failed=0"
     assert rc == 0
     # a stand-in T that returns nan leaves the scan nothing to check,
     # which must fail it, and it alone
@@ -812,13 +820,16 @@ def test_certify_classifies_a_near_critical_origin_as_attracting(capsys, alpha, 
 def test_certify_fixed_point_scan_passes_one_ulp_above_mu(capsys):
     # g = (beta/mu - 1) e is inside its own rounding band at every node;
     # there it takes the sign of beta - mu instead of reading as a fixed
-    # point.  The orbit freezes in rounding at step 40, so the exit is 4
+    # point.  The orbit freezes in rounding at step 40, on a state inside
+    # the both-up region, which certifies survival
     rc = main(["certify", "--alpha", "0.6", "--beta", "0.5000000000000001", "--mu", "0.5"])
     lines = _certificate_lines(capsys)
     assert lines["fixed-point-scan"] == "PASS fixed-point-scan: origin only"
     assert lines["stability-equivalence"] == "PASS stability-equivalence: classification=saddle"
-    assert [name for name, ln in lines.items() if ln.startswith("FAIL ")] == ["orbit-dichotomy"]
-    assert rc == 4
+    assert lines["orbit-dichotomy"].startswith("PASS orbit-dichotomy: verdict=survival n=40 ")
+    assert lines["adult-limit"].endswith(" (proved from R at step 40)")
+    assert [name for name, ln in lines.items() if ln.startswith("FAIL ")] == []
+    assert rc == 0
 
 
 def test_certify_spectral_agreement_passes_at_the_top_of_the_box(capsys):
@@ -951,7 +962,7 @@ def test_certify_trials_echo_default_seed(capsys):
     out, _ = capsys.readouterr()
     assert rc == 0
     assert f"seed={DEFAULT_SEED}" in out
-    assert "certificates=12 failed=0" in out
+    assert "certificates=13 failed=0" in out
     assert "PASS trial-3:" in out
 
 
@@ -1094,6 +1105,20 @@ def test_compare_pole_exits_4(capsys):
     assert err == "integration failure: vector field pole reached (x = -1)\n"
 
 
+def test_compare_full_map_below_zero_larvae_exits_4(tmp_path, capsys):
+    # d0 + d1 x + alpha/(1 + x) > 1 + beta y/x at (1, 1): the full map's
+    # first step throws the larvae to -3.4, where the flow (dt 0.01)
+    # stays in the quadrant; the map fails like the flow would
+    out_path = tmp_path / "F.csv"
+    rc = main(["compare", "--alpha", "0.5", "--beta", "0.9", "--mu", "0.3", "--d0", "0.05", "--d1", "5",
+               "--x0", "1", "--y0", "1", "--steps", "10", "--t-end", "10", "--dt", "0.01", "--out", str(out_path)])
+    out, err = capsys.readouterr()
+    assert rc == 4
+    assert out == ""
+    assert err == "integration failure: full map left the admissible region at n=1: x=-3.3999999999999995, y=0.95\n"
+    assert not out_path.exists()
+
+
 def test_compare_checks_the_budget_before_the_flow(monkeypatch, capsys):
     def failing(p, s0, cfg):
         raise AssertionError("the flow ran before --steps was checked")
@@ -1110,7 +1135,8 @@ def test_compare_checks_the_budget_before_the_flow(monkeypatch, capsys):
     ["--alpha", "1", "--beta", "1e6", "--mu", "0.1", "--d1", "0.01"],
 ])
 def test_compare_holds_the_positive_equilibrium_to_its_own_scale(capsys, rates):
-    rc = main(["compare", *rates, "--x0", "1", "--y0", "1", "--steps", "5", "--t-end", "1"])
+    # one map step: at beta = 1e6 the second throws the larvae below 0
+    rc = main(["compare", *rates, "--x0", "1", "--y0", "1", "--steps", "1", "--t-end", "1"])
     _, err = capsys.readouterr()
     assert rc == 0
     assert "positive_equilibrium=(" in err

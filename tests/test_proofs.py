@@ -273,3 +273,58 @@ def test_adult_deficit_identity_holds_symbolically():
     u, u1 = 1 / (1 + x), 1 / (1 + x1)
     e, e1 = y - am * (1 - u), y1 - am * (1 - u1)
     assert vanishes(e1 - ((1 - mu) * e + am * (u1 - u)))
+
+
+def test_adult_limit_bound_holds_symbolically():
+    # `trajectory.adult_limit_step` bounds |y_n - alpha/mu| from a state
+    # (x_k, y_k) of the both-up region R.  Its steps, with q = 1 - mu:
+    x1, y1 = _map(REDUCED, x, y)
+    am = alpha / mu
+    # (1) In R, mu y (1 + x) < alpha x: there y < alpha/mu, by the
+    # positive margin (alpha x - mu y (1 + x)) / (mu (1 + x)) + am/(1 + x),
+    # and beta > mu, as mu y (1 + x) < alpha x < beta y (1 + x).  R is
+    # forward-invariant (`test_both_up_increment_identities_hold_symbolically`),
+    # so from step k on x and y rise and u_j = 1/(1 + x_j) falls.
+    assert vanishes((am - y) - ((alpha * x - mu * y * (1 + x)) / (mu * (1 + x)) + am / (1 + x)))
+    # (2) The growth bound: x + y rises by (beta - mu) y per step
+    # (`test_total_increment_identity_holds_symbolically`), and y_i >= y_k,
+    # y_j < alpha/mu, so x_j > x_k + y_k - alpha/mu + (beta - mu)(j - k) y_k;
+    # and x_j >= x_k.  So u_j <= 1/(1 + l_j) with l_j the larger of the two.
+    assert vanishes((x1 + y1) - (x + y) - (beta - mu) * y)
+    # (3) The adult-deficit identity e' = q e + am (u' - u)
+    # (`test_adult_deficit_identity_holds_symbolically`) telescopes: for
+    # n = k + L, e_n = q^L e_k + am sum_{i<L} q^(L-1-i) (u_(i+1) - u_i).
+    # Checked here for every L up to 8 with free e_k and u_i; for larger L
+    # the step L -> L + 1 multiplies the sum by q and adds one term.
+    q, e0 = sympy.symbols("q e0")
+    us = sympy.symbols("u0:10")
+    e = e0
+    for length in range(9):
+        closed = q**length * e0 + am * sum(q ** (length - 1 - i) * (us[i + 1] - us[i]) for i in range(length))
+        assert sympy.expand(e - closed) == 0
+        e = q * e + am * (us[length + 1] - us[length])
+    # (4) With d_i = u_i - u_(i+1) >= 0 and 0 <= q <= 1, split the sum at
+    # m = k + M: the terms i < M have q^(L-1-i) <= q^(L-M), the rest
+    # q^(L-1-i) <= 1, so |sum| <= q^(L-M) (u_k - u_m) + (u_m - u_n) <=
+    # q^(L-M) u_k + u_m, and |y_n - am| = |e_n - am u_n| adds am u_n.  The
+    # slack is sum_i d_i (q^a_i - q^b_i) with a_i <= b_i, and
+    # q^a - q^b = q^a (1 - q) (1 + q + ... + q^(b-a-1)) >= 0
+    ds = sympy.symbols("d0:9")
+    for length in range(1, 9):
+        for half in range(length + 1):
+            total = sum(q ** (length - 1 - i) * ds[i] for i in range(length))
+            split = q ** (length - half) * sum(ds[:half]) + sum(ds[half:length])
+            exps = [(length - half if i < half else 0, length - 1 - i) for i in range(length)]
+            assert all(a <= b for a, b in exps)
+            assert sympy.expand(split - total - sum(d * (q**a - q**b) for d, (a, b) in zip(ds, exps))) == 0
+    for c in range(9):
+        assert sympy.expand(1 - q**c - (1 - q) * sum(q**i for i in range(c))) == 0
+    # (5) (1 - mu)^j <= 1/(1 + j mu): true at j = 0, and
+    # (1 + (j + 1) mu)(1 - mu) = (1 + j mu) - (j + 1) mu^2 <= 1 + j mu, so
+    # (1 + (j + 1) mu)(1 - mu)^(j + 1) <= (1 + j mu)(1 - mu)^j <= 1
+    j = sympy.Symbol("j", nonnegative=True)
+    assert sympy.expand((1 + (j + 1) * mu) * (1 - mu) - ((1 + j * mu) - (j + 1) * mu**2)) == 0
+    # (6) With M = floor(L/2), L - M = ceil(L/2), and (5) on both powers
+    # of q, the bound is the B(L) that `adult_limit_step` decides; each of
+    # its denominators rises with L, so B(L) < tol holds for every later L
+    # too.  tests/test_trajectory.py re-evaluates B in fractions

@@ -104,7 +104,7 @@ def test_readme_command_output_is_pinned(name, tmp_path, capsys):
 
 
 CERTIFY_TRIALS = ["certify", *REF1, "--trials", "25", "--seed", "7"]
-CERTIFY_TRIALS_SHA = "b3f2bce9788ce3f2408f3c430107c8d7b68d970adf23a6c2b3203800d9977fab"
+CERTIFY_TRIALS_SHA = "273e432f1589b51fab5a77c1647fe3267024bd16290bbb1a53cd55f6cc5f2816"
 
 
 def certify_lines(capsys):
@@ -120,5 +120,5 @@ def test_readme_certify_trials_is_pinned(capsys):
     rc, err, lines = certify_lines(capsys)
     assert rc == 0 and err == ""
     assert lines[:2] == ["seed=7", "PASS spectral-agreement"]
-    assert lines[-1] == "certificates=34 failed=0"
+    assert lines[-1] == "certificates=35 failed=0"
     assert _sha("\n".join(lines).encode()) == CERTIFY_TRIALS_SHA

@@ -495,6 +495,38 @@ def test_certificate_stops_only_when_asked(ref1_orbit):
     assert ref1_orbit.n_steps > cert.n_steps + mq.trajectory.CONFIRM_STEPS
 
 
+def test_a_state_frozen_inside_the_region_is_survival():
+    # beta one ulp above mu: rounding freezes the float orbit at step 40,
+    # on a state inside R, where no float increment is positive any more.
+    # The exact region test still certifies that state
+    p, s0 = mq.Parameters(0.6, 0.5000000000000001, 0.5), mq.State(1.0, 1.0)
+    plain = mq.iterate_orbit(p, s0)
+    assert (plain.verdict, plain.n_steps) == (mq.Verdict.EXHAUSTED, 40)
+    orb = mq.iterate_orbit(p, s0, stop_at_certificate=True)
+    assert (orb.verdict, orb.n_steps) == (mq.Verdict.SURVIVAL, 40)
+    x, y = float(orb.xs[-1]), float(orb.ys[-1])
+    assert (x, y) == (orb.xs[-2], orb.ys[-2]) == (plain.xs[-1], plain.ys[-1])
+    assert in_both_up_region_exact(p.alpha, p.beta, p.mu, x, y)
+    assert orb.y_limit_estimate == second_order_estimate(p, x, x, y)
+
+
+def test_a_frozen_state_outside_the_region_stays_exhausted():
+    # the same rates freeze every orbit from these starts within 60
+    # steps, about half of them outside R: those have no certificate
+    p = mq.Parameters(0.6, 0.5000000000000001, 0.5)
+    seen = set()
+    for s0 in itertools.product((0.0, 0.1, 1.0, 3.0, 10.0), repeat=2):
+        if s0 == (0.0, 0.0):
+            continue
+        orb = mq.iterate_orbit(p, mq.State(*s0), mq.OrbitConfig(max_iters=5_000), stop_at_certificate=True)
+        x, y = float(orb.xs[-1]), float(orb.ys[-1])
+        assert orb.n_steps < 60 and (x, y) == (orb.xs[-2], orb.ys[-2]), s0
+        inside = in_both_up_region_exact(p.alpha, p.beta, p.mu, x, y)
+        assert orb.verdict is (mq.Verdict.SURVIVAL if inside else mq.Verdict.EXHAUSTED), s0
+        seen.add(inside)
+    assert seen == {True, False}
+
+
 def test_tie_band_orbit_is_certified():
     # the increments never clear the 1e-14 tie band together, so the
     # estimator window never fills; the exact region test decides the
@@ -505,6 +537,101 @@ def test_tie_band_orbit_is_certified():
     assert (orb.verdict, orb.n_steps) == (mq.Verdict.SURVIVAL, 8)
     census = orb.monitors.sign_census
     assert census.both_up == 0 and census.ties > 0
+
+
+# ------------------------------------------------------------ adult limit
+
+
+def adult_gap_bound(p, x, y, t, exact=True):
+    """B(t) of `adult_limit_step` from the R state (x, y), written out as
+    its docstring states it: in fractions, or in floats."""
+    num = F if exact else float
+    a, b, m, x, y = (num(v) for v in (p.alpha, p.beta, p.mu, x, y))
+    am = a / m
+    u = 1 / (1 + x)
+
+    def lower(j):
+        return max(x, x + y - am + (b - m) * j * y)
+
+    return (abs(y - am * (1 - u)) / (1 + t * m) + am * u / (1 + (t + 1) // 2 * m)
+            + am / (1 + lower(t // 2)) + am / (1 + lower(t)))
+
+
+def stopped_in_region(p, s0):
+    orb = mq.iterate_orbit(p, s0, stop_at_certificate=True)
+    x, y = float(orb.xs[-1]), float(orb.ys[-1])
+    return orb, x, y, in_both_up_region_exact(p.alpha, p.beta, p.mu, x, y)
+
+
+@pytest.mark.parametrize("p, s0, n_limit", [
+    (REF1, (2.0, 0.1), 26_239_181_751),
+    # beta one ulp above mu: frozen inside R, where x + y barely grows
+    (mq.Parameters(0.6, 0.5000000000000001, 0.5), (1.0, 1.0), None),
+    # tiny mu, decided at step 2
+    (mq.Parameters(0.13118423734799706, 0.002302042613417179, 0.00015569643446886728),
+     (0.00038711135629219013, 0.548318476756715), None),
+    # x is 1e18 after one step
+    (mq.Parameters(1.0, 1e18, 0.48), (1.0, 1.0), None),
+    # a subnormal larval count and a near-critical beta
+    (mq.Parameters(0.9, 0.9, 0.88), (1e-300, 0.0), None),
+    (mq.Parameters(0.6, 0.50000000001, 0.5), (1.0, 1.0), None),
+], ids=["ref1", "one-ulp", "tiny-mu", "huge-x", "subnormal", "near-critical"])
+def test_adult_limit_step_is_the_first_step_below_the_tolerance(p, s0, n_limit):
+    orb, x, y, inside = stopped_in_region(p, mq.State(*s0))
+    assert inside and orb.verdict is mq.Verdict.SURVIVAL
+    n = mq.adult_limit_step(orb)
+    if n_limit is not None:
+        assert n == n_limit
+    t = n - orb.n_steps
+    tol = F(mq.trajectory.CONV_TOL)
+    assert adult_gap_bound(p, x, y, t) < tol
+    assert t == 0 or adult_gap_bound(p, x, y, t - 1) >= tol
+    # nonincreasing: below the tolerance at every later step
+    assert all(adult_gap_bound(p, x, y, t + d) < tol for d in (1, 2, 3, 10**3, 10**9, 10**30))
+
+
+def test_adult_limit_step_matches_the_fraction_bound_on_random_sets():
+    tol = F(mq.trajectory.CONV_TOL)
+    found = 0
+    for p, s0 in seeded_sets(13, 40, contracting=False):
+        orb, x, y, inside = stopped_in_region(p, s0)
+        n = mq.adult_limit_step(orb)
+        assert (n is None) == (not inside), (p, s0)
+        if n is None:
+            continue
+        found += 1
+        t = n - orb.n_steps
+        assert adult_gap_bound(p, x, y, t) < tol <= (adult_gap_bound(p, x, y, t - 1) if t else tol), (p, s0)
+    assert found >= 30
+
+
+def test_adult_limit_step_needs_a_state_in_the_region():
+    # extinction; escape decided at a state with y far above alpha/mu;
+    # and a run without the certificate stop, which ends on the window
+    assert mq.adult_limit_step(mq.iterate_orbit(EXT, mq.State(1.0, 1.0))) is None
+    p = mq.Parameters(0.9, 0.9, 0.88)
+    orb = mq.iterate_orbit(p, mq.State(1e5, 1e15), stop_at_certificate=True)
+    assert orb.verdict is mq.Verdict.SURVIVAL and mq.adult_limit_step(orb) is None
+    orb = mq.iterate_orbit(REF1, mq.State(2.0, 0.1), mq.OrbitConfig(max_iters=3))
+    assert orb.verdict is mq.Verdict.EXHAUSTED and mq.adult_limit_step(orb) is None
+
+
+def test_adult_limit_bound_holds_along_continued_orbits():
+    # from each R state, 2,000 further float steps of the map never leave
+    # the bound; it is never below the gap, and tends to 0 like it
+    from mosqdyn.model import _map
+
+    checked = 0
+    for p, s0 in seeded_sets(14, 24, contracting=False):
+        orb, x, y, inside = stopped_in_region(p, s0)
+        if not inside:
+            continue
+        am = p.alpha / p.mu
+        for t in range(1, 2001):
+            x, y = _map(p, x, y)
+            assert abs(y - am) <= adult_gap_bound(p, orb.xs[-1], orb.ys[-1], t, exact=False), (p, s0, t)
+        checked += 1
+    assert checked >= 18
 
 
 # ------------------------------------------------------------- properties
