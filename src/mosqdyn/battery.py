@@ -14,7 +14,7 @@ for the command line interface and the scripts to print and write.
   certificate re-deriving a statement of the theory by an independent
   route.  Its orbit stops at its survival certificate too, and the adult
   limit is proved from the state there (`adult_limit_step`).
-  `run_trials` adds cheaper checks on random rates.
+  `run_trials` runs the same battery on random rates and starts.
 
 All three hold their orbits to one acceptance rule (`_orbit_accepted`),
 which reads the orbit alone: the verdict is the fate expected from the
@@ -177,15 +177,15 @@ class Certificate(NamedTuple):
     detail: str
 
 
-def run_certificates(p: Parameters, s0: State, config: OrbitConfig) -> list[Certificate]:
+def run_certificates(p: Parameters, s0: State, config: OrbitConfig) -> tuple[list[Certificate], Orbit]:
     """The certificate battery for one reduced-map parameter set: the
     spectral and periodic-point certificates, the orbit from s0 under
     `config` with its monitors, stopped at its survival certificate, and
     the growth or contraction certificate matching its verdict.  Where the
     orbit ends in the both-up region, `adult-limit` reports the step from
-    which the adult count is proved within CONV_TOL of alpha/mu.  The
-    interval-map scan runs at its default sizes, periods 2 to 8 on 10,000
-    points."""
+    which the adult count is proved within CONV_TOL of alpha/mu.  A scan
+    that raises VerificationError fails its certificate with the message.
+    Returns the certificates and the orbit."""
     results: list[Certificate] = []
 
     rep = classify_origin(p)
@@ -214,27 +214,17 @@ def run_certificates(p: Parameters, s0: State, config: OrbitConfig) -> list[Cert
     detail = f"A={cert.quad_a:.6g} B={cert.quad_b:.6g} C={cert.quad_c:.6g}"
     results.append(Certificate("two-cycle-signs", cert.signs_ok, detail))
 
-    try:
-        roots_by_period = scan_periodic_points(p)
-        n_roots = sum(len(r) for r in roots_by_period.values())
-        ok, detail = True, f"periods 2..{max(roots_by_period)}: {n_roots} roots, all fixed points"
-    except VerificationError as exc:
-        ok, detail = False, str(exc)
-    results.append(Certificate("periodic-scan", ok, detail))
-
-    try:
-        n_cycles = count_two_cycles_on_grid(p)
-        ok, detail = n_cycles == 0, f"{n_cycles} non-origin period-two cells"
-    except VerificationError as exc:
-        ok, detail = False, str(exc)
-    results.append(Certificate("two-cycle-grid", ok, detail))
-
-    try:
-        find_fixed_points(p)
-        ok, detail = True, "origin only"
-    except VerificationError as exc:
-        ok, detail = False, str(exc)
-    results.append(Certificate("fixed-point-scan", ok, detail))
+    for name, scan, judge in (
+        ("periodic-scan", scan_periodic_points,
+         lambda roots: (True, f"periods 2..{max(roots)}: {sum(map(len, roots.values()))} roots, all fixed points")),
+        ("two-cycle-grid", count_two_cycles_on_grid, lambda n: (n == 0, f"{n} non-origin period-two cells")),
+        ("fixed-point-scan", find_fixed_points, lambda _: (True, "origin only")),
+    ):
+        try:
+            ok, detail = judge(scan(p))
+        except VerificationError as exc:
+            ok, detail = False, str(exc)
+        results.append(Certificate(name, ok, detail))
 
     orbit = iterate_orbit(p, s0, config, stop_at_certificate=True)
     mon = orbit.monitors
@@ -259,15 +249,15 @@ def run_certificates(p: Parameters, s0: State, config: OrbitConfig) -> list[Cert
         detail = "x+y and (mu/beta)x+y nonincreasing"
         results.append(Certificate("decreasing-totals", check_decreasing_totals(orbit), detail))
 
-    return results
+    return results, orbit
 
 
 def run_trials(n_trials: int, seed: int, config: OrbitConfig) -> list[Certificate]:
-    """`n_trials` randomized checks, `trial-1` onward, drawn from `seed`:
+    """`n_trials` randomized batteries, `trial-1` onward, drawn from `seed`:
     rates uniform on (0, 1] with abs(beta - mu) > 0.01 and a start in
-    [0, 10)^2, each checked by the two-cycle signs, the interval-map
-    range, a short periodic scan and its orbit under `config`, stopped at
-    its survival certificate."""
+    [0, 10)^2, each put through `run_certificates` under `config`.  A
+    trial passes when every certificate does; its detail names the rates,
+    the orbit's verdict and length, and any certificates that failed."""
     rng = np.random.default_rng(seed)
     results: list[Certificate] = []
     for i in range(n_trials):
@@ -277,16 +267,11 @@ def run_trials(n_trials: int, seed: int, config: OrbitConfig) -> list[Certificat
                 break
         p = Parameters(float(a), float(b), float(m))
         s0 = State(float(rng.uniform(0.0, 10.0)), float(rng.uniform(0.0, 10.0)))
-        try:
-            scan_periodic_points(p, p_max=4, grid_n=2001)
-        except VerificationError as exc:
-            results.append(Certificate(f"trial-{i + 1}", False, str(exc)))
-            continue
-        orbit = iterate_orbit(p, s0, config, stop_at_certificate=True)
-        ok = two_cycle_certificate(p).signs_ok and check_interval_map_range(p) and _orbit_accepted(orbit)
+        certificates, orbit = run_certificates(p, s0, config)
+        failed = ",".join(c.name for c in certificates if not c.ok)
         detail = (
             f"alpha={p.alpha:.6g} beta={p.beta:.6g} mu={p.mu:.6g} "
-            f"verdict={orbit.verdict.value} n={orbit.n_steps}"
+            f"verdict={orbit.verdict.value} n={orbit.n_steps}" + (f" failed={failed}" if failed else "")
         )
-        results.append(Certificate(f"trial-{i + 1}", ok, detail))
+        results.append(Certificate(f"trial-{i + 1}", not failed, detail))
     return results

@@ -16,9 +16,10 @@ computation.
 
 Every option is a command line flag.  The detection thresholds and the
 certify scan sizes are not options: they are constants of the modules
-that use them (`trajectory.CONV_TOL` and `DIV_THRESHOLD`, the default
-sizes of `simplex.scan_periodic_points`).  `certify --trials` draws its
-rates from --seed (default DEFAULT_SEED) and echoes the seed in effect.
+that use them (`trajectory.CONV_TOL` and `DIV_THRESHOLD`, the grids of
+`simplex.scan_periodic_points` and `count_two_cycles_on_grid`).
+`certify --trials` runs the whole battery on rates and starts drawn from
+--seed (default DEFAULT_SEED) and echoes the seed in effect.
 File outputs are written atomically (temp file in the target directory,
 then rename).  The checks themselves live in `battery`; this module
 parses, prints, writes and maps outcomes to exit codes.
@@ -223,7 +224,12 @@ def _axis(rng3: list[float], name: str) -> np.ndarray:
     if not np.isfinite(hi - lo):
         # np.linspace would warn and return nan nodes
         raise ValueError(f"{name}: high - low must be finite, got {lo} {hi} {n_f}")
-    return np.linspace(lo, hi, n)
+    try:
+        return np.linspace(lo, hi, n)
+    except ValueError:
+        # past numpy's largest array size; a count it can size but not
+        # allocate raises MemoryError instead
+        raise ValueError(f"{name}: grid count too large, got {n_f}") from None
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -249,7 +255,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     cfg = _orbit_config(args)
-    results = run_certificates(p, State(args.x0, args.y0), cfg)
+    results, _ = run_certificates(p, State(args.x0, args.y0), cfg)
     seed = args.seed if args.trials > 0 else None
     if seed is not None:
         print(f"seed={seed}")

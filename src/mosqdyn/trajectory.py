@@ -43,8 +43,8 @@ Every rule is judged on every computed step.  The recording stride
 and the final state; no verdict, step count, estimate or monitor
 depends on it.
 
-On request (`stop_at_certificate`, passed by `battery.sweep`,
-`battery.run_certificates` and `battery.run_trials`) survival is
+On request (`stop_at_certificate`, passed by `battery.sweep` and
+`battery.run_certificates`) survival is
 certified sooner, once the orbit has entered the both-up region
 R = {mu*y < f(x) < beta*y}, f(x) = alpha*x/(1+x): the states whose next
 step raises both x and y.  With g = alpha/((1+x)(1+x')) the next

@@ -161,7 +161,7 @@ def test_c4_periodicity_exclusion():
     scan_errors = []
     for p in scan_configs:
         try:
-            mq.scan_periodic_points(p, p_max=8, grid_n=10_000)
+            mq.scan_periodic_points(p)
             if not mq.two_cycle_certificate(p).signs_ok:
                 scan_errors.append((p.alpha, p.beta, p.mu, "signs"))
         except mq.VerificationError as exc:

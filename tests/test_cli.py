@@ -534,6 +534,18 @@ def test_sweep_rejects_an_axis_whose_span_overflows(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("count, shown", [("1e19", "1e+19"), ("1e30", "1e+30")])
+def test_sweep_rejects_a_grid_count_numpy_refuses_naming_its_flag(tmp_path, capsys, count, shown):
+    # counts past numpy's largest array size; the error named no flag
+    out_path = tmp_path / "s.csv"
+    rc = main(["sweep", "--alpha-range", "0.6", "0.6", "1", "--beta-range", "0.5", "0.5", count,
+               "--mu-range", "0.48", "0.48", "1", "--out", str(out_path)])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == f"error: --beta-range: grid count too large, got {shown}\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("count", ["0.6", "2.5", "1.0000000000000002"])
 def test_sweep_rejects_a_fractional_grid_count(tmp_path, capsys, count):
     # a count is not rounded: 0.6 wrote one cell and 2.5 two
@@ -757,6 +769,38 @@ def test_certify_trial_fails_on_a_broken_sum_bound(monkeypatch, capsys):
     assert rc == 4
     assert "FAIL orbit-dichotomy:" in out
     assert "FAIL trial-1:" in out and "FAIL trial-2:" in out
+
+
+def test_certify_trial_runs_the_whole_battery(monkeypatch, capsys):
+    # a trial passes only when every certificate of its draw does, the
+    # planar grid included, and names the ones that failed
+    monkeypatch.setattr(battery, "count_two_cycles_on_grid", lambda p: 1)
+    rc = main(["certify", *REF1, "--trials", "2", "--seed", "7"])
+    out, _ = capsys.readouterr()
+    lines = out.splitlines()
+    assert rc == 4
+    assert "FAIL two-cycle-grid: 1 non-origin period-two cells" in lines
+    for i in (1, 2):
+        trial = [ln for ln in lines if ln.startswith(f"FAIL trial-{i}: ")]
+        assert len(trial) == 1 and trial[0].endswith(" failed=two-cycle-grid")
+        assert " verdict=" in trial[0] and " n=" in trial[0]
+    assert lines[-1] == "certificates=12 failed=3"
+
+
+def test_certify_trials_json_dump(tmp_path, capsys):
+    out_path = tmp_path / "trials.json"
+    rc = main(["certify", *REF1, "--trials", "2", "--seed", "7", "--out", str(out_path)])
+    out, _ = capsys.readouterr()
+    assert rc == 0
+    doc = json.loads(out_path.read_text())
+    assert doc["seed"] == 7
+    names = [c["name"] for c in doc["certificates"]]
+    assert names[:2] == ["spectral-agreement", "stability-equivalence"]
+    assert names[-2:] == ["trial-1", "trial-2"] and len(names) == 12
+    # the dump lists what stdout prints, in the same order
+    printed = out.splitlines()[1:-1]
+    assert printed == [f"{'PASS' if c['pass'] else 'FAIL'} {c['name']}: {c['detail']}" for c in doc["certificates"]]
+    assert all(c["pass"] is True for c in doc["certificates"])
 
 
 def test_certify_fails_the_periodic_scan_alone_on_non_finite_iterates(monkeypatch, capsys):

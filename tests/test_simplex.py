@@ -173,7 +173,7 @@ def cubic_root_oracle(p):
 @pytest.mark.parametrize("p", [REF1, REF3])
 def test_scan_finds_only_the_interior_fixed_point(p):
     expected = cubic_root_oracle(p)
-    roots_by_period = mq.scan_periodic_points(p, p_max=8, grid_n=4001)
+    roots_by_period = mq.scan_periodic_points(p)
     assert sorted(roots_by_period) == list(range(2, 9))
     for q in range(2, 9):
         roots = roots_by_period[q]
@@ -252,13 +252,6 @@ def test_scan_fails_on_a_genuine_two_cycle(monkeypatch):
     listed = ast.literal_eval(re.search(r"the first 2: (\[.*?\])", str(exc.value)).group(1))
     cycle = [(r + 1 + sgn * math.sqrt((r + 1) * (r - 3))) / (2 * r) for sgn in (-1, 1)]
     assert listed == pytest.approx(cycle, abs=1e-9)
-
-
-def test_scan_argument_validation():
-    with pytest.raises(ValueError):
-        mq.scan_periodic_points(REF1, p_max=1)
-    with pytest.raises(ValueError):
-        mq.scan_periodic_points(REF1, grid_n=5)
 
 
 def test_simplex_iteration_converges_to_scanned_root():
