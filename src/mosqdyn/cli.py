@@ -226,9 +226,9 @@ def _axis(rng3: list[float], name: str) -> np.ndarray:
         raise ValueError(f"{name}: high - low must be finite, got {lo} {hi} {n_f}")
     try:
         return np.linspace(lo, hi, n)
-    except ValueError:
-        # past numpy's largest array size; a count it can size but not
-        # allocate raises MemoryError instead
+    except (ValueError, MemoryError):
+        # ValueError past numpy's largest array size, MemoryError for a
+        # count it can size but not allocate
         raise ValueError(f"{name}: grid count too large, got {n_f}") from None
 
 

@@ -23,7 +23,8 @@ exact image, so every next state comes from `_map`.  No compensated
 summation.  `_map` runs in two halves, `_next_adults` (y' and the
 emergence e) then `_next_larvae` (x' from e), which the planar grid
 (`simplex.count_two_cycles_on_grid`) also calls apart: it needs y'' for
-every cell and x'' only where the adults leave a two-cycle possible.
+every cell it maps, the edge rows of its adult envelope included, and
+x'' only where the adults leave a two-cycle possible.
 Three hot loops inline a kernel's arithmetic, operation for operation,
 and a test pins each to the kernel bit for bit:
 
@@ -166,9 +167,9 @@ def require_valid(p: Parameters, mode: Mode | str = Mode.GENERAL) -> None:
 
 # `_field` and `_next_larvae` skip the larval mortality term when
 # d0 = d1 = 0: for x >= 0 it is then exactly +0.0, so the result is the
-# same bit for bit, and on the row blocks of
-# `simplex.count_two_cycles_on_grid` the term would add about a fifth to
-# the scan.
+# same bit for bit, and on the cells
+# `simplex.count_two_cycles_on_grid` maps the term would add about a
+# fifth to the scan.
 
 
 def _field(p: Parameters, x, y):

@@ -18,6 +18,10 @@ With no period two on a self-map of [0, 1], T has no period of 2 or
 more (Sharkovskii, 1964); `scan_periodic_points` cross-checks that in
 floats by `interval_map`, for periods 2 to 8 on 10,000 points, and
 `count_two_cycles_on_grid` the planar argument on 500 x 500 states.
+Both float scans skip work that provably cannot change their answer:
+the scan bisects each root from a secant bracket where that bracket
+holds the sign change, and the grid maps only the cells that a proved
+adult bound and a monotone adult envelope leave open.
 """
 
 from __future__ import annotations
@@ -157,8 +161,16 @@ def _interval_power(p: Parameters, q: int, x: float) -> float:
     return x
 
 
-def _bisect_root(p: Parameters, q: int, lo: float, hi: float, flo: float) -> float:
-    # f(x) = T^q(x) - x, sign change certified on [lo, hi]
+def _bisect_root(p: Parameters, q: int, lo: float, hi: float, flo: float, fhi: float) -> float:
+    # f(x) = T^q(x) - x with f(lo), f(hi) nonzero and of opposite signs:
+    # bisect the +-1e-10 bracket around the secant point, cut to
+    # [lo, hi], where f changes sign strictly across it, else [lo, hi]
+    s = lo + (hi - lo) * (flo / (flo - fhi))
+    a, b = max(lo, s - 1e-10), min(hi, s + 1e-10)
+    fa = _interval_power(p, q, a) - a
+    fb = _interval_power(p, q, b) - b
+    if fa < 0.0 < fb or fb < 0.0 < fa:
+        lo, hi, flo = a, b, fa
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         fmid = _interval_power(p, q, mid) - mid
@@ -189,9 +201,15 @@ def scan_periodic_points(p: Parameters) -> dict[int, tuple[float, ...]]:
     (`check_interval_map_range`), T has no period of 2 or more
     (Sharkovskii).  Grid sign changes of T^q(x) - x are refined by
     bisection to width 1e-12, each evaluation one call of the scalar
-    kernel `_interval_power`, which is T applied q times bit for bit;
-    grid points with |T^q(x) - x| < 1e-13 are roots as they stand, and
-    only when there are any do they mask the sign changes next to them.
+    kernel `_interval_power`, which is T applied q times bit for bit.
+    The bisection starts from the +-1e-10 bracket around the secant
+    point of the two grid values, cut to the grid bracket, where
+    T^q(x) - x has strictly opposite signs at its ends (2 + 8
+    evaluations), and from the grid bracket otherwise (2 + 27): either
+    way it ends on a bracket of width at most 1e-12 across which
+    T^q(x) - x changes sign, inside the grid bracket.  Grid points
+    with |T^q(x) - x| < 1e-13 are roots as they stand, and only when
+    there are any do they mask the sign changes next to them.
     A refined root r with
     |T(r) - r| >= 1e-10 max(1, beta) would witness a genuine q-periodic
     point and raises VerificationError, listing at most five distinct
@@ -231,7 +249,7 @@ def scan_periodic_points(p: Parameters) -> dict[int, tuple[float, ...]]:
             roots.extend(float(xs[i]) for i in np.nonzero(small)[0])
             flips &= ~(small[:-1] | small[1:])
         for i in np.nonzero(flips)[0]:
-            roots.append(_bisect_root(p, q, float(xs[i]), float(xs[i + 1]), float(diff[i])))
+            roots.append(_bisect_root(p, q, float(xs[i]), float(xs[i + 1]), float(diff[i]), float(diff[i + 1])))
         dedup = _distinct(roots)
         for r in dedup:
             if abs(interval_map(p, r) - r) >= 1e-10 * max(1.0, p.beta):
@@ -247,12 +265,14 @@ def scan_periodic_points(p: Parameters) -> dict[int, tuple[float, ...]]:
     return roots_by_period
 
 
-# Rows of the 500 x 500 grid that `count_two_cycles_on_grid` evaluates
-# at once: at most 12,500 cells, 100 kB per array, so a block's
-# temporaries stay in cache.  With the adult cut in place, summed over
-# the 48 battery sets of the benchmark's seed 1 on a 2-vCPU Xeon, 25, 40
-# and 50 rows time within 10% of each other (31-35 ms); 10 rows are 50%
-# slower and 100 rows 20% slower.
+# Rows of the 500 x 500 grid per block.  The block sets three sizes:
+# the envelope maps each block's first and last row (2 x 500 / B rows of
+# the kept columns), each open (block, column) pair holds B cells, and a
+# batch holds at most B rows' worth of cells (12,500, 100 kB per array),
+# so its temporaries stay in cache.  Summed over the 48 battery sets of
+# the benchmark's seeds 1 and 3 on a 2-vCPU Xeon, 25 and 20 rows take
+# 6.7-8.2 ms, 50 rows 8.5-9.1 ms, 10 rows 9.9-11.0 ms (its two arrays of
+# 50 edge rows outgrow a batch) and 100 rows 15-16 ms.
 _GRID_BLOCK = 25
 
 
@@ -270,6 +290,18 @@ def _adult_columns(p: Parameters, xs, bound: float) -> int:
     return int(np.searchsorted(xs, y_hi))
 
 
+def _open_pairs(p: Parameters, rows, gy, bound: float):
+    """Which (row block, column) pairs of the grid the adult envelope
+    leaves open, as a (blocks, columns) mask: `rows` holds the x values
+    of each row block (ascending), `gy` the kept y values as one row.  A
+    pair is decided, and closed, where its first row's adult residual
+    y'' - y is at least 2 bound or its last row's at most -2 bound (see
+    `count_two_cycles_on_grid`); a nan residual decides nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        first, last = (_next_adults(p, *_map(p, x, gy))[0] - gy for x in (rows[:, :1], rows[:, -1:]))
+    return ~((first >= 2 * bound) | (last <= -2 * bound))
+
+
 def count_two_cycles_on_grid(p: Parameters) -> int:
     """Count the states s of a 500 x 500 grid on [0, 5] x [0, 5] whose
     second iterate returns to them within 1e-10 of their one-step
@@ -282,18 +314,19 @@ def count_two_cycles_on_grid(p: Parameters) -> int:
     x' + y' - x - y = (beta - mu) y exactly, so a two-cycle
     (x, y) -> (x', y') -> (x, y) forces (beta - mu)(y + y') = 0, hence
     y = y' = 0 with beta != mu; then y' is the emergence term alone, so
-    x = 0.  The origin is the only period-two state.  The grid runs in
-    blocks of `_GRID_BLOCK` rows of x, each going to `_map` as its slice
-    of the x axis and the kept y values (below), which broadcast: the
-    emergence once per x.  Every cell gets the same float operations as on the
-    whole grid at once, so the blocks change no count.  A residual that
-    is not finite (beta y overflows from beta about 3.6e307) raises
-    VerificationError, counting such cells over the whole grid.
+    x = 0.  The origin is the only period-two state.  The cells left to
+    map (below) go to `_map` in batches of at most `_GRID_BLOCK` rows'
+    worth: the x values of their open pairs, gathered, and the matching
+    y values, which broadcast.  Every cell gets the same float operations
+    as on the whole grid at once, so the batches change no count.  A
+    residual that is not finite (beta y overflows from beta about
+    3.6e307) raises VerificationError, counting such cells over the
+    whole grid.
 
-    A block takes the second image in the two halves `_map` runs: first
+    A batch takes the second image in the two halves `_map` runs: first
     the adult count y'' by `_next_adults`, and the larval count x'' by
-    `_next_larvae` only where the block is not skipped, from the same
-    emergence, so no value is computed twice.  A block whose least
+    `_next_larvae` only where the batch is not skipped, from the same
+    emergence, so no value is computed twice.  A batch whose least
     adult residual ry = |y'' - y| is at least
     bound = 2e-10 (5 beta + alpha + 5) skips the rest, with every count
     unchanged:
@@ -303,12 +336,12 @@ def count_two_cycles_on_grid(p: Parameters) -> int:
       1e-10 |T(s) - s| stays below bound (the factor 2 absorbs the
       roundings);
     - a counted cell has ry <= residual < threshold < bound, so a
-      skipped block holds none;
+      skipped batch holds none;
     - a first image that is not finite makes y'' nan (inf / inf), nan
       propagates through the least value and fails the comparison, so
-      such a block is never skipped;
-    - ry <= 2 alpha + 5 <= 7, so from beta about 7e9 no block is
-      skipped: a skipped block has beta < 7e9 and finite images.
+      such a batch is never skipped;
+    - ry <= 2 alpha + 5 <= 7, so from beta about 7e9 no batch is
+      skipped: a skipped batch has beta < 7e9 and finite images.
 
     The same bound rules out whole columns before any is mapped: the
     scan keeps only the `_adult_columns` y values below y_hi, and the
@@ -336,29 +369,61 @@ def count_two_cycles_on_grid(p: Parameters) -> int:
     5e-7), every column stays.  A column goes only when y_hi <= 5, and
     y_hi >= bound, so bound <= 5: beta < 5e9, where every image is
     finite.  So the cut changes neither the count nor the cells that
-    are not finite."""
+    are not finite.
+
+    Of the kept columns, the monotone adult envelope (`_open_pairs`)
+    rules out whole (row block, column) pairs from each block's first
+    and last row, mapped by the same kernels.  On the admissible box,
+    y'' = e(x') + (1 - mu) y' is nondecreasing in x at fixed y:
+    dx'/dx = 1 - alpha / (1 + x)^2 >= 0, dy'/dx = e'(x) >= 0,
+    e'(x') >= 0 as x' >= 0, and dy''/dy' = 1 - mu >= 0
+    (`tests/test_proofs.py`).  So on a block's rows x_f <= x <= x_l the
+    exact y'' lies between its values at x_f and x_l.  In floats, with
+    S = 5 beta + alpha + 5 and u as above:
+    - the computed x' is within 4uS of the exact one; e has slope at
+      most alpha <= 1 on x' >= 0 and rounds to 3 ulps of alpha, and y'
+      to a few ulps of alpha + 5, so the computed y'' is within 20uS of
+      the exact one, up to underflow, whose absolute error the margin
+      covers;
+    - so where the first row's computed residual y''_f - y is at least
+      2 bound, every cell of the pair has a computed y'' - y of at least
+      2 bound (1 - u) - 40uS, which is above bound = 2e-10 S; rounding
+      is monotone and bound is a float, so its ry is at least bound and,
+      as for a skipped batch, it is not counted.  Where the last row's
+      residual is at most -2 bound, the same holds with the signs
+      flipped;
+    - a nan residual fails both comparisons, so its pair stays open;
+    - a pair closes only where 2 bound <= |y'' - y| <= 7, so
+      beta < 3.5e9, where every image is finite.
+    So the envelope changes neither the count nor the cells that are
+    not finite."""
     require_valid(p, Mode.REDUCED)
     xs = np.linspace(0.0, 5.0, 500)
     bound = 2e-10 * (5 * p.beta + p.alpha + 5)
-    gy = xs[None, :_adult_columns(p, xs, bound)]
+    ncol = _adult_columns(p, xs, bound)
+    gy = xs[None, :ncol]
+    rows = xs.reshape(-1, _GRID_BLOCK)
+    blocks, cols = np.nonzero(_open_pairs(p, rows, gy, bound))
     count = bad = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, xs.size, _GRID_BLOCK):
-            gx = xs[start:start + _GRID_BLOCK, None]
-            x1, y1 = _map(p, gx, gy)
+        # ncol pairs at a time: at most the cells of one row block
+        for start in range(0, blocks.size, ncol):
+            bx = rows[blocks[start:start + ncol]]
+            by = gy[0, cols[start:start + ncol], None]
+            x1, y1 = _map(p, bx, by)
             my, em = _next_adults(p, x1, y1)
-            ry = np.abs(np.subtract(my, gy, out=my), out=my)
+            ry = np.abs(np.subtract(my, by, out=my), out=my)
             if ry.min() >= bound:
                 continue
             mx = _next_larvae(p, x1, y1, em)
-            res = np.maximum(np.abs(np.subtract(mx, gx, out=mx), out=mx), ry, out=mx)
+            res = np.maximum(np.abs(np.subtract(mx, bx, out=mx), out=mx), ry, out=mx)
             # a first image that is not finite makes the second one nan,
             # so the residual alone shows every such cell; max is the
             # cheapest reduction
             if not np.isfinite(res.max()):
                 bad += res.size - int(np.count_nonzero(np.isfinite(res)))
                 continue
-            disp = np.maximum(np.abs(np.subtract(x1, gx, out=x1), out=x1), np.abs(np.subtract(y1, gy, out=y1), out=y1), out=x1)
+            disp = np.maximum(np.abs(np.subtract(x1, bx, out=x1), out=x1), np.abs(np.subtract(y1, by, out=y1), out=y1), out=x1)
             count += int(np.count_nonzero(res < np.multiply(disp, 1e-10, out=disp)))
     if bad:
         raise VerificationError(f"two-cycle grid: {bad} of the {xs.size ** 2} cells are not finite "

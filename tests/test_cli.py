@@ -534,9 +534,10 @@ def test_sweep_rejects_an_axis_whose_span_overflows(tmp_path, capsys):
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("count, shown", [("1e19", "1e+19"), ("1e30", "1e+30")])
+@pytest.mark.parametrize("count, shown", [("1e18", "1e+18"), ("1e19", "1e+19"), ("1e30", "1e+30")])
 def test_sweep_rejects_a_grid_count_numpy_refuses_naming_its_flag(tmp_path, capsys, count, shown):
-    # counts past numpy's largest array size; the error named no flag
+    # 1e18 doubles (8 EB) numpy can size but not allocate, and counts past
+    # its largest array size; the error named no flag
     out_path = tmp_path / "s.csv"
     rc = main(["sweep", "--alpha-range", "0.6", "0.6", "1", "--beta-range", "0.5", "0.5", count,
                "--mu-range", "0.48", "0.48", "1", "--out", str(out_path)])

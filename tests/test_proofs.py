@@ -180,6 +180,35 @@ def test_interval_map_range_holds_on_the_admissible_box():
     assert num.subs(x, 0) == beta and written_as(1 + s, num.subs(x, 1))
 
 
+def test_second_adult_count_is_nondecreasing_in_the_larvae():
+    # the adult envelope of `count_two_cycles_on_grid`: at fixed y, the
+    # second adult count y'' = e(x') + (1 - mu) y' rises with x, for
+    # 0 < alpha <= 1, 0 < mu <= 1 and x, y >= 0.  Through the map's own
+    # halves, with the first image (x', y') free and then substituted,
+    #   dy''/dx = (dy''/dx') (dx'/dx) + (dy''/dy') (dy'/dx)
+    # and every factor is nonnegative on the box
+    x1s, y1s = sympy.symbols("x1 y1")
+    y1, emergence = _next_adults(REDUCED, x, y)
+    x1 = _next_larvae(REDUCED, x, y, emergence)
+    y2 = _next_adults(REDUCED, x1s, y1s)[0]
+    on_box = ON_BOX | {y: sympy.Symbol("y_", nonnegative=True)}
+    # x' = beta y + x (s + x) / (1 + x) >= 0, so dy''/dx' = alpha / (1 + x')^2 >= 0
+    larvae = beta * y + x * (s + x) / (1 + x)
+    assert vanishes(x1 - larvae.subs(s, 1 - alpha)) and larvae.subs(on_box).is_nonnegative
+    slope = alpha / (1 + x1s) ** 2
+    assert vanishes(sympy.diff(y2, x1s) - slope) and slope.subs({alpha: ON_BOX[alpha], x1s: larvae.subs(on_box)}).is_positive
+    # dx'/dx = 1 - alpha / (1 + x)^2 = (s + x (2 + x)) / (1 + x)^2 >= 0
+    dx1 = (s + x * (2 + x)) / (1 + x) ** 2
+    assert vanishes(sympy.diff(x1, x) - dx1.subs(s, 1 - alpha)) and dx1.subs(on_box).is_nonnegative
+    # dy'/dx = alpha / (1 + x)^2 > 0 and dy''/dy' = 1 - mu = t >= 0
+    dy1 = alpha / (1 + x) ** 2
+    assert vanishes(sympy.diff(y1, x) - dy1) and dy1.subs(on_box).is_positive
+    assert vanishes(sympy.diff(y2, y1s) - (1 - mu))
+    # the chain rule, on the composed map
+    composed = sympy.diff(y2.subs({x1s: x1, y1s: y1}), x)
+    assert vanishes(composed - (slope.subs(x1s, x1) * sympy.diff(x1, x) + (1 - mu) * dy1))
+
+
 def test_jury_signs_place_the_eigenvalues_on_the_admissible_box():
     # with D = sqrt((alpha - mu)^2 + 4 alpha beta) the eigenvalues are
     # lambda1,2 = (2 - alpha - mu +- D) / 2, so p(z) = (z - lambda1)(z - lambda2),

@@ -238,6 +238,69 @@ def test_interval_power_is_the_interval_map_applied_q_times(p):
             assert mq.simplex._interval_power(p, q, x).hex() == interval_map_applied(p, q, x).hex(), (q, x)
 
 
+def grid_flips(p, q):
+    """The scan's brackets at period q: (lo, hi, f(lo), f(hi)) for each
+    sign change of f = T^q(x) - x between neighbouring grid points."""
+    xs = np.linspace(0.0, 1.0, 10_000)
+    diff = interval_map_applied(p, q, xs) - xs
+    flips = np.nonzero((diff[:-1] > 0.0) != (diff[1:] > 0.0))[0]
+    return [(float(xs[i]), float(xs[i + 1]), float(diff[i]), float(diff[i + 1])) for i in flips]
+
+
+def grid_bracket_root(p, q, lo, hi, flo):
+    """The root plain bisection of the grid bracket [lo, hi] finds, to
+    width 1e-12, as the scan did before it tried a secant bracket."""
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        fmid = interval_map_applied(p, q, mid) - mid
+        if fmid == 0.0:
+            return mid
+        if (flo < 0.0) == (fmid < 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("p", [REF1, REF2, REF3] + _power_rates(), ids=lambda p: f"{p.alpha:.3g}-{p.beta:.3g}-{p.mu:.3g}")
+def test_secant_bracket_finds_the_root_grid_bisection_finds(monkeypatch, p):
+    # each root lies within 1e-9, the distance the scan merges roots by,
+    # of the root plain bisection of the grid bracket finds.  It takes at
+    # most 10 evaluations where the secant bracket holds the sign change
+    # (2 for its ends, 8 halvings of 2e-10 down to 1e-12) and at most
+    # 2 + 27 where the grid bracket is bisected
+    calls = []
+
+    def recorded(q_p, q, x):
+        calls.append(interval_map_applied(q_p, q, x) - x)
+        return calls[-1] + x
+
+    monkeypatch.setattr(mq.simplex, "_interval_power", recorded)
+    secant = 0
+    for q in range(2, 9):
+        for lo, hi, flo, fhi in grid_flips(p, q):
+            calls.clear()
+            got = mq.simplex._bisect_root(p, q, lo, hi, flo, fhi)
+            assert lo <= got <= hi and abs(got - grid_bracket_root(p, q, lo, hi, flo)) < 1e-9, (q, lo)
+            held = calls[0] * calls[1] < 0.0
+            secant += held
+            assert len(calls) <= (10 if held else 29), (q, lo, len(calls))
+    if p in (REF1, REF2, REF3):  # where the secant bracket saves work: 6 or 7 of the 7 roots
+        assert secant >= 6
+
+
+def test_secant_bracket_that_misses_the_root_falls_back_to_the_grid_bracket(monkeypatch):
+    # f(x) = (x - 0.1)(1 + 1000 (x - 0.1)^2) on [0, 1]: the secant point,
+    # about 0.0015, is far from the root, so f has one sign across its
+    # bracket and the grid bracket is bisected instead
+    monkeypatch.setattr(mq.simplex, "_interval_power", lambda p, q, x: x + (x - 0.1) * (1 + 1000 * (x - 0.1) ** 2))
+    assert mq.simplex._bisect_root(REF1, 2, 0.0, 1.0, -1.1, 729.9) == pytest.approx(0.1, abs=1e-12)
+    # f = 0 on [0.5, 0.6], around the secant point 5/9: a bracket with a
+    # zero end is not taken, and the grid bracket's first midpoint is a root
+    monkeypatch.setattr(mq.simplex, "_interval_power", lambda p, q, x: x + min(x - 0.5, 0.0) + max(x - 0.6, 0.0))
+    assert mq.simplex._bisect_root(REF1, 2, 0.0, 1.0, -0.5, 0.4) == 0.5
+
+
 def test_scan_fails_on_a_genuine_two_cycle(monkeypatch):
     # a stand-in T, the logistic map at r = 3.3, has the two-cycle
     # (r + 1 -+ sqrt((r + 1)(r - 3))) / (2 r); found at every even
@@ -287,55 +350,73 @@ def test_grid_counts_every_non_finite_cell(beta, bad):
         mq.count_two_cycles_on_grid(mq.Parameters(1.0, beta, 0.48))
 
 
+def all_pairs_open(p, rows, gy, bound):
+    """A stand-in for `simplex._open_pairs` that leaves every (row block,
+    column) pair open."""
+    return np.ones((rows.shape[0], gy.shape[1]), dtype=bool)
+
+
+def grid_index(values):
+    """The indices into GRID of the grid values in `values`."""
+    i = np.searchsorted(GRID, values)
+    assert np.array_equal(GRID[i], values)
+    return i
+
+
 @pytest.mark.parametrize("p", [REF1, REF2, REF3, mq.Parameters(1.0, 1e12, 0.48), mq.Parameters(1.0, 4e307, 0.48)])
 def test_grid_blocks_map_each_cell_as_the_whole_grid_does(monkeypatch, p):
-    # record every image a kernel returns, keyed on the row block of its
-    # input, before the scan overwrites it; the scan maps the columns
-    # below its adult cut only
+    # every kernel call returns the whole grid's images of the grid states
+    # it is given, checked before the scan overwrites them: the halves get
+    # the first image of the states of the `_map` call before them.  With
+    # every pair open, each call maps the cells of the kept columns of one
+    # row block, each cell once; with the real envelope, its edge rows go
+    # through the same kernels
     ncol = mq.simplex._adult_columns(p, GRID, grid_bound(p))
-    x1, y1, x2, y2 = (a[:, :ncol] for a in grid_images(p)[2:])
-    starts = list(range(0, GRID.size, BLOCK))
-    images = {"first": {}, "adults": {}, "larvae": {}}
+    _, _, x1, y1, x2, y2 = grid_images(p)
 
-    def row_block(x):
-        # the start row of the block whose x axis (a column) or first
-        # image (a full block) x is
-        if x.shape[1] == 1:
-            return int(np.flatnonzero(GRID == x[0, 0])[0])
-        return next(i for i in starts if np.array_equal(x, x1[i:i + BLOCK], equal_nan=True))
+    def same(got, want):
+        return np.array_equal(got, want, equal_nan=True)
 
-    def map_recorder(q, x, y):
-        out = mq.model._map(q, x, y)
-        images["first"].setdefault(row_block(x), []).append(tuple(a.copy() for a in out))
-        return out
+    def run():
+        calls = []  # the grid indices (rows, columns) each `_map` call is given
 
-    def adults_recorder(q, x, y):
-        out = mq.model._next_adults(q, x, y)
-        images["adults"].setdefault(row_block(x), []).append((out[0].copy(),))
-        return out
+        def map_recorder(q, x, y):
+            i, j = (grid_index(a) for a in np.broadcast_arrays(x, y))
+            out = mq.model._map(q, x, y)
+            assert same(out[0], x1[i, j]) and same(out[1], y1[i, j])
+            calls.append((i, j))
+            return out
 
-    def larvae_recorder(q, x, y, emergence):
-        out = mq.model._next_larvae(q, x, y, emergence)
-        images["larvae"].setdefault(row_block(x), []).append((out.copy(),))
-        return out
+        def adults_recorder(q, x, y):
+            i, j = calls[-1]
+            assert same(x, x1[i, j]) and same(np.broadcast_to(y, x.shape), y1[i, j])
+            out = mq.model._next_adults(q, x, y)
+            assert same(out[0], y2[i, j])
+            return out
 
-    monkeypatch.setattr(mq.simplex, "_map", map_recorder)
-    monkeypatch.setattr(mq.simplex, "_next_adults", adults_recorder)
-    monkeypatch.setattr(mq.simplex, "_next_larvae", larvae_recorder)
-    try:
-        mq.count_two_cycles_on_grid(p)
-    except mq.VerificationError:
-        pass
-    # a first image and the adults of the second per block; the larvae
-    # of the second only for the blocks not skipped
-    assert sorted(images["first"]) == sorted(images["adults"]) == starts
-    assert set(images["larvae"]) <= set(starts)
-    whole = {"first": (x1, y1), "adults": (y2,), "larvae": (x2,)}
-    for kind, by_block in images.items():
-        for start, outs in by_block.items():
-            assert len(outs) == 1
-            for got, grid in zip(outs[0], whole[kind]):
-                assert np.array_equal(got, grid[start:start + BLOCK], equal_nan=True), (kind, start)
+        def larvae_recorder(q, x, y, emergence):
+            i, j = calls[-1]
+            out = mq.model._next_larvae(q, x, y, emergence)
+            assert same(out, x2[i, j])
+            return out
+
+        monkeypatch.setattr(mq.simplex, "_map", map_recorder)
+        monkeypatch.setattr(mq.simplex, "_next_adults", adults_recorder)
+        monkeypatch.setattr(mq.simplex, "_next_larvae", larvae_recorder)
+        try:
+            mq.count_two_cycles_on_grid(p)
+        except mq.VerificationError:
+            pass
+        return calls
+
+    assert run()  # the real envelope
+    monkeypatch.setattr(mq.simplex, "_open_pairs", all_pairs_open)
+    calls = run()
+    mapped = np.zeros((GRID.size, ncol), dtype=int)
+    for i, j in calls:
+        assert np.unique(i // BLOCK).size == 1
+        np.add.at(mapped, (i, j), 1)
+    assert len(calls) == GRID.size // BLOCK and (mapped == 1).all()
 
 
 def map_written_out(p, x, y):
@@ -462,28 +543,29 @@ def test_grid_matches_the_whole_grid_rule(p):
 
 def _edit_second_image(monkeypatch, p, row, col, value):
     # the real kernels, except that the second image of the grid state
-    # (GRID[row], GRID[col]) is `value`: edited in the output of each
-    # half of the map whose input is the first image of that state's row
-    # block, cut to the columns the scan maps
-    start = row - row % BLOCK
-    ncol = mq.simplex._adult_columns(p, GRID, grid_bound(p))
-    first = grid_images(p)[2][start:start + BLOCK, :ncol]
+    # (GRID[row], GRID[col]) is `value`: edited in the output of each half
+    # of the map at the cell that holds that state in the `_map` call
+    # before it.  The edit breaks the monotone adult envelope, so every
+    # pair is left open and the block's own skip rule must keep the cell
+    states = []
 
-    def of_the_row_block(x):
-        return np.shape(x) == first.shape and np.array_equal(x, first)
+    def map_recorder(q, x, y):
+        x, y = np.broadcast_arrays(x, y)
+        states[:] = [(x == GRID[row]) & (y == GRID[col])]
+        return mq.model._map(q, x, y)
 
     def edited_adults(q, x, y):
         y2, emergence = mq.model._next_adults(q, x, y)
-        if of_the_row_block(x):
-            y2[row % BLOCK, col] = value[1]
+        y2[states[0]] = value[1]
         return y2, emergence
 
     def edited_larvae(q, x, y, emergence):
         x2 = mq.model._next_larvae(q, x, y, emergence)
-        if of_the_row_block(x):
-            x2[row % BLOCK, col] = value[0]
+        x2[states[0]] = value[0]
         return x2
 
+    monkeypatch.setattr(mq.simplex, "_open_pairs", all_pairs_open)
+    monkeypatch.setattr(mq.simplex, "_map", map_recorder)
     monkeypatch.setattr(mq.simplex, "_next_adults", edited_adults)
     monkeypatch.setattr(mq.simplex, "_next_larvae", edited_larvae)
 
@@ -545,3 +627,22 @@ def test_grid_displacement_and_adult_residual_bounds(p):
         c, u = F(1.0 - p.mu), F(1, 2 ** 53)
         y_hi = ((1 + u) ** 4 * F(p.alpha) * (1 + c) + F(grid_bound(p))) / (1 - (1 + u) ** 4 * c * c)
         assert F(GRID[ncol]) >= y_hi > 0
+
+
+@pytest.mark.parametrize("p", _oracle_rates() + _bound_rates(), ids=lambda p: f"{p.alpha:.3g}-{p.beta:.17g}-{p.mu:.3g}")
+def test_envelope_closes_only_pairs_whose_cells_are_ruled_out(p):
+    # y'' rises with x at fixed y (tests/test_proofs.py), so a pair the
+    # envelope closes on its first row has y'' - y >= bound on every cell,
+    # one it closes on its last row y'' - y <= -bound: on the whole grid,
+    # every cell of a closed pair lies on one side, at least bound from y,
+    # so it is neither counted nor not finite.  The origin (first row,
+    # first column, y'' = y) keeps its pair open on every rate set
+    _, gy, _, _, _, y2 = grid_images(p)
+    ncol = mq.simplex._adult_columns(p, GRID, grid_bound(p))
+    rows = GRID.reshape(-1, BLOCK)
+    open_pairs = mq.simplex._open_pairs(p, rows, gy[:, :ncol], grid_bound(p))
+    assert open_pairs.shape == (GRID.size // BLOCK, ncol) and open_pairs[0, 0]
+    with np.errstate(invalid="ignore"):
+        ry = (y2 - gy)[:, :ncol].reshape(-1, BLOCK, ncol)
+        above, below = (ry >= grid_bound(p)).all(axis=1), (ry <= -grid_bound(p)).all(axis=1)
+    assert (open_pairs | above | below).all()
