@@ -344,6 +344,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     s0 = State(args.x0, args.y0)
     cfg = _orbit_config(args)
     ode_cfg = OdeConfig(step=args.dt, t_end=args.t_end)
+    if (ode_cfg.n_steps + 1) * 8 > np.iinfo(np.intp).max:
+        # past numpy's largest array of the flow's samples, 8 bytes each
+        raise ValueError(f"--t-end / --dt: RK4 step count too large, got {args.t_end} / {args.dt}")
 
     r0 = offspring_number(p)
     positive = positive_equilibrium(p) if p.d1 > 0.0 else None

@@ -79,6 +79,10 @@ class OdeConfig:
         if not math.isfinite(self.t_end / self.step):
             raise ValueError(f"t_end / step must be finite, got {self.t_end} / {self.step}")
 
+    @property
+    def n_steps(self) -> int:
+        return int(math.floor(self.t_end / self.step + 1e-9))
+
 
 @dataclass(frozen=True)
 class FlowTrajectory:
@@ -164,7 +168,7 @@ def integrate_flow(p: Parameters, s0: State, config: OdeConfig | None = None) ->
     require_valid(p, Mode.GENERAL)
     cfg = config if config is not None else OdeConfig()
     h = cfg.step
-    n_steps = int(math.floor(cfg.t_end / h + 1e-9))
+    n_steps = cfg.n_steps
 
     # both sample arrays up front: a horizon beyond memory fails here, at once
     xs = np.empty(n_steps + 1, dtype=np.float64)

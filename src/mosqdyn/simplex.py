@@ -20,8 +20,9 @@ floats by `interval_map`, for periods 2 to 8 on 10,000 points, and
 `count_two_cycles_on_grid` the planar argument on 500 x 500 states.
 Both float scans skip work that provably cannot change their answer:
 the scan bisects each root from a secant bracket where that bracket
-holds the sign change, and the grid maps only the cells that a proved
-adult bound and a monotone adult envelope leave open.
+holds the sign change, and the grid maps only the cells that one
+monotone adult envelope leaves open, applied to whole columns and then
+to row blocks.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from decimal import Decimal
 import numpy as np
 
 from .errors import VerificationError
-from .model import Mode, Parameters, _EXACT, _exact, _map, _next_adults, _next_larvae, require_valid
+from .model import Mode, Parameters, _EXACT, _exact, _map, require_valid
 
 __all__ = [
     "PeriodCertificate",
@@ -269,25 +270,12 @@ def scan_periodic_points(p: Parameters) -> dict[int, tuple[float, ...]]:
 # the envelope maps each block's first and last row (2 x 500 / B rows of
 # the kept columns), each open (block, column) pair holds B cells, and a
 # batch holds at most B rows' worth of cells (12,500, 100 kB per array),
-# so its temporaries stay in cache.  Summed over the 48 battery sets of
-# the benchmark's seeds 1 and 3 on a 2-vCPU Xeon, 25 and 20 rows take
-# 6.7-8.2 ms, 50 rows 8.5-9.1 ms, 10 rows 9.9-11.0 ms (its two arrays of
-# 50 edge rows outgrow a batch) and 100 rows 15-16 ms.
+# so its temporaries stay in cache.  Summed over the 96 battery sets of
+# the benchmark's seeds 1 and 3 on a 2-vCPU Xeon (min of 3 calls a set,
+# three rounds), 25 rows take 15.6-16.9 ms, 20 rows 17.0-17.9 ms, 50 rows
+# 17.9-18.7 ms, 10 rows 24-27 ms (its 100 edge rows are a fifth of the
+# grid) and 100 rows 30-46 ms.
 _GRID_BLOCK = 25
-
-
-def _adult_columns(p: Parameters, xs, bound: float) -> int:
-    """How many of the grid's y values `xs` (ascending) lie below an upper
-    bound on y_hi = ((1 + u)^4 alpha (1 + c) + bound) / (1 - (1 + u)^4 c^2), with
-    c = fl(1 - mu) and u = 2^-53: every state with y >= y_hi has an adult
-    residual |y'' - y| of at least `bound` (see `count_two_cycles_on_grid`).
-    All of them where (1 - c)(1 + c) <= 1e-6."""
-    c = 1.0 - p.mu
-    den = (1.0 - c) * (1.0 + c)
-    if not den > 1e-6:
-        return xs.size
-    y_hi = (p.alpha * (1.0 + c) + bound) / den * (1.0 + 1e-9)
-    return int(np.searchsorted(xs, y_hi))
 
 
 def _open_pairs(p: Parameters, rows, gy, bound: float):
@@ -298,8 +286,8 @@ def _open_pairs(p: Parameters, rows, gy, bound: float):
     y'' - y is at least 2 bound or its last row's at most -2 bound (see
     `count_two_cycles_on_grid`); a nan residual decides nothing."""
     with np.errstate(over="ignore", invalid="ignore"):
-        first, last = (_next_adults(p, *_map(p, x, gy))[0] - gy for x in (rows[:, :1], rows[:, -1:]))
-    return ~((first >= 2 * bound) | (last <= -2 * bound))
+        ry = _map(p, *_map(p, rows[:, [0, -1], None], gy))[1] - gy
+    return ~((ry[:, 0] >= 2 * bound) | (ry[:, 1] <= -2 * bound))
 
 
 def count_two_cycles_on_grid(p: Parameters) -> int:
@@ -315,71 +303,33 @@ def count_two_cycles_on_grid(p: Parameters) -> int:
     (x, y) -> (x', y') -> (x, y) forces (beta - mu)(y + y') = 0, hence
     y = y' = 0 with beta != mu; then y' is the emergence term alone, so
     x = 0.  The origin is the only period-two state.  The cells left to
-    map (below) go to `_map` in batches of at most `_GRID_BLOCK` rows'
-    worth: the x values of their open pairs, gathered, and the matching
-    y values, which broadcast.  Every cell gets the same float operations
-    as on the whole grid at once, so the batches change no count.  A
-    residual that is not finite (beta y overflows from beta about
-    3.6e307) raises VerificationError, counting such cells over the
-    whole grid.
+    map (below) go to `_map` in batches of at most 500 pairs, the cells
+    of one whole row block: the x values of their open pairs, gathered,
+    and the matching y values, which broadcast.  A batch takes its two
+    images by two `_map` calls and forms its residuals in place.  Every
+    cell gets the same float operations as on the whole grid at once, so
+    the batches change no count.  A residual that is not finite (beta y overflows
+    from beta about 3.6e307) raises VerificationError, counting such
+    cells over the whole grid.
 
-    A batch takes the second image in the two halves `_map` runs: first
-    the adult count y'' by `_next_adults`, and the larval count x'' by
-    `_next_larvae` only where the batch is not skipped, from the same
-    emergence, so no value is computed twice.  A batch whose least
-    adult residual ry = |y'' - y| is at least
-    bound = 2e-10 (5 beta + alpha + 5) skips the rest, with every count
-    unchanged:
+    A cell whose adult residual ry = |y'' - y| is at least
+    bound = 2e-10 (5 beta + alpha + 5) is not counted:
     - every displacement is at most 5 beta + alpha + 5 to a few ulps,
       as the emergence lies in [0, alpha], beta y <= 5 beta, y' <=
       alpha + 5 and rounding is monotone, so the threshold
       1e-10 |T(s) - s| stays below bound (the factor 2 absorbs the
       roundings);
-    - a counted cell has ry <= residual < threshold < bound, so a
-      skipped batch holds none;
-    - a first image that is not finite makes y'' nan (inf / inf), nan
-      propagates through the least value and fails the comparison, so
-      such a batch is never skipped;
-    - ry <= 2 alpha + 5 <= 7, so from beta about 7e9 no batch is
-      skipped: a skipped batch has beta < 7e9 and finite images.
+    - a counted cell has ry <= residual < threshold < bound.
 
-    The same bound rules out whole columns before any is mapped: the
-    scan keeps only the `_adult_columns` y values below y_hi, and the
-    paper's adult bound y' <= alpha + (1 - mu) y says why that cut is
-    sound.  In floats, rounding to nearest, with c = fl(1 - mu) and
-    u = 2^-53:
-    - rounding is monotone and fl(1 + x) >= max(1, x) for x >= 0, so
-      every emergence e = fl(alpha fl(x / fl(1 + x))) lies in
-      [0, min(alpha, x)]; then x' >= fl(x - e) >= 0, so the second
-      emergence lies in [0, alpha] too, wherever x' is finite;
-    - so y' <= (1 + u)(alpha + (1 + u) c y), and
-      y'' <= (1 + u)^4 (alpha (1 + c) + c^2 y), up to underflow, whose
-      absolute error (below 1e-300) the margin below covers;
-    - hence y - y'' >= bound once y >= y_hi, and then the computed ry
-      is at least bound too, bound being a float: a column with
-      y >= y_hi holds no counted cell.
-    `_adult_columns` evaluates y_hi as fl(num / den) times fl(1 + 1e-9),
-    with num = fl(fl(alpha fl(1 + c)) + bound) and
-    den = fl(fl(1 - c) fl(1 + c)).  num is at least
-    (1 - u)^3 (alpha (1 + c) + bound), den is within a factor (1 + u)^3
-    of (1 - c)(1 + c), and 1 - (1 + u)^4 c^2 is at least
-    (1 - c)(1 + c) - 4.0001u.  Where den > 1e-6, these put the exact
-    y_hi below (num / den)(1 + 4.5e-10), and the margin, less its own
-    three roundings, exceeds that.  Where den <= 1e-6 (mu below about
-    5e-7), every column stays.  A column goes only when y_hi <= 5, and
-    y_hi >= bound, so bound <= 5: beta < 5e9, where every image is
-    finite.  So the cut changes neither the count nor the cells that
-    are not finite.
-
-    Of the kept columns, the monotone adult envelope (`_open_pairs`)
-    rules out whole (row block, column) pairs from each block's first
-    and last row, mapped by the same kernels.  On the admissible box,
+    One rule, the monotone adult envelope (`_open_pairs`), rules such
+    cells out before they are mapped, in whole (row block, column) pairs,
+    from each block's first and last row.  On the admissible box,
     y'' = e(x') + (1 - mu) y' is nondecreasing in x at fixed y:
     dx'/dx = 1 - alpha / (1 + x)^2 >= 0, dy'/dx = e'(x) >= 0,
     e'(x') >= 0 as x' >= 0, and dy''/dy' = 1 - mu >= 0
     (`tests/test_proofs.py`).  So on a block's rows x_f <= x <= x_l the
     exact y'' lies between its values at x_f and x_l.  In floats, with
-    S = 5 beta + alpha + 5 and u as above:
+    S = 5 beta + alpha + 5 and u = 2^-53:
     - the computed x' is within 4uS of the exact one; e has slope at
       most alpha <= 1 on x' >= 0 and rounds to 3 ulps of alpha, and y'
       to a few ulps of alpha + 5, so the computed y'' is within 20uS of
@@ -388,42 +338,41 @@ def count_two_cycles_on_grid(p: Parameters) -> int:
     - so where the first row's computed residual y''_f - y is at least
       2 bound, every cell of the pair has a computed y'' - y of at least
       2 bound (1 - u) - 40uS, which is above bound = 2e-10 S; rounding
-      is monotone and bound is a float, so its ry is at least bound and,
-      as for a skipped batch, it is not counted.  Where the last row's
-      residual is at most -2 bound, the same holds with the signs
-      flipped;
+      is monotone and bound is a float, so its ry is at least bound and
+      it is not counted.  Where the last row's residual is at most
+      -2 bound, the same holds with the signs flipped;
     - a nan residual fails both comparisons, so its pair stays open;
-    - a pair closes only where 2 bound <= |y'' - y| <= 7, so
-      beta < 3.5e9, where every image is finite.
+    - a pair closes only where 2 bound <= |y'' - y| <= 2 alpha + 5 <= 7,
+      so beta < 3.5e9, where every image is finite.
     So the envelope changes neither the count nor the cells that are
-    not finite."""
+    not finite.  It runs at two scales: first with the whole grid as one
+    block, whose rows x = 0 and x = 5 choose the columns to keep, then
+    on the `_GRID_BLOCK`-row blocks of the kept columns.  The origin's
+    column always stays, as y'' - y = 0 at the origin."""
     require_valid(p, Mode.REDUCED)
     xs = np.linspace(0.0, 5.0, 500)
     bound = 2e-10 * (5 * p.beta + p.alpha + 5)
-    ncol = _adult_columns(p, xs, bound)
-    gy = xs[None, :ncol]
+    gy = xs[None, _open_pairs(p, xs[None, :], xs[None, :], bound)[0]]
     rows = xs.reshape(-1, _GRID_BLOCK)
     blocks, cols = np.nonzero(_open_pairs(p, rows, gy, bound))
     count = bad = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        # ncol pairs at a time: at most the cells of one row block
-        for start in range(0, blocks.size, ncol):
-            bx = rows[blocks[start:start + ncol]]
-            by = gy[0, cols[start:start + ncol], None]
+        # 500 pairs at a time: at most the cells of one whole row block
+        for start in range(0, blocks.size, xs.size):
+            bx = rows[blocks[start:start + xs.size]]
+            by = gy[0, cols[start:start + xs.size], None]
             x1, y1 = _map(p, bx, by)
-            my, em = _next_adults(p, x1, y1)
-            ry = np.abs(np.subtract(my, by, out=my), out=my)
-            if ry.min() >= bound:
-                continue
-            mx = _next_larvae(p, x1, y1, em)
-            res = np.maximum(np.abs(np.subtract(mx, bx, out=mx), out=mx), ry, out=mx)
+            mx, my = _map(p, x1, y1)
+            res = np.maximum(np.abs(np.subtract(mx, bx, out=mx), out=mx),
+                             np.abs(np.subtract(my, by, out=my), out=my), out=mx)
             # a first image that is not finite makes the second one nan,
             # so the residual alone shows every such cell; max is the
             # cheapest reduction
             if not np.isfinite(res.max()):
                 bad += res.size - int(np.count_nonzero(np.isfinite(res)))
                 continue
-            disp = np.maximum(np.abs(np.subtract(x1, bx, out=x1), out=x1), np.abs(np.subtract(y1, by, out=y1), out=y1), out=x1)
+            disp = np.maximum(np.abs(np.subtract(x1, bx, out=x1), out=x1),
+                              np.abs(np.subtract(y1, by, out=y1), out=y1), out=x1)
             count += int(np.count_nonzero(res < np.multiply(disp, 1e-10, out=disp)))
     if bad:
         raise VerificationError(f"two-cycle grid: {bad} of the {xs.size ** 2} cells are not finite "

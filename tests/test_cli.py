@@ -1220,6 +1220,16 @@ def test_compare_horizon_beyond_memory_exits_2(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("t_end, dt, shown", [("1e300", "1", "1e+300 / 1.0"), ("1e19", "0.5", "1e+19 / 0.5")])
+def test_compare_rejects_a_step_count_numpy_refuses_naming_its_flags(capsys, t_end, dt, shown):
+    # the flow's samples past numpy's largest array size: the error named
+    # no flag.  Refused before the flow or the map runs
+    rc = main(["compare", *EXT, "--x0", "1", "--y0", "1", "--t-end", t_end, "--dt", dt])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == f"error: --t-end / --dt: RK4 step count too large, got {shown}\n"
+
+
 def test_compare_subnormal_step_exits_2(capsys):
     # t_end / dt overflows to inf, so there is no step count to run
     rc = main(["compare", *EXT, "--x0", "1", "--y0", "1", "--t-end", "1", "--dt", "5e-324"])

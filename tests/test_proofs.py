@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import sympy
 
 import mosqdyn as mq
-from mosqdyn.model import _field, _map, _next_adults, _next_larvae
+from mosqdyn.model import _field, _map
 from mosqdyn.simplex import _two_cycle_coefficients, interval_map_parts
 from mosqdyn.spectral import _at_minus_one
 
@@ -38,16 +38,12 @@ def test_map_is_identity_plus_field_symbolically():
 
 
 def test_map_halves_are_the_model_equations_symbolically():
-    # `_map` is `_next_adults` then `_next_larvae`, which the planar grid
-    # also calls apart: the halves are the two equations of the model
-    # (module docstring of `model`), larval mortality or not
+    # the two counts of `_map` are the two equations of the model (module
+    # docstring of `model`), larval mortality or not
     for rates in (REDUCED, FULL):
-        y1, emergence = _next_adults(rates, x, y)
-        x1 = _next_larvae(rates, x, y, emergence)
-        assert vanishes(emergence - alpha * x / (1 + x))
+        x1, y1 = _map(rates, x, y)
         assert vanishes(x1 - (beta * y - alpha * x / (1 + x) - (rates.d0 + rates.d1 * x) * x + x))
         assert vanishes(y1 - (alpha * x / (1 + x) - mu * y + y))
-        assert (x1, y1) == _map(rates, x, y)
 
 
 def test_interval_map_is_the_simplex_projection_symbolically():
@@ -183,14 +179,13 @@ def test_interval_map_range_holds_on_the_admissible_box():
 def test_second_adult_count_is_nondecreasing_in_the_larvae():
     # the adult envelope of `count_two_cycles_on_grid`: at fixed y, the
     # second adult count y'' = e(x') + (1 - mu) y' rises with x, for
-    # 0 < alpha <= 1, 0 < mu <= 1 and x, y >= 0.  Through the map's own
-    # halves, with the first image (x', y') free and then substituted,
+    # 0 < alpha <= 1, 0 < mu <= 1 and x, y >= 0.  Through `_map` composed
+    # with itself, the first image (x', y') free and then substituted,
     #   dy''/dx = (dy''/dx') (dx'/dx) + (dy''/dy') (dy'/dx)
     # and every factor is nonnegative on the box
     x1s, y1s = sympy.symbols("x1 y1")
-    y1, emergence = _next_adults(REDUCED, x, y)
-    x1 = _next_larvae(REDUCED, x, y, emergence)
-    y2 = _next_adults(REDUCED, x1s, y1s)[0]
+    x1, y1 = _map(REDUCED, x, y)
+    y2 = _map(REDUCED, x1s, y1s)[1]
     on_box = ON_BOX | {y: sympy.Symbol("y_", nonnegative=True)}
     # x' = beta y + x (s + x) / (1 + x) >= 0, so dy''/dx' = alpha / (1 + x')^2 >= 0
     larvae = beta * y + x * (s + x) / (1 + x)

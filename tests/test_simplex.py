@@ -366,53 +366,46 @@ def grid_index(values):
 @pytest.mark.parametrize("p", [REF1, REF2, REF3, mq.Parameters(1.0, 1e12, 0.48), mq.Parameters(1.0, 4e307, 0.48)])
 def test_grid_blocks_map_each_cell_as_the_whole_grid_does(monkeypatch, p):
     # every kernel call returns the whole grid's images of the grid states
-    # it is given, checked before the scan overwrites them: the halves get
-    # the first image of the states of the `_map` call before them.  With
-    # every pair open, each call maps the cells of the kept columns of one
-    # row block, each cell once; with the real envelope, its edge rows go
-    # through the same kernels
-    ncol = mq.simplex._adult_columns(p, GRID, grid_bound(p))
+    # it is given, checked before the scan overwrites them: the `_map`
+    # calls come in pairs, the second given the first images of the
+    # states of the first.  With every pair open, every column is kept,
+    # and each pair of calls maps the cells of one row block, each cell
+    # once; with the real envelope, its edge rows at both scales go
+    # through the same kernel
     _, _, x1, y1, x2, y2 = grid_images(p)
 
     def same(got, want):
         return np.array_equal(got, want, equal_nan=True)
 
     def run():
-        calls = []  # the grid indices (rows, columns) each `_map` call is given
+        calls = []  # the grid indices (rows, columns) each first `_map` call is given
+        pending = []  # those of a first call whose second has not come yet
 
         def map_recorder(q, x, y):
-            i, j = (grid_index(a) for a in np.broadcast_arrays(x, y))
             out = mq.model._map(q, x, y)
-            assert same(out[0], x1[i, j]) and same(out[1], y1[i, j])
-            calls.append((i, j))
-            return out
-
-        def adults_recorder(q, x, y):
-            i, j = calls[-1]
-            assert same(x, x1[i, j]) and same(np.broadcast_to(y, x.shape), y1[i, j])
-            out = mq.model._next_adults(q, x, y)
-            assert same(out[0], y2[i, j])
-            return out
-
-        def larvae_recorder(q, x, y, emergence):
-            i, j = calls[-1]
-            out = mq.model._next_larvae(q, x, y, emergence)
-            assert same(out, x2[i, j])
+            if pending:
+                i, j = pending.pop()
+                assert same(x, x1[i, j]) and same(np.broadcast_to(y, x.shape), y1[i, j])
+                assert same(out[0], x2[i, j]) and same(out[1], y2[i, j])
+            else:
+                i, j = (grid_index(a) for a in np.broadcast_arrays(x, y))
+                assert same(out[0], x1[i, j]) and same(out[1], y1[i, j])
+                calls.append((i, j))
+                pending.append((i, j))
             return out
 
         monkeypatch.setattr(mq.simplex, "_map", map_recorder)
-        monkeypatch.setattr(mq.simplex, "_next_adults", adults_recorder)
-        monkeypatch.setattr(mq.simplex, "_next_larvae", larvae_recorder)
         try:
             mq.count_two_cycles_on_grid(p)
         except mq.VerificationError:
             pass
+        assert not pending
         return calls
 
     assert run()  # the real envelope
     monkeypatch.setattr(mq.simplex, "_open_pairs", all_pairs_open)
     calls = run()
-    mapped = np.zeros((GRID.size, ncol), dtype=int)
+    mapped = np.zeros((GRID.size, GRID.size), dtype=int)
     for i, j in calls:
         assert np.unique(i // BLOCK).size == 1
         np.add.at(mapped, (i, j), 1)
@@ -428,31 +421,23 @@ def map_written_out(p, x, y):
 @pytest.mark.parametrize("p", [REF1, REF2, REF3, mq.Parameters(1e-6, 0.5, 0.48), mq.Parameters(1.0, 1e12, 0.48),
                                mq.Parameters(1.0, 4e307, 0.48), mq.Parameters(1.0, sys.float_info.max, 0.48)])
 def test_map_halves_round_as_the_written_out_map_on_the_grid_blocks(p):
-    # the skip test reads y'' from `_next_adults`, the count x'' from
-    # `_next_larvae`; with `_map` they must round as the written-out map
-    # does, bit for bit, on both images of every block
+    # both counts of `_map` round as the written-out map does, bit for
+    # bit, on both images of every block
     gy = GRID[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, GRID.size, BLOCK):
             gx = GRID[start:start + BLOCK, None]
             x1, y1 = map_written_out(p, gx, gy)
             for x, y in ((gx, gy), (x1, y1)):
-                y2, emergence = mq.model._next_adults(p, x, y)
-                x2 = mq.model._next_larvae(p, x, y, emergence)
-                for got, want in zip((x2, y2, *mq.model._map(p, x, y)), 2 * map_written_out(p, x, y)):
+                for got, want in zip(mq.model._map(p, x, y), map_written_out(p, x, y)):
                     assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), start
-
-
-def all_columns(p, xs, bound):
-    """A stand-in for `simplex._adult_columns` that keeps every column."""
-    return xs.size
 
 
 def test_grid_counts_two_cycles_at_block_edges(monkeypatch):
     # the stand-in flips y -> -y on three rows of x only: both rows at the
     # first block boundary and the grid's last row.  Each is a two-cycle
-    # off y = 0, where the state is fixed.  The adult bound holds for the
-    # real map only, so every column is scanned
+    # off y = 0, where the state is fixed.  The adult envelope holds for
+    # the real map only, so every pair is left open
     xs = np.linspace(0.0, 5.0, 500)
     block = mq.simplex._GRID_BLOCK
     rows = xs[[block - 1, block, 499]]
@@ -461,26 +446,36 @@ def test_grid_counts_two_cycles_at_block_edges(monkeypatch):
         x, y = np.broadcast_arrays(x, y)
         return x.copy(), np.where(np.isin(x, rows), -y, y)
 
-    monkeypatch.setattr(mq.simplex, "_adult_columns", all_columns)
+    monkeypatch.setattr(mq.simplex, "_open_pairs", all_pairs_open)
     monkeypatch.setattr(mq.simplex, "_map", flip_rows)
-    monkeypatch.setattr(mq.simplex, "_next_adults", lambda p, x, y: (flip_rows(p, x, y)[1], None))
-    monkeypatch.setattr(mq.simplex, "_next_larvae", lambda p, x, y, emergence: flip_rows(p, x, y)[0])
     assert mq.count_two_cycles_on_grid(REF1) == 3 * 499
 
 
 def test_grid_counts_a_genuine_two_cycle(monkeypatch):
     # under the swap (x, y) -> (y, x) every off-diagonal state is a
     # two-cycle and every diagonal state a fixed point, which is not one;
-    # like the real kernels, the stand-ins broadcast the grid's axes and
-    # return new arrays; every column is scanned, as for the flip above
+    # like the real kernel, the stand-in broadcasts the grid's axes and
+    # returns new arrays; every pair is left open, as for the flip above
     def swap(p, x, y):
         return tuple(a.copy() for a in np.broadcast_arrays(y, x))
 
-    monkeypatch.setattr(mq.simplex, "_adult_columns", all_columns)
+    monkeypatch.setattr(mq.simplex, "_open_pairs", all_pairs_open)
     monkeypatch.setattr(mq.simplex, "_map", swap)
-    monkeypatch.setattr(mq.simplex, "_next_adults", lambda p, x, y: (swap(p, x, y)[1], None))
-    monkeypatch.setattr(mq.simplex, "_next_larvae", lambda p, x, y, emergence: swap(p, x, y)[0])
     assert mq.count_two_cycles_on_grid(REF1) == 500 * 500 - 500
+
+
+@pytest.mark.parametrize("moved", [0, 1])
+def test_grid_residual_takes_both_counts(monkeypatch, moved):
+    # the stand-in adds 1 to one count and keeps the other: that count
+    # returns to itself, the moved one does not, so no state is a two-cycle
+    def shift(p, x, y):
+        out = [a.copy() for a in np.broadcast_arrays(x, y)]
+        out[moved] += 1.0
+        return tuple(out)
+
+    monkeypatch.setattr(mq.simplex, "_open_pairs", all_pairs_open)
+    monkeypatch.setattr(mq.simplex, "_map", shift)
+    assert mq.count_two_cycles_on_grid(REF1) == 0
 
 
 GRID = np.linspace(0.0, 5.0, 500)
@@ -488,7 +483,7 @@ BLOCK = mq.simplex._GRID_BLOCK
 
 
 def grid_bound(p):
-    """The grid's skip bound, 2e-10 (5 beta + alpha + 5)."""
+    """The grid's adult bound, 2e-10 (5 beta + alpha + 5)."""
     return 2e-10 * (5 * p.beta + p.alpha + 5)
 
 
@@ -502,7 +497,7 @@ def grid_images(p):
 
 
 def whole_grid_rule(p):
-    """The grid's rule on the whole grid at once, with no block skipped:
+    """The grid's rule on the whole grid at once, with no cell pruned:
     (cells counted as two-cycles, cells whose residual is not finite)."""
     gx, gy, x1, y1, x2, y2 = grid_images(p)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -522,11 +517,11 @@ def _oracle_rates():
         alpha, mu = 1.0 - rng.uniform(0.0, 1.0, size=2)
         cases.append((alpha, mu * (1 + sign * 10.0 ** -int(k)), mu))
     cases += [(1e-6, 0.5, 0.48), (1e-6, 0.3, 0.6), (1e-6, 1e9, 0.48)]
-    # skipping stops at beta about 7e9, where the bound passes every adult residual
+    # the envelope closes no pair from beta about 3.5e9, where 2 bound passes every adult residual
     cases += [(1.0, beta, 0.48) for beta in (1e8, 1e9, 5e9, 7e9, 1e10, 3e10, 1e11)]
     cases += [(0.6, 1e12, 0.48), (1.0, 1e12, 0.48), (1.0, 4e307, 0.48)]
-    # the adult cut: at the grid's top edge, after the first column, and
-    # none at tiny mu
+    # the envelope at the column scale: columns cut near the grid's top
+    # edge, and only the origin's column kept, at tiny mu too
     cases += [(1.0, 0.3, 0.2), (1.0, 0.19, 0.2), (0.005, 0.2, 0.9), (0.5, 0.3, 1e-7), (0.6, 0.5, 1e-300)]
     return [mq.Parameters(*(float(v) for v in c)) for c in cases]
 
@@ -542,37 +537,31 @@ def test_grid_matches_the_whole_grid_rule(p):
 
 
 def _edit_second_image(monkeypatch, p, row, col, value):
-    # the real kernels, except that the second image of the grid state
-    # (GRID[row], GRID[col]) is `value`: edited in the output of each half
-    # of the map at the cell that holds that state in the `_map` call
-    # before it.  The edit breaks the monotone adult envelope, so every
-    # pair is left open and the block's own skip rule must keep the cell
-    states = []
+    # the real kernel, except that the second image of the grid state
+    # (GRID[row], GRID[col]) is `value`: edited in the output of each
+    # second `_map` call at the cell that holds that state in the first
+    # call before it.  The edit breaks the monotone adult envelope, so
+    # every pair is left open and the cell is mapped and checked
+    states = []  # the cell of the state, from a first call whose second has not come yet
 
     def map_recorder(q, x, y):
-        x, y = np.broadcast_arrays(x, y)
-        states[:] = [(x == GRID[row]) & (y == GRID[col])]
-        return mq.model._map(q, x, y)
-
-    def edited_adults(q, x, y):
-        y2, emergence = mq.model._next_adults(q, x, y)
-        y2[states[0]] = value[1]
-        return y2, emergence
-
-    def edited_larvae(q, x, y, emergence):
-        x2 = mq.model._next_larvae(q, x, y, emergence)
-        x2[states[0]] = value[0]
-        return x2
+        out = mq.model._map(q, x, y)
+        if states:
+            cell = states.pop()
+            for image, v in zip(out, value):
+                image[cell] = v
+        else:
+            x, y = np.broadcast_arrays(x, y)
+            states.append((x == GRID[row]) & (y == GRID[col]))
+        return out
 
     monkeypatch.setattr(mq.simplex, "_open_pairs", all_pairs_open)
     monkeypatch.setattr(mq.simplex, "_map", map_recorder)
-    monkeypatch.setattr(mq.simplex, "_next_adults", edited_adults)
-    monkeypatch.setattr(mq.simplex, "_next_larvae", edited_larvae)
 
 
-def _block_would_be_skipped(p, row):
+def _block_ruled_out(p, row):
     # every adult residual of the row's block is far above the grid's
-    # threshold (2e-10 (5 beta + alpha + 5) is 1.6e-9 at REF1)
+    # adult bound (2e-10 (5 beta + alpha + 5) is 1.6e-9 at REF1)
     _, gy, _, _, _, y2 = grid_images(p)
     start = row - row % BLOCK
     return np.abs(y2 - gy)[start:start + BLOCK].min() > 1e-6
@@ -584,16 +573,16 @@ SECOND_BLOCK_ROWS = [BLOCK, BLOCK + BLOCK // 2, 2 * BLOCK - 1]  # its first, a m
 @pytest.mark.parametrize("row", SECOND_BLOCK_ROWS)
 def test_grid_counts_one_two_cycle_in_a_block_it_would_skip(monkeypatch, row):
     # the edited state returns to itself; every other state of the block
-    # is ruled out by its adult residual.  It sits below REF1's adult cut
-    # (y about 1.25), in a column the scan maps
-    assert _block_would_be_skipped(REF1, row)
+    # is ruled out by its adult residual.  Every pair is open, so the
+    # scan maps its column
+    assert _block_ruled_out(REF1, row)
     _edit_second_image(monkeypatch, REF1, row, 100, (GRID[row], GRID[100]))
     assert mq.count_two_cycles_on_grid(REF1) == 1
 
 
 @pytest.mark.parametrize("row", SECOND_BLOCK_ROWS)
 def test_grid_counts_one_nan_image_in_a_block_it_would_skip(monkeypatch, row):
-    assert _block_would_be_skipped(REF1, row)
+    assert _block_ruled_out(REF1, row)
     _edit_second_image(monkeypatch, REF1, row, 100, (np.nan, np.nan))
     with pytest.raises(mq.VerificationError, match=r"two-cycle grid: 1 of the 250000 cells are not finite "):
         mq.count_two_cycles_on_grid(REF1)
@@ -610,23 +599,15 @@ def _bound_rates():
 
 @pytest.mark.parametrize("p", _bound_rates(), ids=lambda p: f"{p.alpha:.3g}-{p.beta:.3g}-{p.mu:.3g}")
 def test_grid_displacement_and_adult_residual_bounds(p):
-    # the grid skips a block whose least adult residual is at least
-    # 2e-10 (5 beta + alpha + 5): that is sound while no displacement
-    # exceeds 5 beta + alpha + 5 by more than a few ulps, and skipping
-    # stops at beta about 7e9 while no adult residual exceeds 2 alpha + 5.
-    # The scan maps only the columns below its adult cut: every cell of a
-    # column beyond it has an adult residual of at least that bound
+    # a cell whose adult residual is at least 2e-10 (5 beta + alpha + 5)
+    # is not counted: that is sound while no displacement exceeds
+    # 5 beta + alpha + 5 by more than a few ulps, and the envelope closes
+    # no pair from beta about 3.5e9 while no adult residual exceeds
+    # 2 alpha + 5
     gx, gy, x1, y1, x2, y2 = grid_images(p)
     ulps = 1 + 4 * sys.float_info.epsilon
     assert np.maximum(np.abs(x1 - gx), np.abs(y1 - gy)).max() <= (5 * p.beta + p.alpha + 5) * ulps
     assert np.abs(y2 - gy).max() <= (2 * p.alpha + 5) * ulps
-    ncol = mq.simplex._adult_columns(p, GRID, grid_bound(p))
-    assert 1 <= ncol <= GRID.size
-    assert (np.abs(y2 - gy)[:, ncol:] >= grid_bound(p)).all()
-    if ncol < GRID.size:  # the first column dropped is at or above the exact y_hi
-        c, u = F(1.0 - p.mu), F(1, 2 ** 53)
-        y_hi = ((1 + u) ** 4 * F(p.alpha) * (1 + c) + F(grid_bound(p))) / (1 - (1 + u) ** 4 * c * c)
-        assert F(GRID[ncol]) >= y_hi > 0
 
 
 @pytest.mark.parametrize("p", _oracle_rates() + _bound_rates(), ids=lambda p: f"{p.alpha:.3g}-{p.beta:.17g}-{p.mu:.3g}")
@@ -635,14 +616,15 @@ def test_envelope_closes_only_pairs_whose_cells_are_ruled_out(p):
     # envelope closes on its first row has y'' - y >= bound on every cell,
     # one it closes on its last row y'' - y <= -bound: on the whole grid,
     # every cell of a closed pair lies on one side, at least bound from y,
-    # so it is neither counted nor not finite.  The origin (first row,
-    # first column, y'' = y) keeps its pair open on every rate set
+    # so it is neither counted nor not finite.  At both scales the scan
+    # runs it at: the whole grid as one block, which chooses the columns,
+    # and the row blocks.  The origin (first row, first column, y'' = y)
+    # keeps its pair open on every rate set
     _, gy, _, _, _, y2 = grid_images(p)
-    ncol = mq.simplex._adult_columns(p, GRID, grid_bound(p))
-    rows = GRID.reshape(-1, BLOCK)
-    open_pairs = mq.simplex._open_pairs(p, rows, gy[:, :ncol], grid_bound(p))
-    assert open_pairs.shape == (GRID.size // BLOCK, ncol) and open_pairs[0, 0]
-    with np.errstate(invalid="ignore"):
-        ry = (y2 - gy)[:, :ncol].reshape(-1, BLOCK, ncol)
-        above, below = (ry >= grid_bound(p)).all(axis=1), (ry <= -grid_bound(p)).all(axis=1)
-    assert (open_pairs | above | below).all()
+    for block in (GRID.size, BLOCK):
+        open_pairs = mq.simplex._open_pairs(p, GRID.reshape(-1, block), gy, grid_bound(p))
+        assert open_pairs.shape == (GRID.size // block, GRID.size) and open_pairs[0, 0]
+        with np.errstate(invalid="ignore"):
+            ry = (y2 - gy).reshape(-1, block, GRID.size)
+            above, below = (ry >= grid_bound(p)).all(axis=1), (ry <= -grid_bound(p)).all(axis=1)
+        assert (open_pairs | above | below).all()
