@@ -334,8 +334,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     The map side is `iterate_orbit` where the rates are admissible for
     the reduced map (no larval mortality), else `iterate_general`; both
-    take --steps, which must be at least 1.  A full map whose larvae fall
-    below 0 fails, as the flow does when it leaves its region (exit 4).
+    take --steps, which must be at least 1.  A side that leaves its region
+    raises IntegrationError (exit 4); rows past memory name their flags.
     Rows stream to --out or stdout; a side that has frozen (see
     `_compare_rows`) has its text formatted once, not once per row.
     """
@@ -344,13 +344,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     s0 = State(args.x0, args.y0)
     cfg = _orbit_config(args)
     ode_cfg = OdeConfig(step=args.dt, t_end=args.t_end)
+    rk4_too_large = f"--t-end / --dt: RK4 step count too large, got {args.t_end} / {args.dt}"
     if (ode_cfg.n_steps + 1) * 8 > np.iinfo(np.intp).max:
         # past numpy's largest array of the flow's samples, 8 bytes each
-        raise ValueError(f"--t-end / --dt: RK4 step count too large, got {args.t_end} / {args.dt}")
+        raise ValueError(rk4_too_large)
 
     r0 = offspring_number(p)
     positive = positive_equilibrium(p) if p.d1 > 0.0 else None
-    flow = integrate_flow(p, s0, ode_cfg)
+    try:
+        flow = integrate_flow(p, s0, ode_cfg)
+    except MemoryError:  # a sample count numpy can size but not allocate
+        raise ValueError(rk4_too_large) from None
 
     reduced = validate_parameters(p, Mode.REDUCED).valid
     eq_txt = "none" if positive is None else f"({fmt(positive.x)}, {fmt(positive.y)})"
@@ -366,12 +370,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
         summary.append(f"threshold_coherence={'true' if thresholds_agree(p) else 'false'}")
     else:
-        ns, xs, ys = iterate_general(p, s0, cfg.max_iters)
-        x, y = float(xs[-1]), float(ys[-1])
-        if not (x >= 0.0 and y >= 0.0):
-            # larval mortality can throw the larvae below 0, where the
-            # model has no meaning; the flow's failure reads the same
-            raise IntegrationError(f"full map left the admissible region at n={int(ns[-1])}: x={x!r}, y={y!r}")
+        try:
+            ns, xs, ys = iterate_general(p, s0, cfg.max_iters)
+        except (MemoryError, OverflowError):  # a frozen tail's rows past memory or past an index
+            raise ValueError(f"--steps: full map step count too large, got {args.steps}") from None
         summary.append(
             f"discrete: full map, {int(ns[-1])} steps, final=({fmt(xs[-1])}, {fmt(ys[-1])})"
         )

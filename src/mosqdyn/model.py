@@ -22,14 +22,13 @@ they round apart, and `_map`'s y' = e + (1 - mu) y is the closer to the
 exact image, so every next state comes from `_map`.  No compensated
 summation.  `_map` is the one map kernel: every caller, the planar grid
 (`simplex.count_two_cycles_on_grid`) included, takes both counts of the
-next generation from it.  Three hot loops inline a kernel's arithmetic,
-operation for operation, and a test pins each to the kernel bit for bit:
+next generation from it; `trajectory.iterate_general` calls it once a
+step.  Two hot loops inline a kernel's arithmetic, operation for
+operation, and a test pins each to the kernel bit for bit:
 
 * `trajectory.iterate_orbit` inlines `_map`
-  (`test_orbit_loop_matches_map_kernel_bit_for_bit`);
-* `trajectory.iterate_general` inlines `_map`
-  (`test_general_iteration_matches_map_kernel_bit_for_bit`), both in
-  `tests/test_trajectory.py`;
+  (`test_orbit_loop_matches_map_kernel_bit_for_bit` in
+  `tests/test_trajectory.py`);
 * `ode.integrate_flow` inlines `_field` at each RK4 stage
   (`test_rk4_loop_matches_field_kernel_bit_for_bit` in
   `tests/test_ode.py`).

@@ -93,8 +93,9 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import IntegrationError
 from .ioutil import FLOAT_FIELD
-from .model import Mode, Parameters, State, _same_bits, _slack, require_valid
+from .model import Mode, Parameters, State, _map, _same_bits, _slack, require_valid
 
 __all__ = [
     "Verdict",
@@ -424,41 +425,31 @@ def iterate_orbit(
 
 
 def iterate_general(p: Parameters, s0: State, n_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw iteration of the full map (larval mortality allowed): no
-    verdicts, no monitors, every step recorded.  Exploratory helper for
-    side-by-side comparisons.  Stops early if a coordinate leaves
-    [0, 1e15] or turns non-finite, keeping what was recorded so far.
-    A step that returns its input bit for bit (a zero repeats only a
-    zero of its own sign) stops the stepping but not the rows: the map
-    is autonomous, so the remaining steps are that state, filled in.
+    """Raw iteration of the full map (larval mortality allowed) by `_map`:
+    no verdicts, no monitors, every step recorded.  Exploratory helper for
+    side-by-side comparisons.  A step below 0 or to nan raises
+    IntegrationError, as the model has no meaning off the quadrant; a step
+    past 1e15 (inf included) ends the rows.  A step that returns its input
+    bit for bit (a zero repeats only a zero of its own sign) stops the
+    stepping but not the rows: the map is autonomous, so the remaining
+    steps are that state, filled in.
     """
     require_valid(p, Mode.GENERAL)
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    alpha = p.alpha
-    beta = p.beta
-    omm = 1.0 - p.mu
-    d0 = p.d0
-    d1 = p.d1
-    larval = bool(d0 or d1)
     x = s0.x
     y = s0.y
     xs = array("d", [x])
     ys = array("d", [y])
     put_x = xs.append
     put_y = ys.append
-    # `_map` inlined, the larval term behind its own test;
-    # tests/test_trajectory.py pins the loop to `_map` bit for bit
     for left in range(n_steps - 1, -1, -1):
-        em = alpha * (x / (1.0 + x))
-        dx = beta * y - em
-        if larval:
-            dx = dx - (d0 + d1 * x) * x
-        nx = dx + x
-        ny = em + omm * y
+        nx, ny = _map(p, x, y)
+        if not (nx >= 0.0 and ny >= 0.0):
+            raise IntegrationError(f"full map left the admissible region at n={n_steps - left}: x={nx!r}, y={ny!r}")
         put_x(nx)
         put_y(ny)
-        if not (0.0 <= nx <= 1e15 and 0.0 <= ny <= 1e15):
+        if nx > 1e15 or ny > 1e15:
             break
         if nx == x and ny == y and _same_bits(nx, x) and _same_bits(ny, y):
             # the step returned its input: the `left` steps to go repeat it

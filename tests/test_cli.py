@@ -1211,13 +1211,24 @@ def test_verification_failure_inside_a_command_exits_4(monkeypatch, capsys):
 
 
 def test_compare_horizon_beyond_memory_exits_2(capsys):
-    # 1e14 RK4 steps need 800 TB of samples, beyond any address space
+    # 1e14 RK4 steps need 800 TB of samples, beyond any address space:
+    # numpy's MemoryError named no flag
     rc = main(["compare", *EXT, "--x0", "1", "--y0", "1", "--steps", "10", "--t-end", "1e12"])
     out, err = capsys.readouterr()
-    assert rc == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert (rc, out) == (2, "")
+    assert err == "error: --t-end / --dt: RK4 step count too large, got 1000000000000.0 / 0.01\n"
+
+
+@pytest.mark.parametrize("steps", ["2000000000000000000", "20000000000000000000"])
+def test_compare_full_map_tail_beyond_memory_names_steps(capsys, steps):
+    # the map freezes at step 216 and its frozen tail is filled in; 2e18
+    # rows are past the largest array of doubles (a bare MemoryError), and
+    # 2e19 past an index-sized integer (an OverflowError traceback)
+    rc = main(["compare", "--alpha", "0.5", "--beta", "0.9", "--mu", "0.3", "--d0", "0.05", "--d1", "0.01",
+               "--x0", "1", "--y0", "1", "--steps", steps, "--t-end", "1"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == f"error: --steps: full map step count too large, got {steps}\n"
 
 
 @pytest.mark.parametrize("t_end, dt, shown", [("1e300", "1", "1e+300 / 1.0"), ("1e19", "0.5", "1e+19 / 0.5")])

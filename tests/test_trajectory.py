@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mosqdyn as mq
+from mosqdyn.errors import IntegrationError
 from mosqdyn.trajectory import _in_both_up_region
 from orbit_oracles import check_sum_identity, check_y_bound, count_forbidden_patterns
 
@@ -899,13 +900,12 @@ def test_general_iteration_matches_single_steps():
     ((0.5, 0.3, 0.9, 0.5, 0.1), (1.0, 1.0), 2000, 2001, "zero"),
 ])
 def test_general_iteration_matches_map_kernel_bit_for_bit(rates, s0, n_steps, n_rows, stop):
-    # iterate_general inlines the map step for speed; it must stay the
-    # shared kernel's arithmetic exactly, up to and including the step
-    # that leaves [0, 1e15], and so must a frozen tail it fills
+    # iterate_general's rows must be the shared kernel's arithmetic
+    # exactly, up to and including the step past 1e15, and so must a
+    # frozen tail it fills; a step below 0 raises, naming its image
     from mosqdyn.model import _map
 
     p = mq.Parameters(*rates)
-    ns, xs, ys = mq.iterate_general(p, mq.State(*s0), n_steps)
     x, y = s0
     ref_x, ref_y = [x], [y]
     for _ in range(n_steps):
@@ -915,20 +915,29 @@ def test_general_iteration_matches_map_kernel_bit_for_bit(rates, s0, n_steps, n_
         if not (0.0 <= x <= 1e15 and 0.0 <= y <= 1e15):
             break
     assert len(ref_x) == n_rows
+    if stop == "below":
+        assert ref_x[-1] < 0.0
+        with pytest.raises(IntegrationError) as exc:
+            mq.iterate_general(p, mq.State(*s0), n_steps)
+        assert str(exc.value) == (
+            f"full map left the admissible region at n={n_rows - 1}: x={ref_x[-1]!r}, y={ref_y[-1]!r}"
+        )
+        return
+    ns, xs, ys = mq.iterate_general(p, mq.State(*s0), n_steps)
     assert ns.tolist() == list(range(n_rows))
     assert xs.tobytes() == np.array(ref_x).tobytes() and ys.tobytes() == np.array(ref_y).tobytes()
     if stop == "zero":
         assert (ys[908], xs[909], ys[909]) == (5e-324, 5e-324, 0.0)
         assert (xs[909:] == 5e-324).all() and not np.signbit(ys[909:]).any() and not ys[909:].any()
     else:
-        assert {"above": xs[-1] > 1e15, "below": xs[-1] < 0.0, None: True}[stop]
+        assert {"above": xs[-1] > 1e15, None: True}[stop]
 
 
 def test_general_iteration_stops_outside_quadrant():
     p = mq.Parameters(0.5, 0.5, 0.5, 2.0, 0.0)
-    ns, xs, ys = mq.iterate_general(p, mq.State(1.0, 0.1), 100)
-    assert ns[-1] == 1
-    assert xs[-1] < 0.0
+    with pytest.raises(IntegrationError) as exc:
+        mq.iterate_general(p, mq.State(1.0, 0.1), 100)
+    assert str(exc.value) == "full map left the admissible region at n=1: x=-1.2000000000000002, y=0.3"
 
 
 def test_general_iteration_argument_validation():
