@@ -183,9 +183,10 @@ def run_certificates(p: Parameters, s0: State, config: OrbitConfig) -> tuple[lis
     `config` with its monitors, stopped at its survival certificate, and
     the growth or contraction certificate matching its verdict.  Where the
     orbit ends in the both-up region, `adult-limit` reports the step from
-    which the adult count is proved within CONV_TOL of alpha/mu.  A scan
-    that raises VerificationError fails its certificate with the message.
-    Returns the certificates and the orbit."""
+    which the adult count is proved within CONV_TOL of alpha/mu.  The rate
+    certificates after `spectral-agreement` run in one loop, in which one
+    that raises VerificationError fails alone, with the message as its
+    detail.  Returns the certificates and the orbit."""
     results: list[Certificate] = []
 
     rep = classify_origin(p)
@@ -203,18 +204,13 @@ def run_certificates(p: Parameters, s0: State, config: OrbitConfig) -> tuple[lis
         Certificate("spectral-agreement", ok, f"eig_err={eig_err:.2e} vieta=({vieta_sum:.2e},{vieta_prod:.2e})")
     )
 
-    both = all(stability_inequalities(p))
-    ok = both == (rep.classification is Classification.ATTRACTING)
-    results.append(Certificate("stability-equivalence", ok, f"classification={rep.classification.value}"))
-
-    ok = check_interval_map_range(p)
-    results.append(Certificate("interval-map-range", ok, "T([0,1]) within [0,1]"))
-
-    cert = two_cycle_certificate(p)
-    detail = f"A={cert.quad_a:.6g} B={cert.quad_b:.6g} C={cert.quad_c:.6g}"
-    results.append(Certificate("two-cycle-signs", cert.signs_ok, detail))
-
+    attracting = rep.classification is Classification.ATTRACTING
     for name, scan, judge in (
+        ("stability-equivalence", stability_inequalities,
+         lambda ineqs: (all(ineqs) == attracting, f"classification={rep.classification.value}")),
+        ("interval-map-range", check_interval_map_range, lambda ok: (ok, "T([0,1]) within [0,1]")),
+        ("two-cycle-signs", two_cycle_certificate,
+         lambda c: (c.signs_ok, f"A={c.quad_a:.6g} B={c.quad_b:.6g} C={c.quad_c:.6g}")),
         ("periodic-scan", scan_periodic_points,
          lambda roots: (True, f"periods 2..{max(roots)}: {sum(map(len, roots.values()))} roots, all fixed points")),
         ("two-cycle-grid", count_two_cycles_on_grid, lambda n: (n == 0, f"{n} non-origin period-two cells")),

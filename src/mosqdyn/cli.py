@@ -335,7 +335,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     The map side is `iterate_orbit` where the rates are admissible for
     the reduced map (no larval mortality), else `iterate_general`; both
     take --steps, which must be at least 1.  A side that leaves its region
-    raises IntegrationError (exit 4); rows past memory name their flags.
+    raises IntegrationError (exit 4).  The flow and the full map allocate
+    their rows before they run, so rows past memory fail at once, naming
+    their flags, even where the full map would stop early.
     Rows stream to --out or stdout; a side that has frozen (see
     `_compare_rows`) has its text formatted once, not once per row.
     """
@@ -372,7 +374,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     else:
         try:
             ns, xs, ys = iterate_general(p, s0, cfg.max_iters)
-        except (MemoryError, OverflowError):  # a frozen tail's rows past memory or past an index
+        except (ValueError, MemoryError):  # rows past numpy's largest array, or past memory
             raise ValueError(f"--steps: full map step count too large, got {args.steps}") from None
         summary.append(
             f"discrete: full map, {int(ns[-1])} steps, final=({fmt(xs[-1])}, {fmt(ys[-1])})"

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
@@ -33,23 +32,21 @@ def _named(exc: OSError, target: Path) -> OSError:
 
 
 def _atomic_write(path, write: Callable[[TextIO], object]) -> None:
-    """Call `write` on a temp file in the target directory, then rename it
-    over `path`.  Either the old content or the complete new content
-    exists at any moment, never a torn file.  The file gets the mode a
-    plain open() would give a new file (0666 less the umask), not the
-    0600 of mkstemp.
+    """Call `write` on a new temp file in the target directory,
+    `<name>.<random hex>.part`, then rename it over `path`.  Either the
+    old content or the complete new content exists at any moment, never a
+    torn file.  The temp file is created by a plain exclusive open(), so
+    the OS gives it the mode of any new file (0666 less the umask), and
+    the process umask is never touched.
     """
     target = Path(path)
+    tmp = target.parent / f"{target.name}.{os.urandom(8).hex()}.part"
     try:
-        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".part")
+        fh = open(tmp, "x", encoding="utf-8", newline="")
     except OSError as exc:
         raise _named(exc, target) from exc
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            # the umask can only be read by setting it (single-threaded program)
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
+        with fh:
             write(fh)
         try:
             os.replace(tmp, target)

@@ -364,17 +364,17 @@ def iterate_orbit(
                     drops_after_both_up += 1
             tied = True
         if tied:
-            if stop and dx > 0.0 and dy > 0.0 and _in_both_up_region(alpha, beta, mu, x1, y1):
-                px, x, y, verdict = x, x1, y1, Verdict.SURVIVAL
-                break
             # A step that returns its own input (with gradual underflow,
             # exactly zero increments) or the input of the step before it
             # bit for bit has caught the float map in a fixed point or a
             # two-cycle: every later step repeats, and no rule can fire.
-            if (dx == 0.0 and dy == 0.0) or (tie_n == n - 1 and x1 == tie_x and y1 == tie_y):
+            # It ends the run, in R or not; so does a both-positive tie in R.
+            caught = (dx == 0.0 and dy == 0.0) or (tie_n == n - 1 and x1 == tie_x and y1 == tie_y)
+            if stop and (caught or (dx > 0.0 and dy > 0.0)) and _in_both_up_region(alpha, beta, mu, x1, y1):
+                px, x, y, verdict = x, x1, y1, Verdict.SURVIVAL
+                break
+            if caught:
                 px, x, y = x, x1, y1
-                if stop and _in_both_up_region(alpha, beta, mu, x, y):
-                    verdict = Verdict.SURVIVAL
                 break
             tie_n, tie_x, tie_y = n, x, y
 
@@ -427,42 +427,41 @@ def iterate_orbit(
 def iterate_general(p: Parameters, s0: State, n_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raw iteration of the full map (larval mortality allowed) by `_map`:
     no verdicts, no monitors, every step recorded.  Exploratory helper for
-    side-by-side comparisons.  A step below 0 or to nan raises
-    IntegrationError, as the model has no meaning off the quadrant; a step
-    past 1e15 (inf included) ends the rows.  A step that returns its input
-    bit for bit (a zero repeats only a zero of its own sign) stops the
-    stepping but not the rows: the map is autonomous, so the remaining
-    steps are that state, filled in.
+    side-by-side comparisons.  Both row arrays are allocated before the
+    first step, as in `integrate_flow`, so a budget numpy cannot hold
+    fails at once (ValueError or MemoryError).  A step below 0 or to nan
+    raises IntegrationError, as the model has no meaning off the quadrant;
+    a step past 1e15 (inf included) ends the rows.  A step that returns
+    its input bit for bit (a zero repeats only a zero of its own sign)
+    stops the stepping but not the rows: the map is autonomous, so the
+    remaining steps are that state, filled in.
     """
     require_valid(p, Mode.GENERAL)
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    x = s0.x
-    y = s0.y
-    xs = array("d", [x])
-    ys = array("d", [y])
-    put_x = xs.append
-    put_y = ys.append
-    for left in range(n_steps - 1, -1, -1):
+    xs = np.empty(n_steps + 1, dtype=np.float64)
+    ys = np.empty(n_steps + 1, dtype=np.float64)
+    put_x = memoryview(xs)
+    put_y = memoryview(ys)
+    put_x[0] = x = s0.x
+    put_y[0] = y = s0.y
+    for n in range(1, n_steps + 1):
         nx, ny = _map(p, x, y)
         if not (nx >= 0.0 and ny >= 0.0):
-            raise IntegrationError(f"full map left the admissible region at n={n_steps - left}: x={nx!r}, y={ny!r}")
-        put_x(nx)
-        put_y(ny)
+            raise IntegrationError(f"full map left the admissible region at n={n}: x={nx!r}, y={ny!r}")
+        put_x[n] = nx
+        put_y[n] = ny
         if nx > 1e15 or ny > 1e15:
+            xs, ys = xs[: n + 1], ys[: n + 1]
             break
         if nx == x and ny == y and _same_bits(nx, x) and _same_bits(ny, y):
-            # the step returned its input: the `left` steps to go repeat it
-            xs.extend(array("d", [x]) * left)
-            ys.extend(array("d", [y]) * left)
+            # the step returned its input: every later step repeats it
+            xs[n:] = x
+            ys[n:] = y
             break
         x = nx
         y = ny
-    return (
-        np.arange(len(xs), dtype=np.int64),
-        np.frombuffer(xs, dtype=np.float64),
-        np.frombuffer(ys, dtype=np.float64),
-    )
+    return np.arange(len(xs), dtype=np.int64), xs, ys
 
 
 def check_growth_lower_bound(orbit: Orbit) -> bool:

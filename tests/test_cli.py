@@ -256,6 +256,23 @@ def test_output_files_respect_umask(tmp_path, capsys):
     assert stat.S_IMODE(compare_path.stat().st_mode) == 0o640
 
 
+def test_writing_a_file_leaves_the_process_umask_alone(tmp_path, monkeypatch, capsys):
+    # the umask can be read only by setting it, for the whole process; a
+    # file created by open() gets its mode from the OS without that
+    def umask(mask):
+        raise AssertionError(f"os.umask({mask:#o}) called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    cells_path = tmp_path / "cells.csv"
+    orbit_path = tmp_path / "orbit.csv"
+    assert main(["sweep", "--alpha-range", "0.6", "0.6", "1", "--beta-range", "0.5", "0.5", "1",
+                 "--mu-range", "0.48", "0.48", "1", "--out", str(cells_path)]) == 0
+    assert main(["simulate", *EXT, "--x0", "1", "--y0", "1", "--out", str(orbit_path)]) == 0
+    assert cells_path.read_text().startswith("alpha,beta,mu,")
+    assert orbit_path.read_text().startswith("n,x,y\n0,")
+    assert sorted(tmp_path.iterdir()) == [cells_path, orbit_path]
+
+
 # --------------------------------------------------------------- classify
 
 
@@ -908,6 +925,41 @@ def test_certify_keeps_the_periodic_scan_failure_short(monkeypatch, capsys):
     assert len(scan[0]) < 300
 
 
+def test_certify_fails_a_raising_rate_certificate_alone(monkeypatch, capsys):
+    # a rate certificate that raises fails its own line, its message the
+    # detail; every other certificate and the summary still print
+    def check(p):
+        raise VerificationError("stand-in")
+
+    monkeypatch.setattr(battery, "check_interval_map_range", check)
+    rc = main(["certify", *REF1, "--x0", "2", "--y0", "0.1"])
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert (rc, err) == (4, "")
+    assert [ln.split(" ")[1] for ln in lines[:-1]] == [
+        "spectral-agreement:", "stability-equivalence:", "interval-map-range:", "two-cycle-signs:",
+        "periodic-scan:", "two-cycle-grid:", "fixed-point-scan:", "orbit-dichotomy:",
+        "growth-lower-bound:", "adult-limit:",
+    ]
+    assert [ln for ln in lines if not ln.startswith("PASS ")] == [
+        "FAIL interval-map-range: stand-in", "certificates=10 failed=1",
+    ]
+
+
+@pytest.mark.parametrize("argv, line", [
+    ([*REF1, "--x0", "2", "--y0", "0.1"], "PASS periodic-scan: periods 2..8: 7 roots, all fixed points"),
+    ([*REF1, "--x0", "2", "--y0", "0.1"], "PASS two-cycle-grid: 0 non-origin period-two cells"),
+    (["--alpha", "1", "--beta", "1e12", "--mu", "0.48"], "PASS two-cycle-signs: A=3.04e+12 B=-1e+12 C=-2.04e+12"),
+    # the adult envelope keeps one column and leaves all 20 of its blocks open
+    (["--alpha", "3e-6", "--beta", "3e3", "--mu", "0.27"], "PASS two-cycle-grid: 0 non-origin period-two cells"),
+], ids=["ref1-scan", "ref1-grid", "beta1e12-signs", "open-blocks-grid"])
+def test_certify_prints_the_exact_rate_certificate_line(capsys, argv, line):
+    rc = main(["certify", *argv])
+    out, _ = capsys.readouterr()
+    assert line in out.splitlines()
+    assert rc == 0, out
+
+
 def test_certify_rejects_invalid_rates(capsys):
     rc = main(["certify", "--alpha", "1.5", "--beta", "0.5", "--mu", "0.48"])
     out, err = capsys.readouterr()
@@ -1221,14 +1273,43 @@ def test_compare_horizon_beyond_memory_exits_2(capsys):
 
 @pytest.mark.parametrize("steps", ["2000000000000000000", "20000000000000000000"])
 def test_compare_full_map_tail_beyond_memory_names_steps(capsys, steps):
-    # the map freezes at step 216 and its frozen tail is filled in; 2e18
-    # rows are past the largest array of doubles (a bare MemoryError), and
-    # 2e19 past an index-sized integer (an OverflowError traceback)
+    # the map would freeze at step 216 and fill its tail in; 2e18 rows are
+    # past the largest array of doubles, and 2e19 past numpy's largest
+    # dimension, so both are refused before the map runs
     rc = main(["compare", "--alpha", "0.5", "--beta", "0.9", "--mu", "0.3", "--d0", "0.05", "--d1", "0.01",
                "--x0", "1", "--y0", "1", "--steps", steps, "--t-end", "1"])
     out, err = capsys.readouterr()
     assert (rc, out) == (2, "")
     assert err == f"error: --steps: full map step count too large, got {steps}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    # the larvae pass 1e15 at step 1, so only two rows would be written
+    ["--alpha", "0.5", "--beta", "0.9", "--mu", "0.3", "--d0", "0.05", "--d1", "0", "--x0", "2e15", "--y0", "1"],
+    # the map neither freezes nor escapes: rows appended step by step
+    # grew until the host ran out of memory
+    ["--alpha", "0.53", "--beta", "2.74", "--mu", "0.53", "--d0", "0.008", "--d1", "0.47", "--x0", "1", "--y0", "1"],
+], ids=["escapes-at-step-1", "never-freezes"])
+def test_compare_refuses_full_map_rows_past_memory_before_the_map_runs(capsys, argv):
+    # the rows are allocated before the map runs, as the flow's are
+    rc = main(["compare", *argv, "--steps", "2000000000000000000", "--t-end", "1"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == "error: --steps: full map step count too large, got 2000000000000000000\n"
+
+
+def test_compare_writes_every_row_of_the_benchmark_full_map(tmp_path, capsys):
+    # both sides freeze long before the end; the map's tail and the
+    # flow's are filled in, one row per step
+    out_path = tmp_path / "compare.csv"
+    rc = main(["compare", "--alpha", "0.5", "--beta", "0.9", "--mu", "0.3", "--d0", "0.05", "--d1", "0.01",
+               "--x0", "1", "--y0", "1", "--steps", "50000", "--t-end", "500", "--dt", "0.01",
+               "--out", str(out_path)])
+    capsys.readouterr()
+    lines = out_path.read_text().splitlines()
+    assert rc == 0
+    assert len(lines) == 50002
+    assert lines[-1].startswith("50000,") and lines[-1].split(",")[3] == "500.000000"
 
 
 @pytest.mark.parametrize("t_end, dt, shown", [("1e300", "1", "1e+300 / 1.0"), ("1e19", "0.5", "1e+19 / 0.5")])
