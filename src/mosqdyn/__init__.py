@@ -7,6 +7,10 @@ along orbits with online monitors, excludes periodic behavior on the
 population simplex, and cross-checks everything against the continuous
 flow the map discretizes.  `battery` gathers those checks into the sweep
 and certificate battery that the command line interface runs.
+
+numpy is imported by the functions that build arrays, never at load, so
+importing the package, or running a command that builds no array
+(`classify`), does not load it.
 """
 
 from . import battery, errors, model, ode, simplex, spectral, trajectory

@@ -29,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-import numpy as np
-
 from .errors import VerificationError
 from .ioutil import fmt
 from .model import Mode, Parameters, State, _slack, validate_parameters
@@ -187,6 +185,8 @@ def run_certificates(p: Parameters, s0: State, config: OrbitConfig) -> tuple[lis
     certificates after `spectral-agreement` run in one loop, in which one
     that raises VerificationError fails alone, with the message as its
     detail.  Returns the certificates and the orbit."""
+    import numpy as np
+
     results: list[Certificate] = []
 
     rep = classify_origin(p)
@@ -254,6 +254,8 @@ def run_trials(n_trials: int, seed: int, config: OrbitConfig) -> list[Certificat
     [0, 10)^2, each put through `run_certificates` under `config`.  A
     trial passes when every certificate does; its detail names the rates,
     the orbit's verdict and length, and any certificates that failed."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     results: list[Certificate] = []
     for i in range(n_trials):

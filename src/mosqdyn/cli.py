@@ -21,7 +21,9 @@ that use them (`trajectory.CONV_TOL` and `DIV_THRESHOLD`, the grids of
 `certify --trials` runs the whole battery on rates and starts drawn from
 --seed (default DEFAULT_SEED) and echoes the seed in effect.
 File outputs are written atomically (temp file in the target directory,
-then rename).  The checks themselves live in `battery`; this module
+then rename); an --out that names something other than a regular file
+or a directory, such as a FIFO or a device node, is refused (exit 3) and
+left as it is.  The checks themselves live in `battery`; this module
 parses, prints, writes and maps outcomes to exit codes.
 """
 
@@ -29,10 +31,10 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 from dataclasses import asdict
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .battery import SWEEP_CSV_HEADER, expected_fate, run_certificates, run_trials, sweep, thresholds_agree
 from .errors import IntegrationError, VerificationError
@@ -41,6 +43,9 @@ from .model import Mode, Parameters, State, require_valid, validate_parameters
 from .ode import OdeConfig, integrate_flow, offspring_number, positive_equilibrium
 from .spectral import classify_origin, stability_inequalities
 from .trajectory import Orbit, OrbitConfig, iterate_general, iterate_orbit, orbit_to_csv
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["main", "DEFAULT_SEED"]
 
@@ -136,10 +141,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _finite_or_none(v: float) -> float | None:
-    return v if np.isfinite(v) else None
+    return v if math.isfinite(v) else None
 
 
 def _orbit_json(orbit: Orbit) -> dict:
+    import numpy as np
+
     # strict JSON has no NaN or Infinity: an overflowed value is null
     coords = np.array([orbit.xs, orbit.ys])
     finite = np.isfinite(coords)
@@ -208,6 +215,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _axis(rng3: list[float], name: str) -> np.ndarray:
+    import numpy as np
+
     lo, hi, n_f = rng3
     if not np.all(np.isfinite(rng3)):
         raise ValueError(f"{name}: low, high and count must be finite, got {lo} {hi} {n_f}")
@@ -305,6 +314,8 @@ def _compare_rows(sides):
 
     Memoryviews yield Python ints and floats, which format faster than
     numpy scalars, into the same bytes, and copy nothing."""
+    import numpy as np
+
     parts = []
     for lead, xs, ys, lead_field in sides:
         # the first row of the tail frozen at the last (x, y)
@@ -341,6 +352,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     Rows stream to --out or stdout; a side that has frozen (see
     `_compare_rows`) has its text formatted once, not once per row.
     """
+    import numpy as np
+
     p = Parameters(args.alpha, args.beta, args.mu, args.d0, args.d1)
     require_valid(p, Mode.GENERAL)
     s0 = State(args.x0, args.y0)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import stat
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
@@ -37,9 +39,19 @@ def _atomic_write(path, write: Callable[[TextIO], object]) -> None:
     old content or the complete new content exists at any moment, never a
     torn file.  The temp file is created by a plain exclusive open(), so
     the OS gives it the mode of any new file (0666 less the umask), and
-    the process umask is never touched.
+    the process umask is never touched.  A `path` that names something
+    other than a regular file or a directory (a FIFO, a device node) is
+    refused before the temp file exists: the rename would put a regular
+    file in its place.  A directory is left to the rename, which fails.
     """
     target = Path(path)
+    try:
+        mode = os.stat(target).st_mode
+    except OSError:
+        pass  # nothing there yet, or nothing to stat: the open() below says which
+    else:
+        if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+            raise OSError(errno.EEXIST, "File exists and is not a regular file", str(target))
     tmp = target.parent / f"{target.name}.{os.urandom(8).hex()}.part"
     try:
         fh = open(tmp, "x", encoding="utf-8", newline="")

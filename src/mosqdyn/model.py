@@ -47,8 +47,6 @@ from decimal import Decimal
 from enum import Enum
 from types import SimpleNamespace
 
-import numpy as np
-
 __all__ = [
     "Mode",
     "Parameters",
@@ -192,7 +190,13 @@ def _map(p: Parameters, x, y):
 def _slack(size, floor: float):
     """Eight ulps of `size` (a float or an array), never below `floor`."""
     scaled = 8 * sys.float_info.epsilon * abs(size)
-    return np.maximum(floor, scaled) if isinstance(scaled, np.ndarray) else max(floor, scaled)
+    # np.float64 subclasses float, and arithmetic makes one of a 0-d
+    # array, so only an array of one or more dimensions needs numpy here
+    if isinstance(scaled, float):
+        return max(floor, scaled)
+    import numpy as np
+
+    return np.maximum(floor, scaled)
 
 
 def _same_bits(a: float, b: float) -> bool:

@@ -42,11 +42,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import IntegrationError, VerificationError
 from .model import Mode, Parameters, State, _field, _same_bits, _slack, require_valid
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "OdeConfig",
@@ -165,6 +167,8 @@ def integrate_flow(p: Parameters, s0: State, config: OdeConfig | None = None) ->
     only a zero of its own sign) ends the loop: the later samples are
     that state, which each further step would return again.
     """
+    import numpy as np
+
     require_valid(p, Mode.GENERAL)
     cfg = config if config is not None else OdeConfig()
     h = cfg.step

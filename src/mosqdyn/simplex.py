@@ -31,8 +31,6 @@ import decimal
 from dataclasses import dataclass
 from decimal import Decimal
 
-import numpy as np
-
 from .errors import VerificationError
 from .model import Mode, Parameters, _EXACT, _exact, _map, require_valid
 
@@ -225,6 +223,8 @@ def scan_periodic_points(p: Parameters) -> dict[int, tuple[float, ...]]:
     counts the iterates that are not finite only for the message.
     Returns the roots found, by q.
     """
+    import numpy as np
+
     require_valid(p, Mode.REDUCED)
     xs = np.linspace(0.0, 1.0, 10_000)
     cur = xs.copy()
@@ -285,6 +285,8 @@ def _open_pairs(p: Parameters, rows, gy, bound: float):
     pair is decided, and closed, where its first row's adult residual
     y'' - y is at least 2 bound or its last row's at most -2 bound (see
     `count_two_cycles_on_grid`); a nan residual decides nothing."""
+    import numpy as np
+
     with np.errstate(over="ignore", invalid="ignore"):
         ry = _map(p, *_map(p, rows[:, [0, -1], None], gy))[1] - gy
     return ~((ry[:, 0] >= 2 * bound) | (ry[:, 1] <= -2 * bound))
@@ -349,6 +351,8 @@ def count_two_cycles_on_grid(p: Parameters) -> int:
     block, whose rows x = 0 and x = 5 choose the columns to keep, then
     on the `_GRID_BLOCK`-row blocks of the kept columns.  The origin's
     column always stays, as y'' - y = 0 at the origin."""
+    import numpy as np
+
     require_valid(p, Mode.REDUCED)
     xs = np.linspace(0.0, 5.0, 500)
     bound = 2e-10 * (5 * p.beta + p.alpha + 5)

@@ -43,8 +43,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import VerificationError
 from .model import Mode, Parameters, State, _EXACT, _exact, _field, _slack, require_valid
 
@@ -186,6 +184,8 @@ def find_fixed_points(p: Parameters) -> list[State]:
     nodes: g touches 0 there without changing sign, and stays above the
     rounding band at both nodes.
     """
+    import numpy as np
+
     require_valid(p, Mode.REDUCED)
     xs = 0.05 * np.arange(1, 1001)
     _, emergence = _field(p, xs, 0.0)

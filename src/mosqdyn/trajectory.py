@@ -90,12 +90,14 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import IntegrationError
 from .ioutil import FLOAT_FIELD
 from .model import Mode, Parameters, State, _map, _same_bits, _slack, require_valid
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Verdict",
@@ -230,6 +232,8 @@ def iterate_orbit(
     counts the ties as the steps left over after the loop, and keeps a
     row when a countdown from `record_every` runs out.
     """
+    import numpy as np
+
     require_valid(p, Mode.REDUCED)
     cfg = config if config is not None else OrbitConfig()
 
@@ -436,6 +440,8 @@ def iterate_general(p: Parameters, s0: State, n_steps: int) -> tuple[np.ndarray,
     stops the stepping but not the rows: the map is autonomous, so the
     remaining steps are that state, filled in.
     """
+    import numpy as np
+
     require_valid(p, Mode.GENERAL)
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -478,6 +484,8 @@ def check_growth_lower_bound(orbit: Orbit) -> bool:
     recorded step after the anchor the bound holds vacuously; with later
     steps but no anchor, it fails.
     """
+    import numpy as np
+
     p = orbit.params
     if not p.beta > p.mu:
         raise ValueError("growth bound applies to beta > mu only")
@@ -592,6 +600,8 @@ def check_decreasing_totals(orbit: Orbit) -> bool:
     of a few ulps of the total's first value, its largest, and never
     below the 1e-14 tie tolerance.
     """
+    import numpy as np
+
     p = orbit.params
     if not p.beta < p.mu:
         raise ValueError("decreasing totals apply to beta < mu only")

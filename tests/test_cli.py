@@ -229,6 +229,19 @@ def test_output_path_that_is_a_directory_is_named_as_given(tmp_path, capsys):
     assert list(target.iterdir()) == []
 
 
+def test_output_path_that_is_a_fifo_is_refused_and_left_alone(tmp_path, capsys):
+    # the rename would put a regular file in the FIFO's place; the FIFO is
+    # only stat-ed, never opened, so nothing here can block on it
+    target = tmp_path / "fifo"
+    os.mkfifo(target)
+    rc = main(["simulate", *EXT, "--x0", "1", "--y0", "1", "--out", str(target)])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (3, "")
+    assert err == f"i/o error: [Errno 17] File exists and is not a regular file: '{target}'\n"
+    assert stat.S_ISFIFO(os.stat(target).st_mode)
+    assert list(tmp_path.iterdir()) == [target]
+
+
 def test_simulate_budget_far_beyond_memory_matches_default(tmp_path, capsys):
     default_path = tmp_path / "default.csv"
     huge_path = tmp_path / "huge.csv"
@@ -1392,3 +1405,25 @@ def test_module_entry_point_smoke():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["classification"] == "saddle"
+
+
+NUMPY_OUT_CHILD = """
+import contextlib, io, sys
+import mosqdyn
+import mosqdyn.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = mosqdyn.cli.main(["classify", "--alpha", "0.6", "--beta", "0.5", "--mu", "0.48"])
+assert rc == 0, rc
+assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))[:5]
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = mosqdyn.cli.main(["certify", "--alpha", "0.6", "--beta", "0.5", "--mu", "0.48"])
+assert rc == 0, rc
+assert "numpy" in sys.modules
+"""
+
+
+def test_numpy_is_imported_only_by_the_commands_that_build_arrays():
+    # a fresh interpreter: importing the package and the CLI, and running
+    # `classify`, load no numpy; `certify` in the same process still gets it
+    proc = subprocess.run([sys.executable, "-c", NUMPY_OUT_CHILD], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -244,3 +244,37 @@ def test_full_map_can_leave_quadrant_with_heavy_mortality():
     p = mq.Parameters(0.5, 0.5, 0.5, 2.0, 0.0)
     with pytest.raises(ValueError):
         mq.step(p, mq.State(1.0, 0.1))
+
+
+# `_slack` takes a Python float, a numpy scalar or an array.  np.float64
+# subclasses float and has a .shape, so the scalar branch must be chosen
+# by what the value is, not by what it looks like: a numpy scalar or a
+# 0-d array takes `max`, and keeps numpy's scalar type only where the
+# scaled size wins, while a 1-d array takes the elementwise maximum.
+EIGHT_ULPS = 8 * 2.0 ** -52
+
+
+@pytest.mark.parametrize("make", [float, "float64", "0-d"])
+@pytest.mark.parametrize("size, floor, expected, scaled_wins", [
+    (1.0, 1e-12, 1e-12, False),
+    (1.0, 0.0, EIGHT_ULPS, True),
+    (-1e6, 1e-12, 1e6 * EIGHT_ULPS, True),
+])
+def test_slack_of_a_scalar_keeps_its_value_and_type(make, size, floor, expected, scaled_wins):
+    import numpy as np
+
+    value = {float: float, "float64": np.float64, "0-d": np.array}[make](size)
+    got = mq.model._slack(value, floor)
+    assert got == expected
+    # `max` returns the floor, a Python float, unless the scaled size is larger
+    want = np.float64 if scaled_wins and make != float else float
+    assert type(got) is want
+
+
+def test_slack_of_an_array_is_elementwise():
+    import numpy as np
+
+    got = mq.model._slack(np.array([1.0, -1e6, 1e300]), 1e-12)
+    assert type(got) is np.ndarray and got.dtype == np.float64
+    assert got.tolist() == [1e-12, 1e6 * EIGHT_ULPS, 1e300 * EIGHT_ULPS]
+    assert mq.model._slack(np.array([1.0]), 0.0).tolist() == [EIGHT_ULPS]
