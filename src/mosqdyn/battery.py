@@ -3,6 +3,8 @@ for the command line interface and the scripts to print and write.
 
 * `expected_fate`: the dichotomy, extinction for beta < mu and survival
   for beta > mu; `thresholds_agree` holds the flow's r0 threshold to it.
+  Both are defined beside what they read, in `model` and `ode`, so that
+  `classify` and `compare` run them without loading this module.
 * `sweep`: classify and simulate every cell of a rate grid, each orbit
   stopped at its survival certificate (`iterate_orbit`'s
   `stop_at_certificate`).  A cell agrees when its orbit is accepted and
@@ -31,8 +33,8 @@ from typing import Iterable, NamedTuple
 
 from .errors import VerificationError
 from .ioutil import fmt
-from .model import Mode, Parameters, State, _slack, validate_parameters
-from .ode import offspring_number
+from .model import Mode, Parameters, State, Verdict, _slack, expected_fate, validate_parameters
+from .ode import thresholds_agree
 from .simplex import (
     check_interval_map_range,
     count_two_cycles_on_grid,
@@ -49,7 +51,6 @@ from .trajectory import (
     CONV_TOL,
     Orbit,
     OrbitConfig,
-    Verdict,
     adult_limit_step,
     check_decreasing_totals,
     check_growth_lower_bound,
@@ -68,24 +69,6 @@ __all__ = [
 ]
 
 SWEEP_CSV_HEADER = "alpha,beta,mu,d0,d1,in_condition,classification,verdict,n_steps,y_limit_estimate,agree"
-
-
-def expected_fate(p: Parameters) -> tuple[str, str]:
-    """The dichotomy's prediction from the rates alone, as
-    (rate comparison, fate): ("beta<mu", "extinction"),
-    ("beta>mu", "survival") or ("beta=mu", "none")."""
-    if p.beta < p.mu:
-        return ("beta<mu", Verdict.EXTINCTION.value)
-    if p.beta > p.mu:
-        return ("beta>mu", Verdict.SURVIVAL.value)
-    return ("beta=mu", "none")
-
-
-def thresholds_agree(p: Parameters) -> bool:
-    """Whether the flow's threshold (r0 > 1) and the map's dichotomy
-    (beta > mu) point the same way; with no larval mortality r0 = beta/mu,
-    so for the reduced map they must."""
-    return (offspring_number(p) > 1.0) == (expected_fate(p)[1] == Verdict.SURVIVAL.value)
 
 
 def _orbit_accepted(orbit: Orbit) -> bool:

@@ -25,34 +25,66 @@ then rename); an --out that names something other than a regular file
 or a directory, such as a FIFO or a device node, is refused (exit 3) and
 left as it is.  The checks themselves live in `battery`; this module
 parses, prints, writes and maps outcomes to exit codes.
+
+Each command loads only the library modules it runs (the rule is stated
+in the package docstring).  At load this module imports only what the
+parser and `classify` need; each other command imports its `trajectory`
+and `battery` names as its first statement; those names stay readable
+as attributes of this module (`_DEFERRED`).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import itertools
 import math
 import sys
 from dataclasses import asdict
 from typing import TYPE_CHECKING
 
-from .battery import SWEEP_CSV_HEADER, expected_fate, run_certificates, run_trials, sweep, thresholds_agree
 from .errors import IntegrationError, VerificationError
 from .ioutil import FLOAT_FIELD, atomic_write_lines, atomic_write_text, fmt, json_text
-from .model import Mode, Parameters, State, require_valid, validate_parameters
-from .ode import OdeConfig, integrate_flow, offspring_number, positive_equilibrium
+from .model import Mode, Parameters, State, expected_fate, require_valid, validate_parameters
+from .ode import OdeConfig, integrate_flow, offspring_number, positive_equilibrium, thresholds_agree
 from .spectral import classify_origin, stability_inequalities
-from .trajectory import Orbit, OrbitConfig, iterate_general, iterate_orbit, orbit_to_csv
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .trajectory import Orbit, OrbitConfig
 
 __all__ = ["main", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 12345
 
+# the names of `battery` and `trajectory` readable as attributes of this
+# module (`cli.iterate_orbit`), by module.  `__getattr__` looks each up in
+# its module on every access and never binds it here, so a name patched
+# in its module reads patched here too.
+_DEFERRED = {
+    "SWEEP_CSV_HEADER": "battery",
+    "run_certificates": "battery",
+    "run_trials": "battery",
+    "sweep": "battery",
+    "Orbit": "trajectory",
+    "OrbitConfig": "trajectory",
+    "iterate_general": "trajectory",
+    "iterate_orbit": "trajectory",
+    "orbit_to_csv": "trajectory",
+}
+
+
+def __getattr__(name: str):
+    # a name outside the table, a dunder included, imports nothing
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__package__}.{_DEFERRED[name]}"), name)
+
 
 def _orbit_config(args: argparse.Namespace) -> OrbitConfig:
+    from .trajectory import OrbitConfig
+
     record_every = getattr(args, "record_every", 1)  # certify and compare keep every step
     # checked here as well as in OrbitConfig, so that the message names the flag
     for flag, value in (("--steps", args.steps), ("--record-every", record_every)):
@@ -167,6 +199,8 @@ def _orbit_json(orbit: Orbit) -> dict:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .trajectory import iterate_orbit, orbit_to_csv
+
     p = Parameters(args.alpha, args.beta, args.mu)
     require_valid(p, Mode.REDUCED)
     orbit = iterate_orbit(p, State(args.x0, args.y0), _orbit_config(args))
@@ -242,6 +276,8 @@ def _axis(rng3: list[float], name: str) -> np.ndarray:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .battery import SWEEP_CSV_HEADER, sweep
+
     alphas = _axis(args.alpha_range, "--alpha-range")
     betas = _axis(args.beta_range, "--beta-range")
     mus = _axis(args.mu_range, "--mu-range")
@@ -257,6 +293,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
+    from .battery import run_certificates, run_trials
+
     p = Parameters(args.alpha, args.beta, args.mu)
     require_valid(p, Mode.REDUCED)
     if args.trials < 0:
@@ -353,6 +391,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     `_compare_rows`) has its text formatted once, not once per row.
     """
     import numpy as np
+
+    from .trajectory import iterate_general, iterate_orbit
 
     p = Parameters(args.alpha, args.beta, args.mu, args.d0, args.d1)
     require_valid(p, Mode.GENERAL)

@@ -35,6 +35,11 @@ operation, and a test pins each to the kernel bit for bit:
 
 `_slack`, the one rounding bound of every float residual, lives here too,
 and so does `_EXACT`, the decimal context of every exact sign.
+
+So do `Verdict` and `expected_fate`, the paper's dichotomy read from the
+rates alone, which `classify` reports without loading the orbit code.
+They keep their places in the `__all__` of `trajectory` and `battery`,
+which import them from here.
 """
 
 from __future__ import annotations
@@ -63,6 +68,12 @@ class Mode(str, Enum):
 
     GENERAL = "general"
     REDUCED = "reduced"
+
+
+class Verdict(str, Enum):
+    EXTINCTION = "extinction"
+    SURVIVAL = "survival"
+    EXHAUSTED = "exhausted"
 
 
 @dataclass(frozen=True)
@@ -157,6 +168,17 @@ def require_valid(p: Parameters, mode: Mode | str = Mode.GENERAL) -> None:
     report = validate_parameters(p, mode)
     if not report.valid:
         raise ValueError(report.message())
+
+
+def expected_fate(p: Parameters) -> tuple[str, str]:
+    """The dichotomy's prediction from the rates alone, as
+    (rate comparison, fate): ("beta<mu", "extinction"),
+    ("beta>mu", "survival") or ("beta=mu", "none")."""
+    if p.beta < p.mu:
+        return ("beta<mu", Verdict.EXTINCTION.value)
+    if p.beta > p.mu:
+        return ("beta>mu", Verdict.SURVIVAL.value)
+    return ("beta=mu", "none")
 
 
 # `_field` and `_map` skip the larval mortality term when

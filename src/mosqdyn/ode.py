@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import IntegrationError, VerificationError
-from .model import Mode, Parameters, State, _field, _same_bits, _slack, require_valid
+from .model import Mode, Parameters, State, Verdict, _field, _same_bits, _slack, expected_fate, require_valid
 
 if TYPE_CHECKING:
     import numpy as np
@@ -124,6 +124,13 @@ def offspring_number(p: Parameters) -> float:
         except OverflowError:
             return _INF
     return q / p.mu
+
+
+def thresholds_agree(p: Parameters) -> bool:
+    """Whether the flow's threshold (r0 > 1) and the map's dichotomy
+    (beta > mu) point the same way; with no larval mortality r0 = beta/mu,
+    so for the reduced map they must.  Listed in `battery.__all__`."""
+    return (offspring_number(p) > 1.0) == (expected_fate(p)[1] == Verdict.SURVIVAL.value)
 
 
 def positive_equilibrium(p: Parameters) -> State | None:

@@ -89,12 +89,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING
 
 from .errors import IntegrationError
 from .ioutil import FLOAT_FIELD
-from .model import Mode, Parameters, State, _map, _same_bits, _slack, require_valid
+from .model import Mode, Parameters, State, Verdict, _map, _same_bits, _slack, require_valid
 
 if TYPE_CHECKING:
     import numpy as np
@@ -119,12 +118,6 @@ CONV_TOL = 1e-8
 DIV_THRESHOLD = 1e9
 CONFIRM_STEPS = 100
 _INF = float("inf")
-
-
-class Verdict(str, Enum):
-    EXTINCTION = "extinction"
-    SURVIVAL = "survival"
-    EXHAUSTED = "exhausted"
 
 
 @dataclass(frozen=True)

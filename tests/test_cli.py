@@ -1059,7 +1059,8 @@ def test_certify_rejects_a_negative_seed_before_the_battery(monkeypatch, capsys)
     def certificates(*args):
         raise AssertionError("the battery ran")
 
-    monkeypatch.setattr(cli, "run_certificates", certificates)
+    # patched where `cmd_certify` reads it, in the module that defines it
+    monkeypatch.setattr(battery, "run_certificates", certificates)
     rc = main(["certify", *REF1, "--trials", "2", "--seed", "-1"])
     out, err = capsys.readouterr()
     assert rc == 2
@@ -1426,4 +1427,93 @@ def test_numpy_is_imported_only_by_the_commands_that_build_arrays():
     # a fresh interpreter: importing the package and the CLI, and running
     # `classify`, load no numpy; `certify` in the same process still gets it
     proc = subprocess.run([sys.executable, "-c", NUMPY_OUT_CHILD], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+MODULES_CHILD = """
+import contextlib, io, json, sys
+from mosqdyn.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    rc = main(sys.argv[1:])
+print(json.dumps([rc, sorted(m for m in sys.modules if m == "mosqdyn" or m.startswith("mosqdyn."))]))
+"""
+COMMON = {"mosqdyn", "mosqdyn.cli", "mosqdyn.errors", "mosqdyn.ioutil", "mosqdyn.model", "mosqdyn.ode",
+          "mosqdyn.spectral"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["classify", *REF1], COMMON),
+    (["simulate", *EXT, "--x0", "1", "--y0", "1"], COMMON | {"mosqdyn.trajectory"}),
+    (["compare", *EXT, "--x0", "1", "--y0", "1", "--steps", "5", "--t-end", "1"], COMMON | {"mosqdyn.trajectory"}),
+    (["certify", *REF1], COMMON | {"mosqdyn.trajectory", "mosqdyn.battery", "mosqdyn.simplex"}),
+], ids=["classify", "simulate", "compare", "certify"])
+def test_each_command_loads_only_the_modules_it_runs(argv, modules):
+    # a fresh interpreter: `classify` decides from closed forms, so it
+    # loads neither the orbit code nor the battery and its scans
+    proc = subprocess.run([sys.executable, "-c", MODULES_CHILD, *argv], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, loaded = json.loads(proc.stdout)
+    assert rc == 0
+    assert set(loaded) == modules
+
+
+PACKAGE_ALL = [
+    "Certificate", "Classification", "FlowTrajectory", "IntegrationError", "Mode", "MonitorLog", "OdeConfig",
+    "Orbit", "OrbitConfig", "Parameters", "PeriodCertificate", "SWEEP_CSV_HEADER", "SpectralReport", "State",
+    "StepSignCensus", "SweepCell", "ValidationReport", "Verdict", "VerificationError", "adult_limit_step",
+    "check_decreasing_totals", "check_growth_lower_bound", "check_interval_map_range", "classify_origin",
+    "count_two_cycles_on_grid", "expected_fate", "find_fixed_points", "integrate_flow", "interval_map",
+    "interval_map_parts", "iterate_general", "iterate_orbit", "offspring_number", "orbit_to_csv",
+    "positive_equilibrium", "require_valid", "run_certificates", "run_trials", "scan_periodic_points",
+    "stability_inequalities", "step", "sweep", "thresholds_agree", "two_cycle_certificate", "validate_parameters",
+]
+# every name `cli` has offered as an attribute, by the module whose __all__ lists it
+CLI_NAMES = {
+    "battery": ["SWEEP_CSV_HEADER", "expected_fate", "run_certificates", "run_trials", "sweep", "thresholds_agree"],
+    "errors": ["IntegrationError", "VerificationError"],
+    "ioutil": ["FLOAT_FIELD", "atomic_write_lines", "atomic_write_text", "fmt", "json_text"],
+    "model": ["Mode", "Parameters", "State", "require_valid", "validate_parameters"],
+    "ode": ["OdeConfig", "integrate_flow", "offspring_number", "positive_equilibrium"],
+    "spectral": ["classify_origin", "stability_inequalities"],
+    "trajectory": ["Orbit", "OrbitConfig", "iterate_general", "iterate_orbit", "orbit_to_csv"],
+}
+
+
+def test_the_lazy_namespaces_resolve_every_name_to_its_module_object():
+    import importlib
+
+    import mosqdyn
+
+    assert mosqdyn.__all__ == PACKAGE_ALL
+    for short in ("battery", "errors", "model", "ode", "simplex", "spectral", "trajectory"):
+        module = importlib.import_module(f"mosqdyn.{short}")
+        assert getattr(mosqdyn, short) is module
+        for name in module.__all__:
+            assert getattr(mosqdyn, name) is getattr(module, name), f"{short}.{name}"
+    # and no name is listed under two modules
+    assert sorted(name for m in mosqdyn._EXPORTS.values() for name in m) == PACKAGE_ALL
+    for short, names in CLI_NAMES.items():
+        module = importlib.import_module(f"mosqdyn.{short}")
+        for name in names:
+            assert getattr(cli, name) is getattr(module, name), f"cli.{name}"
+    # looked up on every access, never bound into either namespace
+    assert not {*mosqdyn.__all__} & set(vars(mosqdyn))
+    assert not set(cli._DEFERRED) & set(vars(cli))
+
+
+NO_IMPORT_CHILD = """
+import sys
+import mosqdyn.cli
+before = set(sys.modules)
+for module in (mosqdyn, mosqdyn.cli):
+    for name in ("__wrapped__", "no_such_name"):
+        assert getattr(module, name, None) is None, (module, name)
+assert set(sys.modules) == before, sorted(set(sys.modules) - before)
+"""
+
+
+def test_an_unknown_or_dunder_attribute_imports_nothing():
+    # a tracer that reads `__wrapped__` off every module value must not
+    # load a module while it walks the loaded ones
+    proc = subprocess.run([sys.executable, "-c", NO_IMPORT_CHILD], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
